@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
+import shutil
 import sys
+from bisect import bisect_left
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import search as search_mod
 from . import sweep as sweep_mod
@@ -44,6 +50,23 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
+def _finite(value, where: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return number
+
+
+def _count(value, where: str) -> int:
+    # bool is an int subclass; json true would otherwise count as 1.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def parse_config(doc: dict) -> tuple[sweep_mod.SweepSpec, search_mod.Objective | None]:
     """Validate a configuration document and build the internal objects."""
     if not isinstance(doc, dict):
@@ -67,8 +90,8 @@ def parse_config(doc: dict) -> tuple[sweep_mod.SweepSpec, search_mod.Objective |
     regime = system.get("regime", "markovian")
     pm = PhaseModel(
         regime=regime,
-        tau=float(system.get("tau", 0.0)),
-        **{k: float(phases_doc.get(k, 0.0)) for k in _PHASE_KEYS},
+        tau=_finite(system.get("tau", 0.0), "system.tau"),
+        **{k: _finite(phases_doc.get(k, 0.0), f"system.phases.{k}") for k in _PHASE_KEYS},
     )
 
     sweep_doc = _require(doc, "sweep", "config")
@@ -76,25 +99,29 @@ def parse_config(doc: dict) -> tuple[sweep_mod.SweepSpec, search_mod.Objective |
     delta_doc = _require(sweep_doc, "delta", "sweep")
     _reject_unknown(delta_doc, {"min", "max", "count"}, "sweep.delta")
     delta_axis = sweep_mod.Axis(
-        float(_require(delta_doc, "min", "sweep.delta")),
-        float(_require(delta_doc, "max", "sweep.delta")),
-        int(_require(delta_doc, "count", "sweep.delta")),
+        _finite(_require(delta_doc, "min", "sweep.delta"), "sweep.delta.min"),
+        _finite(_require(delta_doc, "max", "sweep.delta"), "sweep.delta.max"),
+        _count(_require(delta_doc, "count", "sweep.delta"), "sweep.delta.count"),
     )
     phase_axis = None
     phase_doc = sweep_doc.get("phase")
     if phase_doc is not None:
         _reject_unknown(phase_doc, {"min", "max", "count", "linkage"}, "sweep.phase")
         linkage_doc = _require(phase_doc, "linkage", "sweep.phase")
-        linkage = tuple(sorted((str(k), float(v)) for k, v in linkage_doc.items()))
+        linkage = tuple(
+            sorted(
+                (str(k), _finite(v, f"sweep.phase.linkage.{k}")) for k, v in linkage_doc.items()
+            )
+        )
         phase_axis = sweep_mod.PhaseAxis(
-            float(_require(phase_doc, "min", "sweep.phase")),
-            float(_require(phase_doc, "max", "sweep.phase")),
-            int(_require(phase_doc, "count", "sweep.phase")),
+            _finite(_require(phase_doc, "min", "sweep.phase"), "sweep.phase.min"),
+            _finite(_require(phase_doc, "max", "sweep.phase"), "sweep.phase.max"),
+            _count(_require(phase_doc, "count", "sweep.phase"), "sweep.phase.count"),
             linkage=linkage,
         )
     spec = sweep_mod.SweepSpec(
         family=_require(system, "family", "system"),
-        gammas=tuple(float(x) for x in gamma),
+        gammas=tuple(_finite(x, "system.gamma") for x in gamma),
         phases=pm,
         delta_axis=delta_axis,
         phase_axis=phase_axis,
@@ -217,18 +244,66 @@ def _metadata_lines(result: sweep_mod.SweepResult, extra: dict | None = None) ->
 
 CSV_HEADER = "delta,phi,T_Ng,T_Ns,T_M_rev,R_M,T2,eta,residual,flags"
 
+#: Data rows formatted per string operation; bounds the writer's memory.
+CSV_CHUNK_ROWS = 1024
+
+#: One data row: "%.17g" gives the same text as f"{x:.17g}" (nan, inf and
+#: -0 included).  delta and phi arrive preformatted, flags already joined.
+_ROW_FORMAT = "%s,%s," + "%.17g," * len(sweep_mod.RATE_FIELDS) + "%s\n"
+
+
+def _csv_head(result: sweep_mod.SweepResult, extra: dict | None) -> str:
+    return "".join(line + "\n" for line in _metadata_lines(result, extra)) + CSV_HEADER + "\n"
+
+
+def _joined_flags(result: sweep_mod.SweepResult) -> dict[int, str]:
+    """Flag text of each flagged cell, keyed by its detuning-major row number."""
+    n_phi = result.phi.size
+    return {
+        j * n_phi + i: ";".join(cell)
+        for i, row in enumerate(result.flags)
+        if any(row)
+        for j, cell in enumerate(row)
+        if cell
+    }
+
 
 def write_csv(result: sweep_mod.SweepResult, stream, extra: dict | None = None) -> None:
-    """Emit the grid in detuning-major row order with metadata up front."""
-    for line in _metadata_lines(result, extra):
-        stream.write(line + "\n")
-    stream.write(CSV_HEADER + "\n")
-    for j, d in enumerate(result.delta):
-        for i, p in enumerate(result.phi):
-            cell = result.cell(i, j)
-            flags = ";".join(cell.flags)
-            row = [_fmt(d), _fmt(p)] + [_fmt(v) for v in cell.as_row()] + [flags]
-            stream.write(",".join(row) + "\n")
+    """Emit the grid in detuning-major row order with metadata up front.
+
+    Rows are formatted CSV_CHUNK_ROWS at a time with one %-format over a
+    chunk's values, so memory stays bounded whatever the grid size.
+    """
+    stream.write(_csv_head(result, extra))
+    n_phi = result.phi.size
+    n_rows = n_phi * result.delta.size
+    delta_text = np.array([_fmt(x) for x in result.delta], dtype=object)
+    phi_text = np.array([_fmt(x) for x in result.phi], dtype=object)
+    flags = _joined_flags(result)
+    flagged_rows = sorted(flags)
+    for start in range(0, n_rows, CSV_CHUNK_ROWS):
+        stop = min(start + CSV_CHUNK_ROWS, n_rows)
+        j, i = np.divmod(np.arange(start, stop), n_phi)
+        block = np.empty((stop - start, len(sweep_mod.RATE_FIELDS) + 3), dtype=object)
+        block[:, 0] = delta_text[j]
+        block[:, 1] = phi_text[i]
+        for col, name in enumerate(sweep_mod.RATE_FIELDS, start=2):
+            block[:, col] = result.rates[name][i, j]
+        block[:, -1] = ""
+        lo = bisect_left(flagged_rows, start)
+        for row in flagged_rows[lo : bisect_left(flagged_rows, stop, lo)]:
+            block[row - start, -1] = flags[row]
+        stream.write(_ROW_FORMAT * (stop - start) % tuple(block.ravel().tolist()))
+
+
+def _copy_data_rows(source: Path, head_lines: int, head: str, path: Path) -> None:
+    """Write ``head`` to ``path``, then the data rows of the CSV at ``source``."""
+    with open(source, "rb") as src, open(path, "w") as dst:
+        for _ in range(head_lines):
+            src.readline()
+        dst.write(head)
+        dst.flush()
+        shutil.copyfileobj(src, dst.buffer)
 
 
 def result_as_json(result: sweep_mod.SweepResult, extra: dict | None = None) -> dict:
@@ -294,14 +369,19 @@ def _cmd_figure(args) -> int:
         if args.phase_count and spec.phase_axis is not None:
             spec = replace(spec, phase_axis=replace(spec.phase_axis, count=args.phase_count))
         results[key] = sweep_mod.run_sweep(spec)
+    # Panels of one sweep share their data rows: the first panel formats
+    # them and each later one copies them after its own metadata.
+    first_panels: dict[str, tuple[Path, int]] = {}
     for panel in preset.panels:
         path = out_dir / f"{preset.figure}{panel.panel}.csv"
-        with open(path, "w") as stream:
-            write_csv(
-                results[panel.sweep],
-                stream,
-                extra={"figure": preset.figure, "panel": panel.panel, "column": panel.column},
-            )
+        result = results[panel.sweep]
+        extra = {"figure": preset.figure, "panel": panel.panel, "column": panel.column}
+        if panel.sweep in first_panels:
+            _copy_data_rows(*first_panels[panel.sweep], _csv_head(result, extra), path)
+        else:
+            with open(path, "w") as stream:
+                write_csv(result, stream, extra=extra)
+            first_panels[panel.sweep] = (path, _csv_head(result, extra).count("\n"))
         print(path)
     return 0
 
@@ -418,6 +498,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`).  Point stdout at devnull so
+        # the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

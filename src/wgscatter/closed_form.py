@@ -99,11 +99,6 @@ def _singular_mask(den) -> np.ndarray:
     return np.abs(den) < DENOMINATOR_FLOOR
 
 
-def _raise_if_singular(den, params) -> None:
-    if np.any(_singular_mask(np.asarray(den))):
-        raise SingularityError(f"vanishing denominator at {params!r}")
-
-
 # ---------------------------------------------------------------------------
 # Vectorized field kernels.  All return SimpleNamespace objects whose entries
 # broadcast over the inputs; "singular" is the bad-denominator mask.

@@ -221,25 +221,32 @@ def _solver_cell(spec: SweepSpec, pm: PhaseModel, delta: float) -> TransferRates
 
 
 def _fill_singular(grids, flags, singular_mask) -> None:
-    """Replace flagged cells with the last valid neighbor along delta."""
-    n_phi, n_delta = singular_mask.shape
-    for i in range(n_phi):
-        for j in range(n_delta):
-            if not singular_mask[i, j]:
-                continue
-            src = None
-            for jj in range(j - 1, -1, -1):
-                if not singular_mask[i, jj]:
-                    src = jj
-                    break
-            if src is None:
-                for jj in range(j + 1, n_delta):
-                    if not singular_mask[i, jj]:
-                        src = jj
-                        break
-            for name in grids:
-                grids[name][i, j] = grids[name][i, src] if src is not None else 0.0
-            flags[i][j] = flags[i][j] + ("singular",)
+    """Replace flagged cells with the last valid neighbor along delta.
+
+    A cell with no valid cell before it takes the next valid one; a row with
+    no valid cell at all is filled with 0.0.
+    """
+    # Only rows with a singular cell are indexed, so the work arrays stay
+    # small on large grids with few singular cells.
+    affected = np.flatnonzero(singular_mask.any(axis=1))
+    if affected.size == 0:
+        return
+    mask = singular_mask[affected]
+    n_delta = mask.shape[1]
+    index = np.arange(n_delta)
+    # Index of the last valid cell at or before each cell (-1: none), and of
+    # the first valid cell at or after it (n_delta: none).
+    previous = np.maximum.accumulate(np.where(mask, -1, index), axis=1)
+    reverse_previous = np.maximum.accumulate(np.where(mask[:, ::-1], -1, index), axis=1)
+    following = (n_delta - 1 - reverse_previous)[:, ::-1]
+    k, cols = np.nonzero(mask)
+    rows = affected[k]
+    src = np.where(previous >= 0, previous, following)[k, cols]
+    valid = src < n_delta
+    for grid in grids.values():
+        grid[rows, cols] = np.where(valid, grid[rows, np.where(valid, src, 0)], 0.0)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        flags[i][j] = flags[i][j] + ("singular",)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:

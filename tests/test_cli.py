@@ -1,13 +1,31 @@
 """Command-line surface: config parsing, CSV contract, exit codes."""
 
+import hashlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wgscatter import cli
-from wgscatter.core import ConfigError
-from wgscatter.sweep import figure_preset
+from wgscatter.core import ConfigError, PhaseModel
+from wgscatter.sweep import (
+    FIGURE_IDS,
+    RATE_FIELDS,
+    Axis,
+    PhaseAxis,
+    SweepResult,
+    SweepSpec,
+    figure_preset,
+)
 
 
 def base_config(**overrides):
@@ -106,6 +124,35 @@ class TestSpectrum:
         cfg = write_config(tmp_path, doc)
         assert cli.main(["spectrum", cfg, "--out", "-"]) == 2
 
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("system", "gamma", [float("nan"), 0.25, 1.0, 0.0]),
+            ("system", "gamma", [1.0, float("inf"), 1.0, 0.0]),
+            ("system", "tau", float("inf")),
+            ("phases", "phi1_prime", float("nan")),
+            ("delta", "count", 2.7),
+            ("phase", "count", True),
+            ("phase", "count", 3.0),
+        ],
+    )
+    def test_non_finite_or_non_integer_value_rejected(self, tmp_path, capsys, block, key, value):
+        doc = base_config()
+        # start == stop, so a count read as 1 would make a valid axis.
+        doc["sweep"]["phase"] = {"min": 0.5, "max": 0.5, "count": 3, "linkage": {"phi_a": 1.0}}
+        doc["system"]["family"] = "small_separated"
+        target = {
+            "system": doc["system"],
+            "phases": doc["system"]["phases"],
+            "delta": doc["sweep"]["delta"],
+            "phase": doc["sweep"]["phase"],
+        }[block]
+        target[key] = value
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["spectrum", cfg, "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_parse_failure_reports_location(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"system": \n}')
@@ -119,6 +166,25 @@ class TestSpectrum:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rates"]["T_M_rev"][0]  # phase-major nesting
         assert "timestamp" not in payload["metadata"]
+
+
+def test_broken_pipe_exits_quietly(tmp_path):
+    doc = base_config()
+    # Far more output than a pipe buffers, so writing outlives the reader.
+    doc["sweep"]["delta"]["count"] = 20001
+    cfg = write_config(tmp_path, doc)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wgscatter.cli", "spectrum", cfg],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"# family=")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr
 
 
 class TestFigure:
@@ -144,7 +210,15 @@ class TestFigure:
         assert float(cols[3]) == pytest.approx(0.37, abs=0.005)
         assert float(cols[7]) == pytest.approx(0.757, abs=1e-3)
 
-    def test_fig9_emits_four_panels(self, tmp_path):
+    def test_fig9_emits_four_panels(self, tmp_path, monkeypatch):
+        formatted = []
+        write_csv = cli.write_csv
+
+        def counting_write_csv(result, stream, extra=None):
+            formatted.append(extra["panel"])
+            write_csv(result, stream, extra)
+
+        monkeypatch.setattr(cli, "write_csv", counting_write_csv)
         rc = cli.main(
             [
                 "figure",
@@ -160,6 +234,8 @@ class TestFigure:
         assert rc == 0
         names = sorted(p.name for p in tmp_path.glob("*.csv"))
         assert names == ["fig9a.csv", "fig9b.csv", "fig9c.csv", "fig9d.csv"]
+        # Panels b and d reuse the rows formatted for a and c.
+        assert formatted == ["a", "c"]
 
     def test_fig10_quarter_phase_rows_have_zero_conversion(self, tmp_path):
         cli.main(
@@ -297,3 +373,218 @@ class TestDumpConfig:
 def test_parse_config_requires_object():
     with pytest.raises(ConfigError):
         cli.parse_config([])
+
+
+# ---------------------------------------------------------------------------
+# Golden outputs: SHA-256 of whole CSV files written by the per-cell writer
+# that formatted every value with f"{x:.17g}".  Any change of bytes fails.
+# ---------------------------------------------------------------------------
+
+#: Every panel of every preset at --delta-count 51 --phase-count 3.  The
+#: phase axis 0, pi, 2pi puts singular cells into the giant-atom presets.
+PRESET_DIGESTS = {
+    "fig2a": {
+        "fig2a.csv": "d4d521d8befe31ae025c00d3e38209d47bd2c0d597fcaeed75e1654308a16fb7",
+    },
+    "fig2b": {
+        "fig2b.csv": "7ea8bb4601c0cdce16825c0711a902497f9d0ee5aa5f35379f7fafc11c85b3cc",
+    },
+    "fig3a": {
+        "fig3a.csv": "76d4a88e01661fb1a40f0b06b43346e18199cd1c706602b6584995dea7cd86e5",
+    },
+    "fig3b": {
+        "fig3b.csv": "5e620678897f418bf618846c6a3ae4809eeb2889864d5afdcc41ed8ac1f87aee",
+    },
+    "fig4a": {
+        "fig4a.csv": "053325fd8512c40cc47cb4323bdc7b3f5ec0a86f43760ee8571e88c3c55031f2",
+    },
+    "fig4b": {
+        "fig4b.csv": "99f21133129200d73b7439947032f2f1455d3ab636ba3200272e8c3d765be863",
+    },
+    "fig6": {
+        "fig6a.csv": "a32bc1fbadab04e96847289cc2fef4d3eb31d7f77c68d1b049c88db0e0c27791",
+        "fig6b.csv": "90e7ffc86f57fd220418f0a0da55215056f2c7ef9bac5ae0224e74a0046d7ff3",
+    },
+    "fig7": {
+        "fig7a.csv": "e4505257ab3ff84bf0958a10d54ad2dff81ee3517766b69d07581bd675f44118",
+        "fig7b.csv": "de2ecd37619f68ae503e40d99457c9838194284c6ae95142c8d03de4bbf85736",
+        "fig7c.csv": "b78cd6cebd05a182c03727b9560462fedec5b2821f6d36fad3a0fb8e0d5f25aa",
+        "fig7d.csv": "132128c036547a0792eb9b42db49fed337d1b09b229133c67e659137e4087cb9",
+    },
+    "fig8": {
+        "fig8a.csv": "12e002c1fdeb3c04b87ad0ac6d6f54db2a580d800bd7ad343f35e4ce2562d8d0",
+        "fig8b.csv": "d8593906da4252c6c8d03ee51763f7a5cd2f713fddca23523545ba0783e42d1f",
+    },
+    "fig9": {
+        "fig9a.csv": "222334b1a1838d3b946a76e823a940c4eb275996ae7525c56bc70d6434d7f756",
+        "fig9b.csv": "eef51eeaa92399f81025ea6aee45fa42b2eb5a6cb81aa1f4f5b6a23d653b5e88",
+        "fig9c.csv": "ef96b9e07e25ff98fbad6f3b29219cd8ca312601de6c6ef78ae68c3bbc9f658d",
+        "fig9d.csv": "3d9482c459a7a6e9d0e0457eba29a689a698d414ea79125de671c3fa8acfe339",
+    },
+    "fig10": {
+        "fig10a.csv": "1cf0c7a0ddae5313872431872eb900b5a86e632aebb7f18333941ae6d775d617",
+        "fig10b.csv": "322d6241db3159649fde50fe0d8becdc1f905f2cb673c2e000659d5a98406737",
+    },
+}
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("figure_id", FIGURE_IDS)
+def test_preset_panels_match_golden_digests(tmp_path, figure_id):
+    argv = ["figure", figure_id, "--out-dir", str(tmp_path)]
+    assert cli.main(argv + ["--delta-count", "51", "--phase-count", "3"]) == 0
+    panels = {p.name: sha256_of(p) for p in tmp_path.glob("*.csv")}
+    assert panels == PRESET_DIGESTS[figure_id]
+
+
+def giant_at_pi_config():
+    """Phases 3, pi - 0.07, pi: the solver flags the cell at pi and resonance
+    ill_conditioned, and the cell beside it has eta_undefined."""
+    doc = base_config()
+    doc["system"]["family"] = "giant"
+    doc["sweep"]["delta"] = {"min": -1, "max": 1, "count": 5}
+    doc["sweep"]["phase"] = {
+        "min": 3.0,
+        "max": math.pi,
+        "count": 3,
+        "linkage": {"phi1_prime": 1.0},
+    }
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, engine, flag, digest",
+    [
+        (
+            base_config(),
+            "both",
+            "eta_undefined",
+            "eb60afb598ab22a60be52b0b001d5475197f657fdc79e068ad1a019d046953f6",
+        ),
+        (
+            giant_at_pi_config(),
+            "solver",
+            "ill_conditioned",
+            "28c63ac677d9c3a6d73c6636b495dc6f5656c285bcc60c7085be2890503f0559",
+        ),
+    ],
+)
+def test_flagged_spectrum_matches_golden_digest(tmp_path, doc, engine, flag, digest):
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out.csv"
+    assert cli.main(["spectrum", cfg, "--engine", engine, "--out", str(out)]) == 0
+    assert f",{flag}\n" in out.read_text()
+    assert sha256_of(out) == digest
+
+
+# ---------------------------------------------------------------------------
+# The chunked writer against the per-cell formatting it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_csv(result, extra=None) -> str:
+    """Cell-by-cell writer: nine f"{x:.17g}" calls and a flag join per row."""
+    lines = cli._metadata_lines(result, extra) + [cli.CSV_HEADER]
+    for j, d in enumerate(result.delta):
+        for i, p in enumerate(result.phi):
+            cell = result.cell(i, j)
+            values = [d, p, *cell.as_row()]
+            lines.append(",".join([f"{float(v):.17g}" for v in values] + [";".join(cell.flags)]))
+    return "".join(line + "\n" for line in lines)
+
+
+SPECIAL_VALUES = (
+    float("nan"),
+    float("inf"),
+    -float("inf"),
+    -0.0,
+    0.0,
+    5e-324,
+    2.2250738585072009e-308,
+    -1.5e-310,
+    1.7976931348623157e308,
+    0.1,
+    1.0,
+    -(2.0**53) - 2.0,
+)
+
+FLAG_CHOICES = (
+    (),
+    ("singular",),
+    ("eta_undefined",),
+    ("ill_conditioned", "eta_undefined"),
+    ("ill_conditioned", "eta_undefined", "singular"),
+)
+
+
+def synthetic_result(rates, flags, with_phase_axis=True) -> SweepResult:
+    n_phi, n_delta = rates["T_Ng"].shape
+    phase_axis = (
+        PhaseAxis(-math.pi, 0.3 * n_phi - math.pi - 0.3, n_phi, linkage=(("phi1_prime", 1.0),))
+        if with_phase_axis
+        else None
+    )
+    spec = SweepSpec(
+        "giant", (0.32, 1.0, 1.0, 1.0), PhaseModel(), Axis(-3.0, 7.0, n_delta), phase_axis
+    )
+    phi = phase_axis.values() if with_phase_axis else np.array([0.0])
+    return SweepResult(spec, spec.delta_axis.values(), phi, rates, flags, None, {})
+
+
+def random_result(rng, n_phi, n_delta, with_phase_axis=True) -> SweepResult:
+    shape = (n_phi, n_delta)
+    rates = {}
+    for name in RATE_FIELDS:
+        grid = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 308, shape)
+        special = rng.random(shape) < 0.2
+        grid[special] = rng.choice(SPECIAL_VALUES, size=int(special.sum()))
+        rates[name] = grid
+    picks = rng.integers(0, len(FLAG_CHOICES), shape) * (rng.random(shape) < 0.1)
+    flags = [[FLAG_CHOICES[k] for k in row] for row in picks.tolist()]
+    return synthetic_result(rates, flags, with_phase_axis)
+
+
+@pytest.mark.parametrize(
+    "n_phi, n_delta, with_phase_axis",
+    [
+        (1, 7, False),  # phase_axis=None
+        (3, 5, True),
+        (16, 201, True),  # 3216 rows: not a multiple of the chunk
+        (cli.CSV_CHUNK_ROWS + 37, 3, True),  # a phase row longer than a chunk
+        (cli.CSV_CHUNK_ROWS, 2, True),  # chunk boundaries on delta boundaries
+    ],
+)
+def test_writer_matches_per_cell_formatting(n_phi, n_delta, with_phase_axis):
+    rng = np.random.default_rng(n_phi * 1000 + n_delta)
+    result = random_result(rng, n_phi, n_delta, with_phase_axis)
+    stream = io.StringIO()
+    cli.write_csv(result, stream, extra={"figure": "x", "panel": "a"})
+    assert stream.getvalue() == reference_csv(result, {"figure": "x", "panel": "a"})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n_phi: st.tuples(
+            st.lists(
+                hnp.arrays(np.float64, (n_phi, 3), elements=st.floats(width=64)),
+                min_size=len(RATE_FIELDS),
+                max_size=len(RATE_FIELDS),
+            ),
+            st.lists(
+                st.lists(st.sampled_from(FLAG_CHOICES), min_size=3, max_size=3),
+                min_size=n_phi,
+                max_size=n_phi,
+            ),
+        )
+    )
+)
+def test_writer_property_random_float_grids(grids_and_flags):
+    grids, flags = grids_and_flags
+    result = synthetic_result(dict(zip(RATE_FIELDS, grids)), flags)
+    stream = io.StringIO()
+    cli.write_csv(result, stream)
+    assert stream.getvalue() == reference_csv(result)

@@ -11,6 +11,7 @@ from wgscatter.sweep import (
     Axis,
     PhaseAxis,
     SweepSpec,
+    _fill_singular,
     figure_preset,
     isolation_report,
     run_sweep,
@@ -269,3 +270,39 @@ class TestIsolationReport:
     def test_requires_closed_conversion_channel(self):
         with pytest.raises(ConfigError):
             isolation_report(self.make_spec(gammas=(1.0, 0.25, 1.0, 0.5)))
+
+
+def loop_fill_singular(grids, flags, singular_mask):
+    """Cell-by-cell reference for the vectorized _fill_singular."""
+    n_phi, n_delta = singular_mask.shape
+    for i in range(n_phi):
+        for j in range(n_delta):
+            if not singular_mask[i, j]:
+                continue
+            before = [jj for jj in range(j) if not singular_mask[i, jj]]
+            after = [jj for jj in range(j + 1, n_delta) if not singular_mask[i, jj]]
+            src = before[-1] if before else (after[0] if after else None)
+            for grid in grids.values():
+                grid[i, j] = grid[i, src] if src is not None else 0.0
+            flags[i][j] = flags[i][j] + ("singular",)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fill_singular_matches_cell_loop(seed):
+    rng = np.random.default_rng(seed)
+    n_phi, n_delta = rng.integers(1, 6), rng.integers(1, 12)
+    # Densities from none to all cells singular, so empty and all-singular
+    # rows both occur.
+    mask = rng.random((n_phi, n_delta)) < seed / 39
+    grids = {name: rng.standard_normal((n_phi, n_delta)) for name in ("T_Ng", "eta")}
+    flags = [
+        [("eta_undefined",) if rng.random() < 0.3 else () for _ in range(n_delta)]
+        for _ in range(n_phi)
+    ]
+    expected_grids = {name: grid.copy() for name, grid in grids.items()}
+    expected_flags = [list(row) for row in flags]
+    loop_fill_singular(expected_grids, expected_flags, mask)
+    _fill_singular(grids, flags, mask)
+    for name, grid in grids.items():
+        np.testing.assert_array_equal(grid, expected_grids[name])
+    assert flags == expected_flags

@@ -24,12 +24,10 @@ import numpy as np
 from . import search as search_mod
 from . import sweep as sweep_mod
 from . import validate as validate_mod
-from .core import ConfigError, PhaseModel
+from .core import PHASE_NAMES, ConfigError, PhaseModel
 
 GAMMA_UNITS = "Gamma_ref"
 PHASE_UNITS = "radians"
-
-_PHASE_KEYS = ("phi_a", "phi_b", "phi1_prime", "phi2_prime", "phi3")
 
 
 def _fmt(x: float) -> str:
@@ -86,12 +84,12 @@ def parse_config(doc: dict) -> tuple[sweep_mod.SweepSpec, search_mod.Objective |
     if not (isinstance(gamma, list) and len(gamma) == 4):
         raise ConfigError("system.gamma must be a list of four rates")
     phases_doc = system.get("phases", {})
-    _reject_unknown(phases_doc, set(_PHASE_KEYS), "system.phases")
+    _reject_unknown(phases_doc, set(PHASE_NAMES), "system.phases")
     regime = system.get("regime", "markovian")
     pm = PhaseModel(
         regime=regime,
         tau=_finite(system.get("tau", 0.0), "system.tau"),
-        **{k: _finite(phases_doc.get(k, 0.0), f"system.phases.{k}") for k in _PHASE_KEYS},
+        **{k: _finite(phases_doc.get(k, 0.0), f"system.phases.{k}") for k in PHASE_NAMES},
     )
 
     sweep_doc = _require(doc, "sweep", "config")
@@ -143,24 +141,27 @@ def _parse_objective(block: dict) -> search_mod.Objective:
     params_doc = _require(block, "parameters", "objective")
     params: dict[str, object] = {}
     for name, spec in params_doc.items():
-        _reject_unknown(spec, {"fixed", "bounds", "linked", "factor"}, f"objective.{name}")
+        where = f"objective.{name}"
+        _reject_unknown(spec, {"fixed", "bounds", "linked", "factor"}, where)
         if "fixed" in spec:
-            params[name] = search_mod.Fixed(float(spec["fixed"]))
+            params[name] = search_mod.Fixed(_finite(spec["fixed"], f"{where}.fixed"))
         elif "bounds" in spec:
             lo, hi = spec["bounds"]
-            params[name] = search_mod.Bounds(float(lo), float(hi))
+            params[name] = search_mod.Bounds(
+                _finite(lo, f"{where}.bounds"), _finite(hi, f"{where}.bounds")
+            )
         elif "linked" in spec:
             params[name] = search_mod.Linked(
-                str(spec["linked"]), float(spec.get("factor", 1.0))
+                str(spec["linked"]), _finite(spec.get("factor", 1.0), f"{where}.factor")
             )
         else:
-            raise ConfigError(f"objective.{name} needs fixed, bounds, or linked")
+            raise ConfigError(f"{where} needs fixed, bounds, or linked")
     return search_mod.Objective(
         kind=_require(block, "kind", "objective"),
         parameters=params,  # type: ignore[arg-type]
-        purity_weight=float(block.get("purity_weight", 1.0)),
-        rate_weight=float(block.get("rate_weight", 1.0)),
-        min_reverse=float(block.get("min_reverse", 0.0)),
+        purity_weight=_finite(block.get("purity_weight", 1.0), "objective.purity_weight"),
+        rate_weight=_finite(block.get("rate_weight", 1.0), "objective.rate_weight"),
+        min_reverse=_finite(block.get("min_reverse", 0.0), "objective.min_reverse"),
     )
 
 
@@ -173,7 +174,7 @@ def dump_config(spec: sweep_mod.SweepSpec, objective=None) -> dict:
             "gamma_units": GAMMA_UNITS,
             "gamma": list(spec.gammas),
             "phase_units": PHASE_UNITS,
-            "phases": {k: getattr(pm, k) for k in _PHASE_KEYS},
+            "phases": {k: getattr(pm, k) for k in PHASE_NAMES},
             "regime": pm.regime,
             "tau": pm.tau,
         },
@@ -222,7 +223,7 @@ def _metadata_lines(result: sweep_mod.SweepResult, extra: dict | None = None) ->
         f"# gamma_units={GAMMA_UNITS}",
         f"# regime={pm.regime}",
         f"# tau={_fmt(pm.tau)}",
-        f"# phases={','.join(f'{k}={_fmt(getattr(pm, k))}' for k in _PHASE_KEYS)}",
+        f"# phases={','.join(f'{k}={_fmt(getattr(pm, k))}' for k in PHASE_NAMES)}",
         f"# delta_axis={_fmt(spec.delta_axis.start)},{_fmt(spec.delta_axis.stop)},"
         f"{spec.delta_axis.count}",
     ]
@@ -342,8 +343,7 @@ def _open_out(path: str):
 def _cmd_spectrum(args) -> int:
     spec, _ = parse_config(_load_config(args.config))
     if args.engine:
-        engine = {"closed": "closed", "solver": "solver", "both": "both"}[args.engine]
-        spec = replace(spec, engine=engine)
+        spec = replace(spec, engine=args.engine)
     result = sweep_mod.run_sweep(spec)
     stream, close = _open_out(args.out)
     try:

@@ -289,7 +289,11 @@ def _scalar_interior(interior) -> dict[str, tuple[complex, complex]]:
     }
 
 
-def _forward_amplitudes(f, params) -> ScatterAmplitudes:
+def forward_amplitudes(f, params) -> ScatterAmplitudes:
+    """Scalar forward kernel output as a full port-1 amplitude set.
+
+    ``params`` names the point in the SingularityError message.
+    """
     _raise_if_singular_fields(f, params)
     return ScatterAmplitudes(
         incident_port=1,
@@ -304,7 +308,8 @@ def _forward_amplitudes(f, params) -> ScatterAmplitudes:
     )
 
 
-def _reverse_amplitudes(f, params) -> ScatterAmplitudes:
+def reverse_amplitudes(f, params) -> ScatterAmplitudes:
+    """Scalar reverse kernel output as a full port-4 amplitude set."""
     _raise_if_singular_fields(f, params)
     return ScatterAmplitudes(
         incident_port=4,
@@ -327,13 +332,13 @@ def _raise_if_singular_fields(f, params) -> None:
 def small_overlap_forward(p: SmallAtomParams) -> ScatterAmplitudes:
     """Forward scattering with both atoms at the same point (phases ignored)."""
     f = overlap_forward_fields(p.gamma, p.delta)
-    return _forward_amplitudes(f, p)
+    return forward_amplitudes(f, p)
 
 
 def small_separated_forward(p: SmallAtomParams) -> ScatterAmplitudes:
     """Forward scattering with the atoms separated by the phases phi_a, phi_b."""
     f = separated_forward_fields(p.gamma, p.delta, p.phi_a, p.phi_b)
-    return _forward_amplitudes(f, p)
+    return forward_amplitudes(f, p)
 
 
 def small_reverse(p: SmallAtomParams) -> ScatterAmplitudes:
@@ -343,41 +348,30 @@ def small_reverse(p: SmallAtomParams) -> ScatterAmplitudes:
     """
     g1, _, g3, _ = p.gamma
     f = spectator_reverse_fields(g1, g3, p.delta)
-    return _reverse_amplitudes(f, p)
+    return reverse_amplitudes(f, p)
 
 
 def giant_forward(p: GiantAtomParams) -> ScatterAmplitudes:
     """Forward scattering for co-located two-legged atoms."""
     f = giant_forward_fields(p.gamma, p.delta, p.phi1, p.phi2)
-    return _forward_amplitudes(f, p)
+    return forward_amplitudes(f, p)
 
 
 def giant_reverse(p: GiantAtomParams) -> ScatterAmplitudes:
     """Reverse scattering for the two-legged configuration (lambda atom inert)."""
     g1, _, g3, _ = p.gamma
     f = giant_reverse_fields(g1, g3, p.delta, p.phi1)
-    return _reverse_amplitudes(f, p)
+    return reverse_amplitudes(f, p)
 
 
 def semi_infinite_forward(p: SemiInfiniteParams) -> ScatterAmplitudes:
     """Forward scattering with guide M terminated by a mirror."""
     f = mirrored_forward_fields(p.gamma, p.delta, p.phi3)
-    return _forward_amplitudes(f, p)
+    return forward_amplitudes(f, p)
 
 
 def semi_infinite_reverse(p: SemiInfiniteParams) -> ScatterAmplitudes:
     """Reverse scattering with guide M terminated (lambda atom inert)."""
     g1, _, g3, _ = p.gamma
     f = mirrored_reverse_fields(g1, g3, p.delta, p.phi3)
-    _raise_if_singular_fields(f, p)
-    return ScatterAmplitudes(
-        incident_port=4,
-        m_left=complex(f.t1),
-        m_right=0.0j,
-        n_left_k=complex(f.t3g),
-        n_right_k=complex(f.r4g),
-        n_left_q=0.0j,
-        n_right_q=0.0j,
-        interior=_scalar_interior(f.interior),
-        excited=(complex(f.u1),),
-    )
+    return reverse_amplitudes(f, p)

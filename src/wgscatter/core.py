@@ -282,8 +282,6 @@ class TransferRates:
     conservation_residual: float = 0.0
     flags: tuple[str, ...] = ()
 
-    CSV_FIELDS = ("T_Ng", "T_Ns", "T_M_rev", "R_M", "T2", "eta", "residual")
-
     def as_row(self) -> tuple[float, ...]:
         return (
             self.t_ng,
@@ -294,6 +292,11 @@ class TransferRates:
             self.eta,
             self.conservation_residual,
         )
+
+
+#: Phase constants of a PhaseModel, in the order configs and CSV metadata
+#: list them.
+PHASE_NAMES = ("phi_a", "phi_b", "phi1_prime", "phi2_prime", "phi3")
 
 
 @dataclass(frozen=True)
@@ -317,38 +320,33 @@ class PhaseModel:
     def __post_init__(self) -> None:
         if self.regime not in (MARKOVIAN, NON_MARKOVIAN):
             raise ConfigError(f"unknown regime {self.regime!r}")
-        if self.tau < 0:
-            raise ConfigError("tau must be non-negative")
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            raise ConfigError("tau must be finite and non-negative")
+        for name in PHASE_NAMES:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
 
 
-def effective_phases(pm: PhaseModel, delta):
-    """Detuning-resolved phases (phi1, phi2, phi3).
+def resolved_phase(pm: PhaseModel, name: str, delta):
+    """Detuning-resolved value of the phase constant ``name``.
 
     ``delta`` may be a scalar or an ndarray; the result broadcasts with it.
     """
+    base = getattr(pm, name)
     if pm.regime == MARKOVIAN:
-        if np.ndim(delta) == 0:
-            return pm.phi1_prime, pm.phi2_prime, pm.phi3
-        shape = np.shape(delta)
-        return (
-            np.full(shape, pm.phi1_prime),
-            np.full(shape, pm.phi2_prime),
-            np.full(shape, pm.phi3),
-        )
+        return base if np.ndim(delta) == 0 else np.full(np.shape(delta), base)
     shift = pm.tau * np.asarray(delta)
-    if np.ndim(delta) == 0:
-        shift = float(shift)
-    return pm.phi1_prime + shift, pm.phi2_prime + shift, pm.phi3 + shift
+    return base + (float(shift) if np.ndim(delta) == 0 else shift)
+
+
+def effective_phases(pm: PhaseModel, delta):
+    """Detuning-resolved phases (phi1, phi2, phi3)."""
+    return tuple(resolved_phase(pm, n, delta) for n in ("phi1_prime", "phi2_prime", "phi3"))
 
 
 def effective_separation_phases(pm: PhaseModel, delta):
     """Detuning-resolved (phi_a, phi_b) for the separated-atom layout."""
-    if pm.regime == MARKOVIAN:
-        return pm.phi_a, pm.phi_b
-    shift = pm.tau * np.asarray(delta)
-    if np.ndim(delta) == 0:
-        shift = float(shift)
-    return pm.phi_a + shift, pm.phi_b + shift
+    return tuple(resolved_phase(pm, n, delta) for n in ("phi_a", "phi_b"))
 
 
 def _check_finite(amps: ScatterAmplitudes) -> None:

@@ -16,15 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import closed_form as cf
-from . import configs, solver
-from .core import (
-    ConfigError,
-    NoFeasiblePointError,
-    TransferRates,
-    combine_directions,
-    rates_from_amplitudes,
-)
+from .core import ConfigError, NoFeasiblePointError, SingularityError, TransferRates
+from .sweep import FAMILIES, RATE_FIELDS
+
+#: Search evaluates the giant-atom layout only.
+GIANT = FAMILIES["giant"]
 
 ISOLATION_CONTRAST = "isolation_contrast"
 CONVERSION_MERIT = "conversion_merit"
@@ -126,29 +122,12 @@ class Objective:
 def rates_at_resonance(params: dict[str, float]) -> TransferRates:
     """Forward+reverse closed-form rates at delta = 0 for one parameter set."""
     gammas = tuple(params[f"gamma{i}"] for i in (1, 2, 3, 4))
-    fwd = cf.giant_forward_fields(
-        gammas, 0.0, params["phi1_prime"], params["phi2_prime"]
-    )
-    rev = cf.giant_reverse_fields(
-        gammas[0], gammas[2], 0.0, params["phi1_prime"]
-    )
-    if bool(np.any(fwd.singular)) or bool(np.any(rev.singular)):
-        raise cf.SingularityError(f"singular resonance point at {params!r}")
-    t_ng = 2.0 * abs(complex(fwd.t3g)) ** 2
-    t_ns = 2.0 * abs(complex(fwd.t3s)) ** 2
-    r_m = abs(complex(fwd.r1)) ** 2
-    t2 = abs(complex(fwd.t2)) ** 2
-    t_m_rev = abs(complex(rev.t1)) ** 2 + abs(complex(rev.t2)) ** 2
-    total_n = t_ng + t_ns
-    eta = t_ns / total_n if total_n > 0 else 0.0
-    residual = max(
-        abs(r_m + t2 + t_ng + t_ns - 1.0),
-        abs(t_m_rev + abs(complex(rev.t3g)) ** 2 + abs(complex(rev.r4g)) ** 2 - 1.0),
-    )
+    rates, singular, eta_undefined = GIANT.closed_rates(gammas, 0.0, params)
+    if singular:
+        raise SingularityError(f"singular resonance point at {params!r}")
     return TransferRates(
-        t_ng=t_ng, t_ns=t_ns, t_m_rev=t_m_rev, r_m=r_m, t2=t2, eta=eta,
-        conservation_residual=residual,
-        flags=("eta_undefined",) if total_n == 0 else (),
+        *(float(rates[name]) for name in RATE_FIELDS),
+        flags=("eta_undefined",) if eta_undefined else (),
     )
 
 
@@ -186,7 +165,7 @@ class _Tracker:
         params = self.obj.resolve(dict(zip(self.names, point)))
         try:
             rates = rates_at_resonance(params)
-        except cf.SingularityError:
+        except SingularityError:
             return -math.inf
         value = _objective_value(self.obj, rates)
         if value == -math.inf:
@@ -272,14 +251,7 @@ def grid_refine_search(obj: Objective, budget: int = 2000) -> SearchReport:
 def _verify_with_solver(params: dict[str, float], closed: TransferRates) -> float:
     """Re-verification gate: solver rates at the optimum must match the closed ones."""
     gammas = tuple(params[f"gamma{i}"] for i in (1, 2, 3, 4))
-    fwd_cfg = configs.giant(gammas, 0.0, params["phi1_prime"], params["phi2_prime"])
-    rev_cfg = configs.reverse_giant(
-        gammas[0], gammas[2], 0.0, params["phi1_prime"]
-    )
-    check = combine_directions(
-        rates_from_amplitudes(solver.solve(fwd_cfg)),
-        rates_from_amplitudes(solver.solve(rev_cfg)),
-    )
+    check = GIANT.solver_rates(gammas, 0.0, params)
     discrepancy = max(
         abs(a - b) for a, b in zip(closed.as_row()[:6], check.as_row()[:6])
     )

@@ -8,6 +8,11 @@ engines are available: "closed" evaluates the analytical amplitudes
 solver per cell, and "both" runs the two and records their maximum
 disagreement.
 
+FAMILIES is the one table of configuration families: for each incidence
+direction it names the closed-form kernel, the solver config builder and
+the phase constants they take.  Sweeps, search and validation all dispatch
+through it.
+
 Grid cells whose denominators fall below the singularity floor are not
 errors: they carry the value of the nearest previously valid cell along the
 detuning axis plus a "singular" flag, which keeps exported tables
@@ -22,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from typing import Mapping
 
 import numpy as np
 
@@ -30,19 +36,18 @@ from . import configs, solver
 from .core import (
     MARKOVIAN,
     NON_MARKOVIAN,
+    PHASE_NAMES,
     ConfigError,
     DegenerateConfigError,
     PhaseModel,
+    SystemConfig,
     TransferRates,
     combine_directions,
     rates_from_amplitudes,
+    resolved_phase,
 )
 
-FAMILIES = ("small_overlap", "small_separated", "giant", "semi_infinite")
 ENGINES = ("closed", "solver", "both")
-
-#: Phase constants a sweep axis may drive.
-LINKABLE_PHASES = ("phi_a", "phi_b", "phi1_prime", "phi2_prime", "phi3")
 
 RATE_FIELDS = ("T_Ng", "T_Ns", "T_M_rev", "R_M", "T2", "eta", "residual")
 
@@ -54,6 +59,114 @@ WINDOW_THRESHOLD = 0.45
 TWO_PI = 2.0 * math.pi
 
 
+# ---------------------------------------------------------------------------
+# Configuration families
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Route:
+    """One incidence direction of a family: port 1 (forward) or 4 (reverse).
+
+    ``kernel`` names a `closed_form` field kernel and ``builder`` a `configs`
+    builder.  Both take the rates (all four forward, gamma1 and gamma3 in
+    reverse), the detuning and then the phase constants ``phases`` in this
+    order.  Functions are looked up by name at each call, so a wrapper set on
+    the module attribute sees every call.
+    """
+
+    port: int
+    kernel: str
+    builder: str
+    phases: tuple[str, ...] = ()
+
+    def _args(self, gammas, delta, phases: Mapping) -> tuple:
+        rates = (gammas,) if self.port == 1 else (gammas[0], gammas[2])
+        return (*rates, delta, *(phases[name] for name in self.phases))
+
+    def fields(self, gammas, delta, phases: Mapping):
+        """Kernel output; ``phases`` maps phase names to values."""
+        return getattr(cf, self.kernel)(*self._args(gammas, delta, phases))
+
+    def config(self, gammas, delta: float, phases: Mapping) -> SystemConfig:
+        return getattr(configs, self.builder)(*self._args(gammas, delta, phases))
+
+
+@dataclass(frozen=True)
+class Family:
+    forward: Route
+    reverse: Route
+
+    @property
+    def phases(self) -> tuple[str, ...]:
+        """Phase constants either direction takes."""
+        return tuple(dict.fromkeys(self.forward.phases + self.reverse.phases))
+
+    def closed_rates(self, gammas, delta, phases: Mapping):
+        """`rates_from_fields` of both kernels; delta and phases broadcast."""
+        return rates_from_fields(
+            self.forward.fields(gammas, delta, phases),
+            self.reverse.fields(gammas, delta, phases),
+        )
+
+    def solver_rates(self, gammas, delta: float, phases: Mapping) -> TransferRates:
+        """Forward+reverse rates of one cell from the boundary-matching solver."""
+        forward_cfg = self.forward.config(gammas, delta, phases)
+        reverse_cfg = self.reverse.config(gammas, delta, phases)
+        return combine_directions(
+            rates_from_amplitudes(solver.solve(forward_cfg)),
+            rates_from_amplitudes(solver.solve(reverse_cfg)),
+        )
+
+
+FAMILIES = {
+    "small_overlap": Family(
+        Route(1, "overlap_forward_fields", "small_overlap"),
+        Route(4, "spectator_reverse_fields", "reverse_small"),
+    ),
+    "small_separated": Family(
+        Route(1, "separated_forward_fields", "small_separated", ("phi_a", "phi_b")),
+        Route(4, "spectator_reverse_fields", "reverse_small"),
+    ),
+    "giant": Family(
+        Route(1, "giant_forward_fields", "giant", ("phi1_prime", "phi2_prime")),
+        Route(4, "giant_reverse_fields", "reverse_giant", ("phi1_prime",)),
+    ),
+    "semi_infinite": Family(
+        Route(1, "mirrored_forward_fields", "semi_infinite", ("phi3",)),
+        Route(4, "mirrored_reverse_fields", "reverse_semi_infinite", ("phi3",)),
+    ),
+}
+
+
+def rates_from_fields(fwd, rev):
+    """Rates from forward and reverse kernel output of any shape.
+
+    Returns the RATE_FIELDS values, the singular mask, and the mask of cells
+    with no output into guide N, where eta is undefined and set to 0.
+    Builtin abs and ** act elementwise on arrays and stay cheap on scalars.
+    """
+    t_ng = abs(fwd.t3g) ** 2 + abs(fwd.t4g) ** 2
+    t_ns = abs(fwd.t3s) ** 2 + abs(fwd.t4s) ** 2
+    r_m = abs(fwd.r1) ** 2
+    t2 = abs(fwd.t2) ** 2
+    t_m_rev = abs(rev.t1) ** 2 + abs(getattr(rev, "t2", 0.0)) ** 2
+    total_n = t_ng + t_ns
+    rates = {
+        "T_Ng": t_ng,
+        "T_Ns": t_ns,
+        "T_M_rev": t_m_rev,
+        "R_M": r_m,
+        "T2": t2,
+        "eta": np.divide(t_ns, total_n, out=np.zeros_like(total_n), where=total_n > 0.0),
+        "residual": np.maximum(
+            abs(r_m + t2 + t_ng + t_ns - 1.0),
+            abs(t_m_rev + abs(rev.t3g) ** 2 + abs(rev.r4g) ** 2 - 1.0),
+        ),
+    }
+    return rates, fwd.singular | rev.singular, total_n == 0.0
+
+
 @dataclass(frozen=True)
 class Axis:
     start: float
@@ -61,6 +174,8 @@ class Axis:
     count: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError("axis bounds must be finite")
         if self.count < 1:
             raise ConfigError("axis count must be at least 1")
         if self.count == 1 and self.start != self.stop:
@@ -84,9 +199,11 @@ class PhaseAxis(Axis):
         super().__post_init__()
         if not self.linkage:
             raise ConfigError("a phase axis needs at least one linkage entry")
-        for name, _ in self.linkage:
-            if name not in LINKABLE_PHASES:
+        for name, factor in self.linkage:
+            if name not in PHASE_NAMES:
                 raise ConfigError(f"cannot link unknown phase {name!r}")
+            if not math.isfinite(factor):
+                raise ConfigError(f"the linkage factor of {name!r} must be finite")
 
 
 @dataclass(frozen=True)
@@ -103,8 +220,10 @@ class SweepSpec:
             raise ConfigError(f"unknown family {self.family!r}")
         if self.engine not in ENGINES:
             raise ConfigError(f"unknown engine {self.engine!r}")
-        if len(self.gammas) != 4 or min(self.gammas) < 0:
-            raise ConfigError("gammas must be four non-negative rates")
+        if len(self.gammas) != 4 or not all(
+            math.isfinite(g) and g >= 0 for g in self.gammas
+        ):
+            raise ConfigError("gammas must be four finite non-negative rates")
         if self.delta_axis.count < 2:
             raise ConfigError("the detuning axis needs at least two points")
 
@@ -122,15 +241,8 @@ class SweepResult:
     metadata: dict
 
     def cell(self, phase_index: int, delta_index: int) -> TransferRates:
-        g = self.rates
         return TransferRates(
-            t_ng=float(g["T_Ng"][phase_index, delta_index]),
-            t_ns=float(g["T_Ns"][phase_index, delta_index]),
-            t_m_rev=float(g["T_M_rev"][phase_index, delta_index]),
-            r_m=float(g["R_M"][phase_index, delta_index]),
-            t2=float(g["T2"][phase_index, delta_index]),
-            eta=float(g["eta"][phase_index, delta_index]),
-            conservation_residual=float(g["residual"][phase_index, delta_index]),
+            *(float(self.rates[name][phase_index, delta_index]) for name in RATE_FIELDS),
             flags=self.flags[phase_index][delta_index],
         )
 
@@ -142,82 +254,9 @@ def _phase_constants(pm: PhaseModel, axis: PhaseAxis | None, value: float) -> Ph
     return replace(pm, **updates)
 
 
-def _resolved(pm: PhaseModel, name: str, delta: np.ndarray):
-    base = getattr(pm, name)
-    if pm.regime == NON_MARKOVIAN:
-        return base + pm.tau * delta
-    return np.full_like(delta, base)
-
-
-def _closed_row(spec: SweepSpec, pm: PhaseModel, delta: np.ndarray):
-    """Forward+reverse closed-form rates for one phase row, vectorized in delta."""
-    g1, g2, g3, g4 = spec.gammas
-    if spec.family == "small_overlap":
-        fwd = cf.overlap_forward_fields(spec.gammas, delta)
-        rev = cf.spectator_reverse_fields(g1, g3, delta)
-    elif spec.family == "small_separated":
-        phi_a = _resolved(pm, "phi_a", delta)
-        phi_b = _resolved(pm, "phi_b", delta)
-        fwd = cf.separated_forward_fields(spec.gammas, delta, phi_a, phi_b)
-        rev = cf.spectator_reverse_fields(g1, g3, delta)
-    elif spec.family == "giant":
-        phi1 = _resolved(pm, "phi1_prime", delta)
-        phi2 = _resolved(pm, "phi2_prime", delta)
-        fwd = cf.giant_forward_fields(spec.gammas, delta, phi1, phi2)
-        rev = cf.giant_reverse_fields(g1, g3, delta, phi1)
-    else:
-        phi3 = _resolved(pm, "phi3", delta)
-        fwd = cf.mirrored_forward_fields(spec.gammas, delta, phi3)
-        rev = cf.mirrored_reverse_fields(g1, g3, delta, phi3)
-
-    t_ng = np.abs(fwd.t3g) ** 2 + np.abs(fwd.t4g) ** 2
-    t_ns = np.abs(fwd.t3s) ** 2 + np.abs(fwd.t4s) ** 2
-    r_m = np.abs(fwd.r1) ** 2
-    t2 = np.abs(fwd.t2) ** 2
-    res_f = np.abs(r_m + t2 + t_ng + t_ns - 1.0)
-
-    t_m_rev = np.abs(rev.t1) ** 2 + np.abs(getattr(rev, "t2", 0.0)) ** 2
-    res_r = np.abs(t_m_rev + np.abs(rev.t3g) ** 2 + np.abs(rev.r4g) ** 2 - 1.0)
-
-    total_n = t_ng + t_ns
-    with np.errstate(invalid="ignore", divide="ignore"):
-        eta = np.where(total_n > 0.0, t_ns / np.where(total_n > 0, total_n, 1.0), 0.0)
-    singular = np.asarray(fwd.singular) | np.asarray(rev.singular)
-    return {
-        "T_Ng": t_ng,
-        "T_Ns": t_ns,
-        "T_M_rev": t_m_rev,
-        "R_M": r_m,
-        "T2": t2,
-        "eta": eta,
-        "residual": np.maximum(res_f, res_r),
-    }, singular, total_n == 0.0
-
-
-def _solver_cell(spec: SweepSpec, pm: PhaseModel, delta: float) -> TransferRates:
-    g1, g2, g3, g4 = spec.gammas
-    if spec.family == "small_overlap":
-        fwd_cfg = configs.small_overlap(spec.gammas, delta)
-        rev_cfg = configs.reverse_small(g1, g3, delta)
-    elif spec.family == "small_separated":
-        phi_a, phi_b = (
-            float(_resolved(pm, "phi_a", np.asarray(delta))),
-            float(_resolved(pm, "phi_b", np.asarray(delta))),
-        )
-        fwd_cfg = configs.small_separated(spec.gammas, delta, phi_a, phi_b)
-        rev_cfg = configs.reverse_small(g1, g3, delta)
-    elif spec.family == "giant":
-        phi1 = float(_resolved(pm, "phi1_prime", np.asarray(delta)))
-        phi2 = float(_resolved(pm, "phi2_prime", np.asarray(delta)))
-        fwd_cfg = configs.giant(spec.gammas, delta, phi1, phi2)
-        rev_cfg = configs.reverse_giant(g1, g3, delta, phi1)
-    else:
-        phi3 = float(_resolved(pm, "phi3", np.asarray(delta)))
-        fwd_cfg = configs.semi_infinite(spec.gammas, delta, phi3)
-        rev_cfg = configs.reverse_semi_infinite(g1, g3, delta, phi3)
-    forward = rates_from_amplitudes(solver.solve(fwd_cfg))
-    reverse = rates_from_amplitudes(solver.solve(rev_cfg))
-    return combine_directions(forward, reverse)
+def _resolved(pm: PhaseModel, family: Family, delta) -> dict:
+    """The family's phase constants at ``delta``, a scalar or a row."""
+    return {name: resolved_phase(pm, name, delta) for name in family.phases}
 
 
 def _fill_singular(grids, flags, singular_mask) -> None:
@@ -257,6 +296,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     else:
         phi = np.array([0.0])
     n_phi, n_delta = len(phi), len(delta)
+    family = FAMILIES[spec.family]
 
     def run_engine(engine: str):
         grids = {name: np.zeros((n_phi, n_delta)) for name in RATE_FIELDS}
@@ -267,16 +307,18 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for i, value in enumerate(phi):
             pm = _phase_constants(spec.phases, spec.phase_axis, float(value))
             if engine == "closed":
-                row, row_singular, eta_undef = _closed_row(spec, pm, delta)
+                row, row_singular, eta_undef = family.closed_rates(
+                    spec.gammas, delta, _resolved(pm, family, delta)
+                )
                 for name in RATE_FIELDS:
                     grids[name][i, :] = row[name]
                 singular[i, :] = row_singular
                 for j in np.nonzero(eta_undef & ~row_singular)[0]:
                     flags[i][j] = flags[i][j] + ("eta_undefined",)
             else:
-                for j, d in enumerate(delta):
+                for j, d in enumerate(delta.tolist()):
                     try:
-                        cell = _solver_cell(spec, pm, float(d))
+                        cell = family.solver_rates(spec.gammas, d, _resolved(pm, family, d))
                     except DegenerateConfigError:
                         singular[i, j] = True
                         continue

@@ -20,16 +20,25 @@ from typing import Callable
 import numpy as np
 
 from . import closed_form as cf
-from . import configs, solver
+from . import solver
 from .core import ScatterAmplitudes, rates_from_amplitudes
+from .sweep import FAMILIES
 
-FAMILY_NAMES = (
-    "small_separated",
-    "small_overlap",
-    "small_reverse",
-    "giant",
-    "semi_infinite",
-)
+#: Draw families in draw order, each a list of (label, route) cases.
+_DRAWS = {
+    "small_separated": [("small_separated", FAMILIES["small_separated"].forward)],
+    "small_overlap": [("small_overlap", FAMILIES["small_overlap"].forward)],
+    "small_reverse": [("small_reverse", FAMILIES["small_overlap"].reverse)],
+    "giant": [
+        ("giant_forward", FAMILIES["giant"].forward),
+        ("giant_reverse", FAMILIES["giant"].reverse),
+    ],
+    "semi_infinite": [("semi_infinite", FAMILIES["semi_infinite"].forward)],
+}
+FAMILY_NAMES = tuple(_DRAWS)
+
+#: Which of the three phases drawn per case feeds each phase constant.
+_DRAWN_PHASE = {"phi_a": 0, "phi_b": 1, "phi1_prime": 0, "phi2_prime": 1, "phi3": 2}
 
 TOL_CLOSED = 1e-12
 TOL_SOLVER = 1e-10
@@ -144,33 +153,15 @@ def hybrid_residual(
 def _draw_case(rng: np.random.Generator, family: str):
     g = tuple(rng.uniform(0.0, 3.0, size=4))
     delta = float(rng.uniform(-10.0, 10.0))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    if family == "small_separated":
-        p = cf.SmallAtomParams(g, delta, phi_a=float(phases[0]), phi_b=float(phases[1]))
-        closed = cf.small_separated_forward(p)
-        cfg = configs.small_separated(g, delta, p.phi_a, p.phi_b)
-        return [("small_separated", closed, solver.solve(cfg))]
-    if family == "small_overlap":
-        closed = cf.small_overlap_forward(cf.SmallAtomParams(g, delta))
-        return [("small_overlap", closed, solver.solve(configs.small_overlap(g, delta)))]
-    if family == "small_reverse":
-        closed = cf.small_reverse(cf.SmallAtomParams(g, delta))
-        cfg = configs.reverse_small(g[0], g[2], delta)
-        return [("small_reverse", closed, solver.solve(cfg))]
-    if family == "giant":
-        p = cf.GiantAtomParams(g, delta, phi1=float(phases[0]), phi2=float(phases[1]))
-        fwd = cf.giant_forward(p)
-        fwd_cfg = configs.giant(g, delta, p.phi1, p.phi2)
-        rev = cf.giant_reverse(p)
-        rev_cfg = configs.reverse_giant(g[0], g[2], delta, p.phi1)
-        return [
-            ("giant_forward", fwd, solver.solve(fwd_cfg)),
-            ("giant_reverse", rev, solver.solve(rev_cfg)),
-        ]
-    p = cf.SemiInfiniteParams(g, delta, phi3=float(phases[2]))
-    closed = cf.semi_infinite_forward(p)
-    cfg = configs.semi_infinite(g, delta, p.phi3)
-    return [("semi_infinite", closed, solver.solve(cfg))]
+    drawn = rng.uniform(0.0, 2.0 * np.pi, size=3)
+    phases = {name: float(drawn[k]) for name, k in _DRAWN_PHASE.items()}
+    cases = []
+    for label, route in _DRAWS[family]:
+        to_amplitudes = cf.forward_amplitudes if route.port == 1 else cf.reverse_amplitudes
+        closed = to_amplitudes(route.fields(g, delta, phases), (label, g, delta, phases))
+        numeric = solver.solve(route.config(g, delta, phases))
+        cases.append((label, closed, numeric))
+    return cases
 
 
 def run_validation(

@@ -323,6 +323,27 @@ class TestSearchCommand:
         cfg = write_config(tmp_path, base_config())
         assert cli.main(["search", cfg]) == 2
 
+    #: One non-finite number per objective key.
+    NON_FINITE_EDITS = {
+        "fixed": lambda obj: obj["parameters"]["gamma2"].update(fixed=math.nan),
+        "bounds": lambda obj: obj["parameters"]["gamma1"].update(bounds=[0.01, math.inf]),
+        "factor": lambda obj: obj["parameters"].update(
+            gamma3={"linked": "gamma1", "factor": math.nan}
+        ),
+        "purity_weight": lambda obj: obj.update(purity_weight=math.nan),
+        "rate_weight": lambda obj: obj.update(rate_weight=math.inf),
+        "min_reverse": lambda obj: obj.update(min_reverse=math.nan),
+    }
+
+    @pytest.mark.parametrize("key", sorted(NON_FINITE_EDITS))
+    def test_non_finite_objective_number_exits_2(self, tmp_path, capsys, key):
+        doc = base_config(objective=self.objective_doc(0.0))
+        self.NON_FINITE_EDITS[key](doc["objective"])
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["search", cfg, "--budget", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+
 
 class TestDumpConfig:
     def test_round_trip(self, tmp_path, capsys):
@@ -478,6 +499,64 @@ def test_flagged_spectrum_matches_golden_digest(tmp_path, doc, engine, flag, dig
     assert cli.main(["spectrum", cfg, "--engine", engine, "--out", str(out)]) == 0
     assert f",{flag}\n" in out.read_text()
     assert sha256_of(out) == digest
+
+
+#: Phase linkage per family; small_overlap has no phase, so its sweep
+#: repeats one spectrum on every phase row.
+FAMILY_LINKAGE = {
+    "small_overlap": {"phi_a": 1.0},
+    "small_separated": {"phi_a": 1.0, "phi_b": 0.5},
+    "giant": {"phi1_prime": 1.0, "phi2_prime": -1.0},
+    "semi_infinite": {"phi3": 1.0},
+}
+
+#: `spectrum` output on 5 phases x 21 detunings for every family, regime and
+#: solver-backed engine, taken before the family table replaced the
+#: per-family dispatch.
+ENGINE_DIGESTS = {
+    ("small_overlap", "markovian", "solver"): "b0db15cb9767175597c3b5e293fbfc189c091eb3bdaa4aef8fbb48f3b22cb502",
+    ("small_overlap", "markovian", "both"): "6f75dc77a1b5e432671ba24834a645de44d73a316b176a5a0f0087fcdf872d2a",
+    ("small_overlap", "non_markovian", "solver"): "707e450e4ce6a608d4130d59fc7d82cdb8bc3f2693324c1fcb9e23d3a19bba09",
+    ("small_overlap", "non_markovian", "both"): "360e49bd958efafe98359e021742a6075e40891408b5076c3b766d8196e1d9c5",
+    ("small_separated", "markovian", "solver"): "c11ad0264d62cccecc596194b27de9dfc000348b801980c268ab417d4f3d94c0",
+    ("small_separated", "markovian", "both"): "05491e5c353b0b81e06e452a7addf0b47053eca1d0af99d674e4757687585eb6",
+    ("small_separated", "non_markovian", "solver"): "63e574c31cc7d042cab2bf3f07b6d67d47676fff7376ec7caa8d4960a0ee3609",
+    ("small_separated", "non_markovian", "both"): "8adf25f5314610f4acfa47875096b804ac7236b50d2522a9b3962f9363ca984c",
+    ("giant", "markovian", "solver"): "e5adfc1532795a58f27c6e8ab69c0969c3f1575da87f7a2aac4da818d31a9f00",
+    ("giant", "markovian", "both"): "1b3d9d16c948333c9692d182feea3622db0893e7c6987586f9e32b9293aca17d",
+    ("giant", "non_markovian", "solver"): "398df277ef803faea0b935f4ee0077da1352c7e23def49b47293edbd66456ee7",
+    ("giant", "non_markovian", "both"): "4b9be1f9e035d383f70140a422c15943639db082ab15a84dfb707ce2b1556e36",
+    ("semi_infinite", "markovian", "solver"): "b3529ec57ee52f4f68f34167f155f9b67a45979d9eb91b2076d60f061c8b5297",
+    ("semi_infinite", "markovian", "both"): "fc677d8156aa8d7ee43e346e36de4becd492499bc9e532c7ef22f014cfddf4f7",
+    ("semi_infinite", "non_markovian", "solver"): "fe98d7d644d43555d8dc072ad3ac56b8ff4e3d0645c1c39564e2ca853066a4ac",
+    ("semi_infinite", "non_markovian", "both"): "8372006ab17713171a0ca810854ff263dfbe403d713b8d0278e8edca89e81116",
+}
+
+
+def family_config(family, regime):
+    doc = base_config()
+    doc["system"].update(
+        family=family,
+        gamma=[0.5, 1.0, 1.5, 0.7],
+        phases={"phi1_prime": 0.4, "phi2_prime": 1.1, "phi3": 0.2, "phi_a": 0.9, "phi_b": 1.3},
+        regime=regime,
+        tau=0.5 if regime == "non_markovian" else 0.0,
+    )
+    doc["sweep"]["phase"] = {
+        "min": 0.25,
+        "max": 5.75,
+        "count": 5,
+        "linkage": FAMILY_LINKAGE[family],
+    }
+    return doc
+
+
+@pytest.mark.parametrize("family, regime, engine", sorted(ENGINE_DIGESTS))
+def test_family_spectrum_matches_golden_digest(tmp_path, family, regime, engine):
+    cfg = write_config(tmp_path, family_config(family, regime))
+    out = tmp_path / "out.csv"
+    assert cli.main(["spectrum", cfg, "--engine", engine, "--out", str(out)]) == 0
+    assert sha256_of(out) == ENGINE_DIGESTS[family, regime, engine]
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,14 @@ class TestEffectivePhases:
         with pytest.raises(ConfigError):
             PhaseModel(regime=NON_MARKOVIAN, tau=-1.0)
 
+    @pytest.mark.parametrize(
+        "name", ["tau", "phi_a", "phi_b", "phi1_prime", "phi2_prime", "phi3"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_or_phase_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            PhaseModel(regime=NON_MARKOVIAN, **{name: value})
+
     def test_separation_phases_follow_same_rule(self):
         from wgscatter.core import effective_separation_phases
 

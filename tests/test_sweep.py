@@ -6,8 +6,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wgscatter.core import MARKOVIAN, NON_MARKOVIAN, ConfigError, PhaseModel
+from wgscatter import closed_form as cf
+from wgscatter.core import (
+    MARKOVIAN,
+    NON_MARKOVIAN,
+    ConfigError,
+    PhaseModel,
+    combine_directions,
+    rates_from_amplitudes,
+)
 from wgscatter.sweep import (
+    FAMILIES,
+    RATE_FIELDS,
     Axis,
     PhaseAxis,
     SweepSpec,
@@ -121,19 +131,31 @@ class TestRunSweep:
         assert res.engine_discrepancy is not None
         assert res.engine_discrepancy < 1e-10
 
-    @pytest.mark.parametrize("family", ["small_separated", "semi_infinite"])
+    @pytest.mark.parametrize(
+        "family", ["small_overlap", "small_separated", "giant", "semi_infinite"]
+    )
     def test_solver_engine_families(self, family):
-        phase_name = "phi_a" if family == "small_separated" else "phi3"
+        phase_name = {
+            "small_overlap": "phi_a",
+            "small_separated": "phi_a",
+            "giant": "phi1_prime",
+            "semi_infinite": "phi3",
+        }[family]
         axis = PhaseAxis(0.0, 2 * math.pi, 5, linkage=((phase_name, 1.0),))
-        spec = small_spec(
-            family=family,
-            gammas=(0.5, 1.0, 1.5, 0.7),
-            delta_axis=Axis(-5.0, 5.0, 9),
-            phase_axis=axis,
-            engine="both",
-        )
-        res = run_sweep(spec)
-        assert res.engine_discrepancy < 1e-10
+        for phases in (
+            PhaseModel(regime=MARKOVIAN),
+            PhaseModel(regime=NON_MARKOVIAN, tau=0.5, phi2_prime=0.8, phi_b=0.3),
+        ):
+            spec = small_spec(
+                family=family,
+                gammas=(0.5, 1.0, 1.5, 0.7),
+                phases=phases,
+                delta_axis=Axis(-5.0, 5.0, 9),
+                phase_axis=axis,
+                engine="both",
+            )
+            res = run_sweep(spec)
+            assert res.engine_discrepancy < 1e-10, phases.regime
 
     def test_invalid_linkage_rejected(self):
         with pytest.raises(ConfigError):
@@ -142,6 +164,19 @@ class TestRunSweep:
     def test_delta_axis_needs_two_points(self):
         with pytest.raises(ConfigError):
             small_spec(delta_axis=Axis(0.0, 0.0, 1))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(ConfigError, match="axis bounds"):
+            Axis(value, 1.0, 3)
+        with pytest.raises(ConfigError, match="axis bounds"):
+            Axis(0.0, value, 3)
+        with pytest.raises(ConfigError, match="axis bounds"):
+            PhaseAxis(value, 1.0, 3, linkage=(("phi1_prime", 1.0),))
+        with pytest.raises(ConfigError, match="linkage factor"):
+            PhaseAxis(0.0, 1.0, 3, linkage=(("phi1_prime", 1.0), ("phi2_prime", value)))
+        with pytest.raises(ConfigError, match="gammas"):
+            small_spec(gammas=(1.0, value, 1.0, 0.0))
 
 
 class TestRegimes:
@@ -306,3 +341,38 @@ def test_fill_singular_matches_cell_loop(seed):
     for name, grid in grids.items():
         np.testing.assert_array_equal(grid, expected_grids[name])
     assert flags == expected_flags
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_rates_from_fields_matches_amplitude_rates(family):
+    """The closed-form reduction gives the rates core derives from full
+    amplitude sets, on single cells and on a whole row."""
+    rng = np.random.default_rng(5)
+    gammas = tuple(rng.uniform(0.1, 2.0, 4))
+    delta = np.linspace(-4.0, 4.0, 9)
+    entry = FAMILIES[family]
+    phases = {name: rng.uniform(0.0, 2 * math.pi, 9) for name in entry.phases}
+    row, singular, eta_undefined = entry.closed_rates(gammas, delta, phases)
+    assert not singular.any() and not eta_undefined.any()
+    for j, d in enumerate(delta.tolist()):
+        cell_phases = {name: float(values[j]) for name, values in phases.items()}
+        rates, _, _ = entry.closed_rates(gammas, d, cell_phases)
+        fwd = cf.forward_amplitudes(entry.forward.fields(gammas, d, cell_phases), d)
+        rev = cf.reverse_amplitudes(entry.reverse.fields(gammas, d, cell_phases), d)
+        expected = combine_directions(rates_from_amplitudes(fwd), rates_from_amplitudes(rev))
+        for name, value in zip(RATE_FIELDS, expected.as_row()):
+            # Only the residual sums its terms in another order.
+            if name != "residual":
+                assert rates[name] == value, name
+            assert rates[name] == pytest.approx(value, abs=1e-15), name
+            # Array kernels may round differently from scalar ones.
+            assert row[name][j] == pytest.approx(value, abs=1e-15), name
+
+
+def test_rates_from_fields_sets_eta_to_zero_without_guide_n_output():
+    # gamma3 = gamma4 = 0: nothing reaches guide N, so eta is undefined.
+    row, singular, eta_undefined = FAMILIES["small_overlap"].closed_rates(
+        (1.0, 0.25, 0.0, 0.0), np.array([-1.0, 0.5]), {}
+    )
+    assert eta_undefined.all() and not singular.any()
+    assert np.array_equal(row["eta"], [0.0, 0.0])

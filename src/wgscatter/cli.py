@@ -139,6 +139,8 @@ def _parse_objective(block: dict) -> search_mod.Objective:
         "objective",
     )
     params_doc = _require(block, "parameters", "objective")
+    if not isinstance(params_doc, dict):
+        raise ConfigError("objective.parameters must be an object")
     params: dict[str, object] = {}
     for name, spec in params_doc.items():
         where = f"objective.{name}"
@@ -146,6 +148,8 @@ def _parse_objective(block: dict) -> search_mod.Objective:
         if "fixed" in spec:
             params[name] = search_mod.Fixed(_finite(spec["fixed"], f"{where}.fixed"))
         elif "bounds" in spec:
+            if not (isinstance(spec["bounds"], list) and len(spec["bounds"]) == 2):
+                raise ConfigError(f"{where}.bounds must be a list [lo, hi]")
             lo, hi = spec["bounds"]
             params[name] = search_mod.Bounds(
                 _finite(lo, f"{where}.bounds"), _finite(hi, f"{where}.bounds")
@@ -397,6 +401,11 @@ def _cmd_search(args) -> int:
     spec, objective = parse_config(_load_config(args.config))
     if objective is None:
         raise ConfigError("the configuration has no objective block")
+    if spec.family != search_mod.FAMILY:
+        raise ConfigError(
+            f"search optimizes the {search_mod.FAMILY} layout, "
+            f"not system.family {spec.family!r}"
+        )
     try:
         report = search_mod.grid_refine_search(objective, budget=args.budget)
     except search_mod.NoFeasiblePointError as exc:

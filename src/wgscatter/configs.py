@@ -12,6 +12,10 @@ a photon entering guide N cannot be absorbed by the lambda atom (its s-e
 transition starts from the unoccupied second ground state), so the lambda
 atom stays a ground-state spectator and only the two-level atom's legs
 participate.
+
+The detuning and the phases may be arrays of one shape, one value per cell
+of a solver block: the builders are plain arithmetic on them, and the
+resulting omega_1 and omega_s are arrays over the block.
 """
 
 from __future__ import annotations

@@ -92,7 +92,8 @@ class AtomSpec:
 
     ``omega_1`` is the e-level energy above the primary ground state and
     ``omega_s`` the energy of the second ground state (zero for a two-level
-    atom, which has no such state).
+    atom, which has no such state).  Both may be arrays, one value per cell
+    of a block that the solver assembles and solves at once.
     """
 
     kind: str
@@ -102,10 +103,20 @@ class AtomSpec:
     def __post_init__(self) -> None:
         if self.kind not in (TWO_LEVEL, LAMBDA):
             raise ConfigError(f"unknown atom kind {self.kind!r}")
-        if self.omega_s < 0:
+        if not _holds(self.omega_s >= 0):
             raise ConfigError("omega_s must be non-negative")
-        if self.kind == TWO_LEVEL and self.omega_s != 0.0:
+        if self.kind == TWO_LEVEL and not _holds(self.omega_s == 0.0):
             raise ConfigError("a two-level atom has no s level; omega_s must be 0")
+
+
+def _holds(condition) -> bool:
+    """True when a comparison holds for every element.
+
+    A plain bool, the result for a float, skips numpy's per-call cost.
+    """
+    if condition is True or condition is False:
+        return condition
+    return bool(np.all(condition))
 
 
 @dataclass(frozen=True)
@@ -397,6 +408,35 @@ def rates_from_amplitudes(amps: ScatterAmplitudes) -> TransferRates:
         conservation_residual=residual,
         flags=flags,
     )
+
+
+def rates_from_outgoing(outgoing: np.ndarray, incident_port: int):
+    """`rates_from_amplitudes` over a block of outgoing amplitude sets.
+
+    ``outgoing`` has one row per cell in `ScatterAmplitudes.outgoing` order.
+    Returns the `TransferRates.as_row` values as a (7, cells) array and the
+    mask of cells where eta is undefined (forward incidence only).  Each
+    value is bit-identical to the scalar function's: np.hypot and
+    float_power(p, 2.0) compute what Python's abs(complex) and float ** 2
+    compute, and the probabilities are summed in the same order.
+    """
+    probs = [np.float_power(np.hypot(z.real, z.imag), 2.0) for z in outgoing.T]
+    p_m_left, p_m_right, p_nl_k, p_nr_k, p_nl_q, p_nr_q = probs
+    rows = np.zeros((7, len(outgoing)))
+    rows[6] = np.abs(sum(probs) - 1.0)
+    eta_undefined = np.zeros(len(outgoing), dtype=bool)
+    if incident_port in (1, 2):
+        forward = incident_port == 1
+        rows[0] = p_nl_k + p_nr_k
+        rows[1] = p_nl_q + p_nr_q
+        rows[3] = p_m_left if forward else p_m_right
+        rows[4] = p_m_right if forward else p_m_left
+        total_n = rows[0] + rows[1]
+        eta_undefined = total_n == 0.0
+        np.divide(rows[1], total_n, out=rows[5], where=~eta_undefined)
+    else:
+        rows[2] = p_m_left + p_m_right
+    return rows, eta_undefined
 
 
 def combine_directions(forward: TransferRates, reverse: TransferRates) -> TransferRates:

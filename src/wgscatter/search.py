@@ -16,11 +16,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, NoFeasiblePointError, SingularityError, TransferRates
+from .core import (
+    ConfigError,
+    DegenerateConfigError,
+    NoFeasiblePointError,
+    SingularityError,
+    TransferRates,
+)
 from .sweep import FAMILIES, RATE_FIELDS
 
 #: Search evaluates the giant-atom layout only.
-GIANT = FAMILIES["giant"]
+FAMILY = "giant"
+GIANT = FAMILIES[FAMILY]
 
 ISOLATION_CONTRAST = "isolation_contrast"
 CONVERSION_MERIT = "conversion_merit"
@@ -69,7 +76,8 @@ class Objective:
     ``kind`` selects the figure of merit at resonance: the isolation
     contrast t_m_rev - (t_ng + t_ns), or the conversion merit
     eta**purity_weight * t_ns**rate_weight.  ``min_reverse`` is a hard
-    constraint t_m_rev >= floor.
+    constraint t_m_rev >= floor.  ``tau`` may only be fixed: it scales
+    the detuning, which is zero at resonance.
     """
 
     kind: str
@@ -93,8 +101,12 @@ class Objective:
         free = [n for n, s in self.parameters.items() if isinstance(s, Bounds)]
         if not free:
             raise ConfigError("at least one parameter must carry bounds")
+        if isinstance(self.parameters.get("tau"), (Bounds, Linked)):
+            raise ConfigError("tau is inert at resonance; it may only be fixed")
         for name, spec in self.parameters.items():
             if isinstance(spec, Linked):
+                if spec.to not in PARAM_NAMES:
+                    raise ConfigError(f"{name!r} is linked to unknown parameter {spec.to!r}")
                 target = self.parameters.get(spec.to)
                 if spec.to == name or isinstance(target, Linked):
                     raise ConfigError(f"bad link for {name!r}")
@@ -251,9 +263,12 @@ def grid_refine_search(obj: Objective, budget: int = 2000) -> SearchReport:
 def _verify_with_solver(params: dict[str, float], closed: TransferRates) -> float:
     """Re-verification gate: solver rates at the optimum must match the closed ones."""
     gammas = tuple(params[f"gamma{i}"] for i in (1, 2, 3, 4))
-    check = GIANT.solver_rates(gammas, 0.0, params)
+    rates, singular, _ = GIANT.solver_rates(gammas, np.zeros(1), params)
+    if singular[0]:
+        raise DegenerateConfigError(f"singular scattering system at {params!r}")
     discrepancy = max(
-        abs(a - b) for a, b in zip(closed.as_row()[:6], check.as_row()[:6])
+        abs(a - float(rates[name][0]))
+        for a, name in zip(closed.as_row()[:6], RATE_FIELDS[:6])
     )
     if discrepancy > VERIFY_TOL:
         raise RuntimeError(

@@ -22,12 +22,17 @@ Conventions (matching the closed forms):
   couplings this puts maximal coupling at k L = 0 and decoupling at
   k L = pi/2, matching the terminated-guide spectra.
 
-Each solve is independent and pure; grids of solves may run concurrently.
+Within one sweep the layout never changes; only the energy and each atom's
+omega_1 and omega_s vary with the detuning.  `solve_batch` therefore takes a
+configuration whose detuning-dependent fields are arrays over a block of
+cells, and assembles, solves and condition-checks the whole block with one
+stacked numpy call each.  Every cell's matrix, solution and condition number
+are bit-identical to a `solve` of that cell alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +45,7 @@ from .core import (
     SE,
     WAVEGUIDE_M,
     DegenerateConfigError,
+    InvalidAmplitudeError,
     ScatterAmplitudes,
     SystemConfig,
     region_label,
@@ -89,11 +95,31 @@ class ChannelLayout:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Dense square system A x = b with one label per unknown."""
+    """Dense square system A x = b with one label per unknown.
+
+    A block of cells stacks its matrices as ``(*cells, n, n)``; the
+    right-hand side is shared.  ``_index`` is the column map `assemble`
+    built, kept so that a solve need not build it again.
+    """
 
     matrix: np.ndarray
     rhs: np.ndarray
     labels: tuple[str, ...]
+    _index: _Index | None = field(default=None, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class BlockSolution:
+    """Outgoing amplitudes and flags of a block of cells.
+
+    ``outgoing`` has one row per cell in `ScatterAmplitudes.outgoing` order,
+    zero where the port does not exist.  A ``singular`` cell has no solution
+    and a zero row; its ``ill_conditioned`` entry is meaningless.
+    """
+
+    outgoing: np.ndarray
+    singular: np.ndarray
+    ill_conditioned: np.ndarray
 
 
 def build_layout(cfg: SystemConfig) -> ChannelLayout:
@@ -169,17 +195,24 @@ def _wavevector(cfg: SystemConfig, energy: float, kind: str) -> float:
     return (energy - cfg.omega_0 - cfg.omega_s) / v
 
 
-def assemble(layout: ChannelLayout, cfg: SystemConfig, energy: float) -> LinearSystem:
+def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> LinearSystem:
     """Build the dense linear system at eigenstate energy E.
 
     Rows: two jump conditions per channel per breakpoint, one mirror row per
     terminated channel, one row per atomic amplitude, and the boundary rows
     fixing the incoming coefficient of every channel end (the incident
     amplitude on the entry side, zero elsewhere).
+
+    ``energy`` may be an array of cells, with which each atom's omega_1 and
+    omega_s broadcast; the matrix then has shape ``(*cells, n, n)``.
     """
     idx = _Index(layout)
     n = idx.size
-    matrix = np.zeros((n, n), dtype=complex)
+    cells = getattr(energy, "shape", ())
+    stack = np.zeros(cells + (n, n), dtype=complex)
+    # matrix[r, c] is one entry, or that entry over all cells through a view
+    # of the contiguous stack; a single cell keeps plain 2-D indexing cost.
+    matrix = np.moveaxis(stack, (-2, -1), (0, 1)) if cells else stack
     rhs = np.zeros(n, dtype=complex)
     v = cfg.scale.v_g
     inc = cfg.incident
@@ -241,26 +274,34 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy: float) -> LinearS
         row += 1
 
     assert row == n, "system must be square"
-    return LinearSystem(matrix, rhs, idx.labels)
+    return LinearSystem(stack, rhs, idx.labels, idx)
+
+
+def _outgoing_columns(layout: ChannelLayout, idx: _Index) -> tuple[int | None, ...]:
+    """Unknown of each outgoing port in `ScatterAmplitudes.outgoing` order.
+
+    None marks a port with no channel, or the right end of a terminated one.
+    """
+    columns: list[int | None] = []
+    for name in (CH_M_K, CH_N_K, CH_N_Q):
+        ch = next((c for c in layout.channels if c.name == name), None)
+        if ch is None:
+            columns += [None, None]
+        else:
+            last = ch.n_regions - 1
+            columns += [
+                idx.left(name, 0),
+                None if ch.terminated else idx.right(name, last),
+            ]
+    return tuple(columns)
 
 
 def _extract(
     layout: ChannelLayout, idx: _Index, x: np.ndarray, cfg: SystemConfig, flags: tuple
 ) -> ScatterAmplitudes:
-    def port_amps(name: str) -> tuple[complex, complex]:
-        for ch in layout.channels:
-            if ch.name == name:
-                last = ch.n_regions - 1
-                left_out = complex(x[idx.left(name, 0)])
-                right_out = (
-                    0.0j if ch.terminated else complex(x[idx.right(name, last)])
-                )
-                return left_out, right_out
-        return 0.0j, 0.0j
-
-    m_left, m_right = port_amps(CH_M_K)
-    n_left_k, n_right_k = port_amps(CH_N_K)
-    n_left_q, n_right_q = port_amps(CH_N_Q)
+    m_left, m_right, n_left_k, n_right_k, n_left_q, n_right_q = (
+        0.0j if col is None else complex(x[col]) for col in _outgoing_columns(layout, idx)
+    )
 
     interior: dict[str, tuple[complex, complex]] = {}
     for ch in layout.channels:
@@ -305,5 +346,41 @@ def solve(cfg: SystemConfig) -> ScatterAmplitudes:
     flags: tuple[str, ...] = ()
     if np.linalg.cond(system.matrix) > ILL_CONDITIONED:
         flags = ("ill_conditioned",)
-    idx = _Index(layout)
-    return _extract(layout, idx, x, cfg, flags)
+    return _extract(layout, system._index, x, cfg, flags)
+
+
+def solve_batch(cfg: SystemConfig) -> BlockSolution:
+    """Solve a 1-D block of cells that share one layout.
+
+    The detuning and each atom's omega_1 and omega_s in ``cfg`` are arrays
+    over the block (the `configs` builders make them from array detunings
+    and phases).  One stacked solve covers the block; if any cell is exactly
+    singular, the cells are solved one by one and only those that fail are
+    marked singular.  Raises InvalidAmplitudeError on a non-finite solution.
+    """
+    if np.ndim(cfg.energy) != 1:
+        raise ValueError("solve_batch needs a 1-D block of cells")
+    layout = build_layout(cfg)
+    system = assemble(layout, cfg, cfg.energy)
+    matrix = system.matrix
+    singular = np.zeros(len(matrix), dtype=bool)
+    # A 3-D right-hand side is a stack of one-column matrices under every
+    # numpy version; a 1-D one means a vector only from numpy 2.0 on.
+    rhs = np.broadcast_to(system.rhs[:, None], matrix.shape[:-1] + (1,))
+    try:
+        x = np.linalg.solve(matrix, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.zeros(matrix.shape[:2], dtype=complex)
+        for k, cell in enumerate(matrix):
+            try:
+                x[k] = np.linalg.solve(cell, system.rhs)
+            except np.linalg.LinAlgError:
+                singular[k] = True
+    if not np.isfinite(x).all():
+        raise InvalidAmplitudeError("non-finite amplitude in a solver block")
+    ill_conditioned = np.linalg.cond(matrix) > ILL_CONDITIONED
+    outgoing = np.zeros((len(matrix), 6), dtype=complex)
+    for port, col in enumerate(_outgoing_columns(layout, system._index)):
+        if col is not None:
+            outgoing[:, port] = x[:, col]
+    return BlockSolution(outgoing, singular, ill_conditioned)

@@ -5,8 +5,8 @@ grid for one configuration family, with phases resolved per the regime model
 (constant in the Markovian regime, shifted by tau*delta otherwise).  Two
 engines are available: "closed" evaluates the analytical amplitudes
 (vectorized across the detuning axis), "solver" runs the boundary-matching
-solver per cell, and "both" runs the two and records their maximum
-disagreement.
+solver on blocks of SOLVER_BLOCK detunings per phase row (one stacked solve
+per block), and "both" runs the two and records their maximum disagreement.
 
 FAMILIES is the one table of configuration families: for each incidence
 direction it names the closed-form kernel, the solver config builder and
@@ -38,12 +38,10 @@ from .core import (
     NON_MARKOVIAN,
     PHASE_NAMES,
     ConfigError,
-    DegenerateConfigError,
     PhaseModel,
     SystemConfig,
     TransferRates,
-    combine_directions,
-    rates_from_amplitudes,
+    rates_from_outgoing,
     resolved_phase,
 )
 
@@ -57,6 +55,10 @@ BLOCKED_THRESHOLD = 1e-6
 WINDOW_THRESHOLD = 0.45
 
 TWO_PI = 2.0 * math.pi
+
+#: Detunings per stacked solver block.  Bounds the block's memory (one
+#: 20x20 complex matrix per cell for the giant layout) on long rows.
+SOLVER_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +90,7 @@ class Route:
         """Kernel output; ``phases`` maps phase names to values."""
         return getattr(cf, self.kernel)(*self._args(gammas, delta, phases))
 
-    def config(self, gammas, delta: float, phases: Mapping) -> SystemConfig:
+    def config(self, gammas, delta, phases: Mapping) -> SystemConfig:
         return getattr(configs, self.builder)(*self._args(gammas, delta, phases))
 
 
@@ -109,14 +111,30 @@ class Family:
             self.reverse.fields(gammas, delta, phases),
         )
 
-    def solver_rates(self, gammas, delta: float, phases: Mapping) -> TransferRates:
-        """Forward+reverse rates of one cell from the boundary-matching solver."""
-        forward_cfg = self.forward.config(gammas, delta, phases)
-        reverse_cfg = self.reverse.config(gammas, delta, phases)
-        return combine_directions(
-            rates_from_amplitudes(solver.solve(forward_cfg)),
-            rates_from_amplitudes(solver.solve(reverse_cfg)),
+    def solver_rates(self, gammas, delta: np.ndarray, phases: Mapping):
+        """Forward+reverse solver rates over a 1-D block of detunings.
+
+        Phases broadcast with ``delta``.  Returns the RATE_FIELDS values,
+        the singular mask and each cell's flags, combined as
+        `combine_directions` combines them; singular cells carry no flags.
+        """
+        fwd = solver.solve_batch(self.forward.config(gammas, delta, phases))
+        rev = solver.solve_batch(self.reverse.config(gammas, delta, phases))
+        rows, eta_undefined = rates_from_outgoing(fwd.outgoing, self.forward.port)
+        rev_rows, _ = rates_from_outgoing(rev.outgoing, self.reverse.port)
+        rows[2] = rev_rows[2]
+        rows[6] = np.maximum(rows[6], rev_rows[6])
+        singular = fwd.singular | rev.singular
+        masks = (
+            ("ill_conditioned", fwd.ill_conditioned),
+            ("eta_undefined", eta_undefined),
+            ("ill_conditioned", rev.ill_conditioned),
         )
+        flagged = (fwd.ill_conditioned | eta_undefined | rev.ill_conditioned) & ~singular
+        flags: list[tuple[str, ...]] = [()] * len(delta)
+        for j in np.flatnonzero(flagged).tolist():
+            flags[j] = tuple(dict.fromkeys(name for name, mask in masks if mask[j]))
+        return dict(zip(RATE_FIELDS, rows)), singular, flags
 
 
 FAMILIES = {
@@ -316,16 +334,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 for j in np.nonzero(eta_undef & ~row_singular)[0]:
                     flags[i][j] = flags[i][j] + ("eta_undefined",)
             else:
-                for j, d in enumerate(delta.tolist()):
-                    try:
-                        cell = family.solver_rates(spec.gammas, d, _resolved(pm, family, d))
-                    except DegenerateConfigError:
-                        singular[i, j] = True
-                        continue
-                    for name, val in zip(RATE_FIELDS, cell.as_row()):
-                        grids[name][i, j] = val
-                    if cell.flags:
-                        flags[i][j] = cell.flags
+                for start in range(0, n_delta, SOLVER_BLOCK):
+                    block = slice(start, start + SOLVER_BLOCK)
+                    d = delta[block]
+                    rates, block_singular, block_flags = family.solver_rates(
+                        spec.gammas, d, _resolved(pm, family, d)
+                    )
+                    for name in RATE_FIELDS:
+                        grids[name][i, block] = rates[name]
+                    singular[i, block] = block_singular
+                    flags[i][block] = block_flags
         _fill_singular(grids, flags, singular)
         return grids, flags
 

@@ -305,8 +305,14 @@ class TestSearchCommand:
             "min_reverse": floor,
         }
 
+    def search_config(self, floor):
+        """Search evaluates the giant layout, so its configs name that family."""
+        doc = base_config(objective=self.objective_doc(floor))
+        doc["system"]["family"] = "giant"
+        return doc
+
     def test_anchor_run(self, tmp_path, capsys):
-        doc = base_config(objective=self.objective_doc(2 * 0.32 / 1.32**2))
+        doc = self.search_config(2 * 0.32 / 1.32**2)
         cfg = write_config(tmp_path, doc)
         assert cli.main(["search", cfg, "--budget", "800", "--out", "-"]) == 0
         out = capsys.readouterr().out
@@ -314,7 +320,7 @@ class TestSearchCommand:
         assert eta == pytest.approx(0.7576, abs=2e-3)
 
     def test_infeasible_exits_1(self, tmp_path):
-        doc = base_config(objective=self.objective_doc(0.5))
+        doc = self.search_config(0.5)
         doc["objective"]["parameters"]["gamma1"] = {"bounds": [0.001, 0.01]}
         cfg = write_config(tmp_path, doc)
         assert cli.main(["search", cfg, "--budget", "300"]) == 1
@@ -337,12 +343,56 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize("key", sorted(NON_FINITE_EDITS))
     def test_non_finite_objective_number_exits_2(self, tmp_path, capsys, key):
-        doc = base_config(objective=self.objective_doc(0.0))
+        doc = self.search_config(0.0)
         self.NON_FINITE_EDITS[key](doc["objective"])
         cfg = write_config(tmp_path, doc)
         assert cli.main(["search", cfg, "--budget", "100"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
+
+    #: Malformed objective blocks, each of which once escaped main() as a
+    #: traceback, and the text the config error names.
+    MALFORMED_EDITS = {
+        "bounds_not_a_pair": (
+            lambda obj: obj["parameters"]["gamma1"].update(bounds=3),
+            "objective.gamma1.bounds",
+        ),
+        "parameters_not_an_object": (
+            lambda obj: obj.update(parameters=["gamma1"]),
+            "objective.parameters",
+        ),
+        "linked_to_unknown_parameter": (
+            lambda obj: obj["parameters"].update(gamma3={"linked": "gamma9"}),
+            "gamma9",
+        ),
+        "tau_bounded": (
+            lambda obj: obj["parameters"].update(tau={"bounds": [0.0, 2.0]}),
+            "tau",
+        ),
+        "tau_linked": (
+            lambda obj: obj["parameters"].update(tau={"linked": "gamma1"}),
+            "tau",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_EDITS))
+    def test_malformed_objective_exits_2(self, tmp_path, capsys, case):
+        edit, named = self.MALFORMED_EDITS[case]
+        doc = self.search_config(0.0)
+        edit(doc["objective"])
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["search", cfg, "--budget", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+
+    @pytest.mark.parametrize("family", ["small_overlap", "small_separated", "semi_infinite"])
+    def test_non_giant_family_exits_2(self, tmp_path, capsys, family):
+        doc = self.search_config(0.0)
+        doc["system"]["family"] = family
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["search", cfg, "--budget", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and family in err
 
 
 class TestDumpConfig:

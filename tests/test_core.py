@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from wgscatter.core import (
     combine_directions,
     effective_phases,
     rates_from_amplitudes,
+    rates_from_outgoing,
 )
 
 
@@ -239,3 +241,23 @@ class TestConfigValidation:
             IncidentWave(1),
         )
         assert not standard.unconventional_layout
+
+
+@pytest.mark.parametrize("port", [1, 2, 3, 4])
+def test_block_reduction_is_bitwise_scalar(port):
+    """rates_from_outgoing gives rates_from_amplitudes' bits on amplitudes
+    with magnitudes across 1e-13..1e13, exact zeros included."""
+    rng = np.random.default_rng(port)
+    n = 4000
+    outgoing = (rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))) * 10.0 ** rng.uniform(
+        -13.0, 13.0, (n, 6)
+    )
+    outgoing[rng.random((n, 6)) < 0.1] = 0.0
+    outgoing[:10, 2:] = 0.0  # no output into guide N: eta undefined
+    rows, eta_undefined = rates_from_outgoing(outgoing, port)
+    for k in range(n):
+        amps = ScatterAmplitudes(port, *outgoing[k].tolist())
+        expected = rates_from_amplitudes(amps)
+        assert rows[:, k].tobytes() == np.array(expected.as_row()).tobytes(), k
+        assert bool(eta_undefined[k]) == ("eta_undefined" in expected.flags)
+    assert eta_undefined[:10].all() == (port in (1, 2))

@@ -194,3 +194,76 @@ class TestStructuralProperties:
         a = solver.solve(cfg)
         assert len(a.excited) == 1
         assert a.n_left_q == 0.0 and a.n_right_q == 0.0
+
+
+#: Every builder: its rate arguments and the phase constants it takes.
+BUILDER_CASES = {
+    "small_overlap": (((0.5, 1.0, 1.5, 0.7),), ()),
+    "small_separated": (((0.5, 1.0, 1.5, 0.7),), (0.9, 1.3)),
+    "giant": (((0.5, 1.0, 1.5, 0.7),), (0.4, 1.1)),
+    "semi_infinite": (((0.5, 1.0, 1.5, 0.7),), (0.2,)),
+    "reverse_small": ((0.5, 1.5), ()),
+    "reverse_giant": ((0.5, 1.5), (0.4,)),
+    "reverse_semi_infinite": ((0.5, 1.5), (0.2,)),
+}
+
+
+class TestBlockSolve:
+    @pytest.mark.parametrize("builder", sorted(BUILDER_CASES))
+    def test_block_is_bitwise_per_cell(self, builder):
+        """A block's matrices and outgoing amplitudes equal each cell's own,
+        with detuning-dependent phases (non-Markovian shifts) per cell."""
+        build = getattr(configs, builder)
+        rates, phases = BUILDER_CASES[builder]
+        delta = np.linspace(-4.0, 4.0, 9)
+        shifted = [p + 0.6 * delta for p in phases]
+        block = build(*rates, delta, *shifted)
+        system = solver.assemble(solver.build_layout(block), block, block.energy)
+        result = solver.solve_batch(block)
+        assert not result.singular.any()
+        for j, d in enumerate(delta.tolist()):
+            cell = build(*rates, d, *(float(p[j]) for p in shifted))
+            cell_system = solver.assemble(solver.build_layout(cell), cell, cell.energy)
+            assert system.matrix[j].tobytes() == cell_system.matrix.tobytes()
+            amps = solver.solve(cell)
+            assert result.outgoing[j].tobytes() == np.array(amps.outgoing()).tobytes()
+            assert bool(result.ill_conditioned[j]) == ("ill_conditioned" in amps.flags)
+
+    def test_block_must_be_one_dimensional(self):
+        with pytest.raises(ValueError):
+            solver.solve_batch(configs.giant((1.0, 1.0, 1.0, 1.0), 0.3, 0.1, 0.2))
+
+    def test_one_index_per_scalar_solve(self, monkeypatch):
+        built = []
+        original = solver._Index.__init__
+
+        def counting_init(self, layout):
+            built.append(layout)
+            original(self, layout)
+
+        monkeypatch.setattr(solver._Index, "__init__", counting_init)
+        solver.solve(configs.giant((1.0, 1.0, 1.0, 1.0), 0.3, 0.1, 0.2))
+        assert len(built) == 1
+
+    def test_stacked_rhs_is_version_independent(self, monkeypatch):
+        """numpy < 2.0 reads a 1-D right-hand side against a stack of
+        matrices as a matrix operand and raises; the block solve must give
+        one with the matrices' own number of dimensions."""
+        original = np.linalg.solve
+        shapes = []
+
+        def strict_solve(a, b):
+            shapes.append((np.ndim(a), np.ndim(b)))
+            if np.ndim(a) > 2:
+                assert np.ndim(b) == np.ndim(a)
+            return original(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", strict_solve)
+        block = configs.giant((1.0, 1.0, 1.0, 1.0), np.linspace(-1.0, 1.0, 5), 0.1, 0.2)
+        result = solver.solve_batch(block)
+        assert (3, 3) in shapes
+        assert result.outgoing.shape == (5, 6)
+
+    def test_linear_system_takes_labels(self):
+        system = solver.LinearSystem(np.eye(2), np.ones(2), ("a", "b"))
+        assert system.labels == ("a", "b")

@@ -7,21 +7,31 @@ import numpy as np
 import pytest
 
 from wgscatter import closed_form as cf
+from wgscatter import configs, solver
 from wgscatter.core import (
     MARKOVIAN,
     NON_MARKOVIAN,
+    AtomSpec,
     ConfigError,
+    CouplingLeg,
+    DegenerateConfigError,
+    EnergyScale,
+    IncidentWave,
     PhaseModel,
+    SystemConfig,
     combine_directions,
     rates_from_amplitudes,
 )
 from wgscatter.sweep import (
     FAMILIES,
     RATE_FIELDS,
+    SOLVER_BLOCK,
     Axis,
     PhaseAxis,
     SweepSpec,
     _fill_singular,
+    _phase_constants,
+    _resolved,
     figure_preset,
     isolation_report,
     run_sweep,
@@ -376,3 +386,119 @@ def test_rates_from_fields_sets_eta_to_zero_without_guide_n_output():
     )
     assert eta_undefined.all() and not singular.any()
     assert np.array_equal(row["eta"], [0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# The block solver engine against the per-cell route it replaced
+# ---------------------------------------------------------------------------
+
+
+def per_cell_solver_sweep(spec):
+    """Cell-by-cell solver engine: solver.solve -> rates_from_amplitudes ->
+    combine_directions per cell, a DegenerateConfigError marking the cell
+    singular, then the same singular fill."""
+    family = FAMILIES[spec.family]
+    delta = spec.delta_axis.values()
+    phi = spec.phase_axis.values() if spec.phase_axis is not None else np.array([0.0])
+    shape = (len(phi), len(delta))
+    grids = {name: np.zeros(shape) for name in RATE_FIELDS}
+    flags = [[() for _ in delta] for _ in phi]
+    singular = np.zeros(shape, dtype=bool)
+    for i, value in enumerate(phi.tolist()):
+        pm = _phase_constants(spec.phases, spec.phase_axis, value)
+        for j, d in enumerate(delta.tolist()):
+            phases = _resolved(pm, family, d)
+            try:
+                cell = combine_directions(
+                    rates_from_amplitudes(solver.solve(family.forward.config(spec.gammas, d, phases))),
+                    rates_from_amplitudes(solver.solve(family.reverse.config(spec.gammas, d, phases))),
+                )
+            except DegenerateConfigError:
+                singular[i, j] = True
+                continue
+            for name, val in zip(RATE_FIELDS, cell.as_row()):
+                grids[name][i, j] = val
+            flags[i][j] = cell.flags
+    _fill_singular(grids, flags, singular)
+    return grids, flags
+
+
+def assert_matches_per_cell(spec):
+    result = run_sweep(spec)
+    grids, flags = per_cell_solver_sweep(spec)
+    for name in RATE_FIELDS:
+        assert result.rates[name].tobytes() == grids[name].tobytes(), name
+    assert result.flags == flags
+    return result
+
+
+#: Phase linkage per family; small_overlap takes no phase.
+SOLVER_LINKAGE = {
+    "small_overlap": (("phi_a", 1.0),),
+    "small_separated": (("phi_a", 1.0), ("phi_b", 0.5)),
+    "giant": (("phi1_prime", 1.0), ("phi2_prime", -1.0)),
+    "semi_infinite": (("phi3", 1.0),),
+}
+
+
+@pytest.mark.parametrize("regime", [MARKOVIAN, NON_MARKOVIAN])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_block_solver_sweep_is_bitwise_per_cell(family, regime):
+    pm = PhaseModel(
+        regime=regime,
+        tau=0.7 if regime == NON_MARKOVIAN else 0.0,
+        phi1_prime=0.4,
+        phi2_prime=1.1,
+        phi3=0.2,
+        phi_a=0.9,
+        phi_b=1.3,
+    )
+    axis = PhaseAxis(0.25, 5.75, 4, linkage=SOLVER_LINKAGE[family])
+    spec = SweepSpec(family, (0.5, 1.0, 1.5, 0.7), pm, Axis(-6.0, 6.0, 19), axis, "solver")
+    assert_matches_per_cell(spec)
+
+
+@pytest.mark.parametrize(
+    "gammas, expected",
+    [
+        # ill_conditioned cells at phi = pi and an eta_undefined cell beside them.
+        ((1.0, 0.25, 1.0, 0.0), {("ill_conditioned",), ("eta_undefined",)}),
+        # Nothing couples to guide N: both flags on the cells at phi = pi.
+        ((1.0, 0.25, 0.0, 0.0), {("ill_conditioned", "eta_undefined"), ("eta_undefined",)}),
+    ],
+)
+def test_block_solver_keeps_cell_flags(gammas, expected):
+    axis = PhaseAxis(3.0, math.pi, 3, linkage=(("phi1_prime", 1.0),))
+    spec = SweepSpec("giant", gammas, PhaseModel(), Axis(-1.0, 1.0, 5), axis, "solver")
+    result = assert_matches_per_cell(spec)
+    assert expected <= {cell for row in result.flags for cell in row}
+
+
+def test_block_solver_row_longer_than_a_block():
+    pm = PhaseModel(regime=NON_MARKOVIAN, tau=1.0)
+    axis = PhaseAxis(0.3, 2.9, 2, linkage=(("phi1_prime", 1.0), ("phi2_prime", -1.0)))
+    n_delta = 2 * SOLVER_BLOCK + 37
+    spec = SweepSpec("giant", (0.32, 1.0, 1.0, 1.0), pm, Axis(-10.0, 10.0, n_delta), axis, "solver")
+    assert_matches_per_cell(spec)
+
+
+def twin_atoms(gammas, delta):
+    """Two identical two-level atoms at one point: at delta = 0 their columns
+    coincide and the system is exactly singular."""
+    return SystemConfig(
+        scale=EnergyScale(),
+        atoms=(AtomSpec("two_level", omega_1=1.0), AtomSpec("two_level", omega_1=1.0)),
+        legs=(CouplingLeg(0, "M", "ge", 0.0, 1.0), CouplingLeg(1, "M", "ge", 0.0, 1.0)),
+        incident=IncidentWave(port=1, delta=delta),
+    )
+
+
+def test_block_solver_marks_only_the_singular_cell(monkeypatch):
+    monkeypatch.setattr(configs, "small_overlap", twin_atoms)
+    block = twin_atoms(None, np.linspace(-1.0, 1.0, 5))
+    system = solver.assemble(solver.build_layout(block), block, block.energy)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(system.matrix, system.rhs)
+    spec = small_spec(delta_axis=Axis(-1.0, 1.0, 5), engine="solver")
+    result = assert_matches_per_cell(spec)
+    assert [("singular" in cell) for cell in result.flags[0]] == [False, False, True, False, False]

@@ -15,7 +15,6 @@ import math
 import os
 import shutil
 import sys
-from bisect import bisect_left
 from dataclasses import replace
 from pathlib import Path
 
@@ -145,6 +144,11 @@ def _parse_objective(block: dict) -> search_mod.Objective:
     for name, spec in params_doc.items():
         where = f"objective.{name}"
         _reject_unknown(spec, {"fixed", "bounds", "linked", "factor"}, where)
+        forms = [key for key in ("fixed", "bounds", "linked") if key in spec]
+        if len(forms) != 1:
+            raise ConfigError(f"{where} needs exactly one of fixed, bounds or linked")
+        if "factor" in spec and forms != ["linked"]:
+            raise ConfigError(f"{where}.factor is allowed only with linked")
         if "fixed" in spec:
             params[name] = search_mod.Fixed(_finite(spec["fixed"], f"{where}.fixed"))
         elif "bounds" in spec:
@@ -154,12 +158,10 @@ def _parse_objective(block: dict) -> search_mod.Objective:
             params[name] = search_mod.Bounds(
                 _finite(lo, f"{where}.bounds"), _finite(hi, f"{where}.bounds")
             )
-        elif "linked" in spec:
+        else:
             params[name] = search_mod.Linked(
                 str(spec["linked"]), _finite(spec.get("factor", 1.0), f"{where}.factor")
             )
-        else:
-            raise ConfigError(f"{where} needs fixed, bounds, or linked")
     return search_mod.Objective(
         kind=_require(block, "kind", "objective"),
         parameters=params,  # type: ignore[arg-type]
@@ -253,24 +255,12 @@ CSV_HEADER = "delta,phi,T_Ng,T_Ns,T_M_rev,R_M,T2,eta,residual,flags"
 CSV_CHUNK_ROWS = 1024
 
 #: One data row: "%.17g" gives the same text as f"{x:.17g}" (nan, inf and
-#: -0 included).  delta and phi arrive preformatted, flags already joined.
+#: -0 included).  delta, phi and the flag text arrive as strings.
 _ROW_FORMAT = "%s,%s," + "%.17g," * len(sweep_mod.RATE_FIELDS) + "%s\n"
 
 
 def _csv_head(result: sweep_mod.SweepResult, extra: dict | None) -> str:
     return "".join(line + "\n" for line in _metadata_lines(result, extra)) + CSV_HEADER + "\n"
-
-
-def _joined_flags(result: sweep_mod.SweepResult) -> dict[int, str]:
-    """Flag text of each flagged cell, keyed by its detuning-major row number."""
-    n_phi = result.phi.size
-    return {
-        j * n_phi + i: ";".join(cell)
-        for i, row in enumerate(result.flags)
-        if any(row)
-        for j, cell in enumerate(row)
-        if cell
-    }
 
 
 def write_csv(result: sweep_mod.SweepResult, stream, extra: dict | None = None) -> None:
@@ -284,8 +274,6 @@ def write_csv(result: sweep_mod.SweepResult, stream, extra: dict | None = None) 
     n_rows = n_phi * result.delta.size
     delta_text = np.array([_fmt(x) for x in result.delta], dtype=object)
     phi_text = np.array([_fmt(x) for x in result.phi], dtype=object)
-    flags = _joined_flags(result)
-    flagged_rows = sorted(flags)
     for start in range(0, n_rows, CSV_CHUNK_ROWS):
         stop = min(start + CSV_CHUNK_ROWS, n_rows)
         j, i = np.divmod(np.arange(start, stop), n_phi)
@@ -294,10 +282,7 @@ def write_csv(result: sweep_mod.SweepResult, stream, extra: dict | None = None) 
         block[:, 1] = phi_text[i]
         for col, name in enumerate(sweep_mod.RATE_FIELDS, start=2):
             block[:, col] = result.rates[name][i, j]
-        block[:, -1] = ""
-        lo = bisect_left(flagged_rows, start)
-        for row in flagged_rows[lo : bisect_left(flagged_rows, stop, lo)]:
-            block[row - start, -1] = flags[row]
+        block[:, -1] = sweep_mod.FLAG_TEXT[result.codes[i, j]]
         stream.write(_ROW_FORMAT * (stop - start) % tuple(block.ravel().tolist()))
 
 
@@ -312,12 +297,19 @@ def _copy_data_rows(source: Path, head_lines: int, head: str, path: Path) -> Non
 
 
 def result_as_json(result: sweep_mod.SweepResult, extra: dict | None = None) -> dict:
+    spec = result.spec
     payload = {
-        "metadata": {k: v for k, v in result.metadata.items() if k != "timestamp"},
+        "metadata": {
+            "family": spec.family,
+            "gammas": spec.gammas,
+            "regime": spec.phases.regime,
+            "tau": spec.phases.tau,
+            "engine": spec.engine,
+        },
         "delta": [float(x) for x in result.delta],
         "phi": [float(x) for x in result.phi],
         "rates": {k: result.rates[k].tolist() for k in sweep_mod.RATE_FIELDS},
-        "flags": [[";".join(c) for c in row] for row in result.flags],
+        "flags": sweep_mod.FLAG_TEXT[result.codes].tolist(),
     }
     if result.engine_discrepancy is not None:
         payload["max_engine_discrepancy"] = result.engine_discrepancy

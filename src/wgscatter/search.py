@@ -77,7 +77,8 @@ class Objective:
     contrast t_m_rev - (t_ng + t_ns), or the conversion merit
     eta**purity_weight * t_ns**rate_weight.  ``min_reverse`` is a hard
     constraint t_m_rev >= floor.  ``tau`` may only be fixed: it scales
-    the detuning, which is zero at resonance.
+    the detuning, which is zero at resonance.  No decay rate may be fixed,
+    bounded below or linked to another rate by a factor below 0.
     """
 
     kind: str
@@ -110,6 +111,14 @@ class Objective:
                 target = self.parameters.get(spec.to)
                 if spec.to == name or isinstance(target, Linked):
                     raise ConfigError(f"bad link for {name!r}")
+        gammas = PARAM_NAMES[:4]
+        for name, spec in self.parameters.items():
+            if name in gammas and (
+                isinstance(spec, Fixed) and spec.value < 0
+                or isinstance(spec, Bounds) and spec.lo < 0
+                or isinstance(spec, Linked) and spec.to in gammas and spec.factor < 0
+            ):
+                raise ConfigError(f"decay rate {name!r} must be non-negative")
 
     def free_names(self) -> tuple[str, ...]:
         return tuple(

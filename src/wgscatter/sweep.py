@@ -18,15 +18,20 @@ errors: they carry the value of the nearest previously valid cell along the
 detuning axis plus a "singular" flag, which keeps exported tables
 plot-friendly while preserving the information.
 
+A cell's flags are one uint8 code: bit 0 an ill-conditioned forward solve,
+bit 1 an undefined eta (nothing reaches guide N), bit 2 an ill-conditioned
+reverse solve, bit 3 singular.  Its flag names are those of its set bits in
+that order, each once, as `combine_directions` would merge them.
+
 Cells are computed independently and merged in a fixed order, so the output
-is deterministic regardless of how evaluation is scheduled.
+is deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -59,6 +64,16 @@ TWO_PI = 2.0 * math.pi
 #: Detunings per stacked solver block.  Bounds the block's memory (one
 #: 20x20 complex matrix per cell for the giant layout) on long rows.
 SOLVER_BLOCK = 128
+
+#: Flag names of the bits of a cell's code, lowest bit first.
+FLAG_BITS = ("ill_conditioned", "eta_undefined", "ill_conditioned", "singular")
+ILL_FORWARD, ETA_UNDEFINED, ILL_REVERSE, SINGULAR = 1, 2, 4, 8
+#: Flag names and joined CSV/JSON text of every code.
+FLAG_NAMES = tuple(
+    tuple(dict.fromkeys(name for k, name in enumerate(FLAG_BITS) if code >> k & 1))
+    for code in range(1 << len(FLAG_BITS))
+)
+FLAG_TEXT = np.array([";".join(names) for names in FLAG_NAMES], dtype=object)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +130,7 @@ class Family:
         """Forward+reverse solver rates over a 1-D block of detunings.
 
         Phases broadcast with ``delta``.  Returns the RATE_FIELDS values,
-        the singular mask and each cell's flags, combined as
-        `combine_directions` combines them; singular cells carry no flags.
+        the singular mask and each cell's flag code; singular cells get 0.
         """
         fwd = solver.solve_batch(self.forward.config(gammas, delta, phases))
         rev = solver.solve_batch(self.reverse.config(gammas, delta, phases))
@@ -125,16 +139,12 @@ class Family:
         rows[2] = rev_rows[2]
         rows[6] = np.maximum(rows[6], rev_rows[6])
         singular = fwd.singular | rev.singular
-        masks = (
-            ("ill_conditioned", fwd.ill_conditioned),
-            ("eta_undefined", eta_undefined),
-            ("ill_conditioned", rev.ill_conditioned),
-        )
-        flagged = (fwd.ill_conditioned | eta_undefined | rev.ill_conditioned) & ~singular
-        flags: list[tuple[str, ...]] = [()] * len(delta)
-        for j in np.flatnonzero(flagged).tolist():
-            flags[j] = tuple(dict.fromkeys(name for name, mask in masks if mask[j]))
-        return dict(zip(RATE_FIELDS, rows)), singular, flags
+        codes = (
+            fwd.ill_conditioned * ILL_FORWARD
+            | eta_undefined * ETA_UNDEFINED
+            | rev.ill_conditioned * ILL_REVERSE
+        ) * ~singular
+        return dict(zip(RATE_FIELDS, rows)), singular, codes
 
 
 FAMILIES = {
@@ -248,20 +258,25 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Rate grids indexed [phase, delta], one 2-D array per rate field."""
+    """Rate grids indexed [phase, delta], one 2-D array per rate field, and
+    the uint8 flag code of each cell (see FLAG_BITS)."""
 
     spec: SweepSpec
     delta: np.ndarray
     phi: np.ndarray
     rates: dict[str, np.ndarray]
-    flags: list[list[tuple[str, ...]]]
+    codes: np.ndarray
     engine_discrepancy: float | None
-    metadata: dict
+
+    @cached_property
+    def flags(self) -> list[list[tuple[str, ...]]]:
+        """Flag names per cell, built from ``codes`` on first access."""
+        return [[FLAG_NAMES[code] for code in row] for row in self.codes.tolist()]
 
     def cell(self, phase_index: int, delta_index: int) -> TransferRates:
         return TransferRates(
             *(float(self.rates[name][phase_index, delta_index]) for name in RATE_FIELDS),
-            flags=self.flags[phase_index][delta_index],
+            flags=FLAG_NAMES[self.codes[phase_index, delta_index]],
         )
 
 
@@ -277,8 +292,9 @@ def _resolved(pm: PhaseModel, family: Family, delta) -> dict:
     return {name: resolved_phase(pm, name, delta) for name in family.phases}
 
 
-def _fill_singular(grids, flags, singular_mask) -> None:
-    """Replace flagged cells with the last valid neighbor along delta.
+def _fill_singular(grids, codes, singular_mask) -> None:
+    """Replace singular cells with the last valid neighbor along delta and
+    set their SINGULAR bit.
 
     A cell with no valid cell before it takes the next valid one; a row with
     no valid cell at all is filled with 0.0.
@@ -302,8 +318,7 @@ def _fill_singular(grids, flags, singular_mask) -> None:
     valid = src < n_delta
     for grid in grids.values():
         grid[rows, cols] = np.where(valid, grid[rows, np.where(valid, src, 0)], 0.0)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        flags[i][j] = flags[i][j] + ("singular",)
+    codes[rows, cols] |= SINGULAR
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -318,67 +333,47 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     def run_engine(engine: str):
         grids = {name: np.zeros((n_phi, n_delta)) for name in RATE_FIELDS}
-        flags: list[list[tuple[str, ...]]] = [
-            [() for _ in range(n_delta)] for _ in range(n_phi)
-        ]
+        codes = np.zeros((n_phi, n_delta), dtype=np.uint8)
         singular = np.zeros((n_phi, n_delta), dtype=bool)
+        step = n_delta if engine == "closed" else SOLVER_BLOCK
         for i, value in enumerate(phi):
             pm = _phase_constants(spec.phases, spec.phase_axis, float(value))
-            if engine == "closed":
-                row, row_singular, eta_undef = family.closed_rates(
-                    spec.gammas, delta, _resolved(pm, family, delta)
-                )
-                for name in RATE_FIELDS:
-                    grids[name][i, :] = row[name]
-                singular[i, :] = row_singular
-                for j in np.nonzero(eta_undef & ~row_singular)[0]:
-                    flags[i][j] = flags[i][j] + ("eta_undefined",)
-            else:
-                for start in range(0, n_delta, SOLVER_BLOCK):
-                    block = slice(start, start + SOLVER_BLOCK)
-                    d = delta[block]
-                    rates, block_singular, block_flags = family.solver_rates(
+            for start in range(0, n_delta, step):
+                block = slice(start, start + step)
+                d = delta[block]
+                if engine == "closed":
+                    rates, singular[i, block], eta_undefined = family.closed_rates(
                         spec.gammas, d, _resolved(pm, family, d)
                     )
-                    for name in RATE_FIELDS:
-                        grids[name][i, block] = rates[name]
-                    singular[i, block] = block_singular
-                    flags[i][block] = block_flags
-        _fill_singular(grids, flags, singular)
-        return grids, flags
+                    codes[i, block] = (eta_undefined & ~singular[i, block]) * ETA_UNDEFINED
+                else:
+                    rates, singular[i, block], codes[i, block] = family.solver_rates(
+                        spec.gammas, d, _resolved(pm, family, d)
+                    )
+                for name in RATE_FIELDS:
+                    grids[name][i, block] = rates[name]
+        _fill_singular(grids, codes, singular)
+        return grids, codes
 
     discrepancy = None
     if spec.engine == "both":
-        closed_grids, closed_flags = run_engine("closed")
+        grids, codes = run_engine("closed")
         solver_grids, _ = run_engine("solver")
-        ok = ~np.array(
-            [["singular" in c for c in row] for row in closed_flags], dtype=bool
-        )
+        ok = (codes & SINGULAR) == 0
         discrepancy = 0.0
         for name in RATE_FIELDS:
-            diff = np.abs(closed_grids[name] - solver_grids[name])[ok]
+            diff = np.abs(grids[name] - solver_grids[name])[ok]
             if diff.size:
                 discrepancy = max(discrepancy, float(diff.max()))
-        grids, flags = closed_grids, closed_flags
     else:
-        grids, flags = run_engine(spec.engine)
-
-    metadata = {
-        "family": spec.family,
-        "gammas": spec.gammas,
-        "regime": spec.phases.regime,
-        "tau": spec.phases.tau,
-        "engine": spec.engine,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
+        grids, codes = run_engine(spec.engine)
     return SweepResult(
         spec=spec,
         delta=delta,
         phi=phi,
         rates=grids,
-        flags=flags,
+        codes=codes,
         engine_discrepancy=discrepancy,
-        metadata=metadata,
     )
 
 

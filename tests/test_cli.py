@@ -18,7 +18,10 @@ from hypothesis.extra import numpy as hnp
 from wgscatter import cli
 from wgscatter.core import ConfigError, PhaseModel
 from wgscatter.sweep import (
+    ETA_UNDEFINED,
     FIGURE_IDS,
+    FLAG_NAMES,
+    ILL_REVERSE,
     RATE_FIELDS,
     Axis,
     PhaseAxis,
@@ -351,7 +354,8 @@ class TestSearchCommand:
         assert err.startswith("config error:") and key in err
 
     #: Malformed objective blocks, each of which once escaped main() as a
-    #: traceback, and the text the config error names.
+    #: traceback, ran a search that ignored part of an entry, or let a decay
+    #: rate go negative, and the text the config error names.
     MALFORMED_EDITS = {
         "bounds_not_a_pair": (
             lambda obj: obj["parameters"]["gamma1"].update(bounds=3),
@@ -373,6 +377,26 @@ class TestSearchCommand:
             lambda obj: obj["parameters"].update(tau={"linked": "gamma1"}),
             "tau",
         ),
+        "bounds_with_factor": (
+            lambda obj: obj["parameters"]["gamma1"].update(factor=5.0),
+            "objective.gamma1.factor",
+        ),
+        "bounds_with_fixed": (
+            lambda obj: obj["parameters"]["gamma1"].update(fixed=1.0),
+            "objective.gamma1",
+        ),
+        "negative_fixed_rate": (
+            lambda obj: obj["parameters"]["gamma2"].update(fixed=-1.0),
+            "gamma2",
+        ),
+        "negative_rate_link": (
+            lambda obj: obj["parameters"].update(gamma3={"linked": "gamma1", "factor": -1.0}),
+            "gamma3",
+        ),
+        "negative_rate_bounds": (
+            lambda obj: obj["parameters"]["gamma1"].update(bounds=[-2.0, -1.0]),
+            "gamma1",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_EDITS))
@@ -382,8 +406,16 @@ class TestSearchCommand:
         edit(doc["objective"])
         cfg = write_config(tmp_path, doc)
         assert cli.main(["search", cfg, "--budget", "100"]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("config error:") and named in err
+
+    def test_negative_phase_bounds_accepted(self, tmp_path, capsys):
+        doc = self.search_config(0.0)
+        doc["objective"]["parameters"]["phi1_prime"] = {"bounds": [-1.0, -0.5]}
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["search", cfg, "--budget", "100"]) == 0
+        assert capsys.readouterr().out.startswith("# search report")
 
     @pytest.mark.parametrize("family", ["small_overlap", "small_separated", "semi_infinite"])
     def test_non_giant_family_exits_2(self, tmp_path, capsys, family):
@@ -609,6 +641,56 @@ def test_family_spectrum_matches_golden_digest(tmp_path, family, regime, engine)
     assert sha256_of(out) == ENGINE_DIGESTS[family, regime, engine]
 
 
+#: `spectrum --engine both --json` output of `family_config` for every family
+#: and regime, taken before flags were stored as one code per cell.
+JSON_DIGESTS = {
+    ("giant", "markovian"): "1a6b5ef14ac57484047aad8e998ed9f293252da846e859209a00f812ee9fb858",
+    ("giant", "non_markovian"): "c5879904a6f2e249e95d18d9b66443e2d10174f0ed847e52a5d154b914639ef3",
+    ("semi_infinite", "markovian"): "c4a338f4c96f226900350ffab1815d632a8a85bc7a29079ef4ecf21238c26262",
+    ("semi_infinite", "non_markovian"): "d65e4a04d927e9b06155b87a9490926bbf3d98db693dd154e1902b48c3ee15c6",
+    ("small_overlap", "markovian"): "172e07f378d23cadf33e9cb77063a1faaedfe58859a17e27136db6d86e024b17",
+    ("small_overlap", "non_markovian"): "35fbb8b1837c9447528939f548faa344023416867d48e828328313fb17bb2a28",
+    ("small_separated", "markovian"): "0aa8fc8bba4e6c155383156e9bea4c0302cf15f2fcfef0b68b65b180649b8bfb",
+    ("small_separated", "non_markovian"): "f5f25b1b4be77ee1f0fb52e3b8a4e081d4ce3335a288cc93ad00bdc19a8fa708",
+}
+
+
+def json_digest(tmp_path, doc, engine) -> tuple[str, str]:
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out.json"
+    assert cli.main(["spectrum", cfg, "--engine", engine, "--json", "--out", str(out)]) == 0
+    return sha256_of(out), out.read_text()
+
+
+@pytest.mark.parametrize("family, regime", sorted(JSON_DIGESTS))
+def test_family_json_matches_golden_digest(tmp_path, family, regime):
+    digest, _ = json_digest(tmp_path, family_config(family, regime), "both")
+    assert digest == JSON_DIGESTS[family, regime]
+
+
+@pytest.mark.parametrize(
+    "doc, engine, flag, digest",
+    [
+        (
+            base_config(),
+            "both",
+            "eta_undefined",
+            "6462170ab9aa1124ba1f7d6206a6c9975e3fcc6ce67607c4ed636c836915cb6e",
+        ),
+        (
+            giant_at_pi_config(),
+            "solver",
+            "ill_conditioned",
+            "ef1ca50231f334ed18732df52475c97d8048f8fe82645e69322e12e47dce557a",
+        ),
+    ],
+)
+def test_flagged_json_matches_golden_digest(tmp_path, doc, engine, flag, digest):
+    actual, text = json_digest(tmp_path, doc, engine)
+    assert f'"{flag}"' in text
+    assert actual == digest
+
+
 # ---------------------------------------------------------------------------
 # The chunked writer against the per-cell formatting it replaced
 # ---------------------------------------------------------------------------
@@ -645,11 +727,15 @@ FLAG_CHOICES = (
     ("singular",),
     ("eta_undefined",),
     ("ill_conditioned", "eta_undefined"),
+    ("eta_undefined", "ill_conditioned"),
     ("ill_conditioned", "eta_undefined", "singular"),
 )
 
+#: The flag code of each FLAG_CHOICES entry.
+CHOICE_CODES = np.array([FLAG_NAMES.index(names) for names in FLAG_CHOICES], dtype=np.uint8)
 
-def synthetic_result(rates, flags, with_phase_axis=True) -> SweepResult:
+
+def synthetic_result(rates, codes, with_phase_axis=True) -> SweepResult:
     n_phi, n_delta = rates["T_Ng"].shape
     phase_axis = (
         PhaseAxis(-math.pi, 0.3 * n_phi - math.pi - 0.3, n_phi, linkage=(("phi1_prime", 1.0),))
@@ -660,7 +746,7 @@ def synthetic_result(rates, flags, with_phase_axis=True) -> SweepResult:
         "giant", (0.32, 1.0, 1.0, 1.0), PhaseModel(), Axis(-3.0, 7.0, n_delta), phase_axis
     )
     phi = phase_axis.values() if with_phase_axis else np.array([0.0])
-    return SweepResult(spec, spec.delta_axis.values(), phi, rates, flags, None, {})
+    return SweepResult(spec, spec.delta_axis.values(), phi, rates, np.asarray(codes, np.uint8), None)
 
 
 def random_result(rng, n_phi, n_delta, with_phase_axis=True) -> SweepResult:
@@ -672,8 +758,7 @@ def random_result(rng, n_phi, n_delta, with_phase_axis=True) -> SweepResult:
         grid[special] = rng.choice(SPECIAL_VALUES, size=int(special.sum()))
         rates[name] = grid
     picks = rng.integers(0, len(FLAG_CHOICES), shape) * (rng.random(shape) < 0.1)
-    flags = [[FLAG_CHOICES[k] for k in row] for row in picks.tolist()]
-    return synthetic_result(rates, flags, with_phase_axis)
+    return synthetic_result(rates, CHOICE_CODES[picks], with_phase_axis)
 
 
 @pytest.mark.parametrize(
@@ -703,17 +788,26 @@ def test_writer_matches_per_cell_formatting(n_phi, n_delta, with_phase_axis):
                 min_size=len(RATE_FIELDS),
                 max_size=len(RATE_FIELDS),
             ),
-            st.lists(
-                st.lists(st.sampled_from(FLAG_CHOICES), min_size=3, max_size=3),
-                min_size=n_phi,
-                max_size=n_phi,
-            ),
+            hnp.arrays(np.uint8, (n_phi, 3), elements=st.integers(0, len(FLAG_NAMES) - 1)),
         )
     )
 )
-def test_writer_property_random_float_grids(grids_and_flags):
-    grids, flags = grids_and_flags
-    result = synthetic_result(dict(zip(RATE_FIELDS, grids)), flags)
+def test_writer_property_random_float_grids(grids_and_codes):
+    grids, codes = grids_and_codes
+    result = synthetic_result(dict(zip(RATE_FIELDS, grids)), codes)
     stream = io.StringIO()
     cli.write_csv(result, stream)
     assert stream.getvalue() == reference_csv(result)
+
+
+def test_writer_keeps_reverse_ill_conditioning_after_eta():
+    """eta_undefined with an ill-conditioned reverse solve reads in the
+    order combine_directions merges the two directions' flags."""
+    rates = {name: np.zeros((1, 2)) for name in RATE_FIELDS}
+    result = synthetic_result(rates, [[0, ETA_UNDEFINED | ILL_REVERSE]], with_phase_axis=False)
+    stream = io.StringIO()
+    cli.write_csv(result, stream)
+    rows = stream.getvalue().splitlines()[-2:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["", "eta_undefined;ill_conditioned"]
+    payload = cli.result_as_json(result)
+    assert payload["flags"] == [["", "eta_undefined;ill_conditioned"]]

@@ -19,12 +19,15 @@ from wgscatter.core import (
     IncidentWave,
     PhaseModel,
     SystemConfig,
+    TransferRates,
     combine_directions,
     rates_from_amplitudes,
 )
 from wgscatter.sweep import (
     FAMILIES,
+    FLAG_NAMES,
     RATE_FIELDS,
+    SINGULAR,
     SOLVER_BLOCK,
     Axis,
     PhaseAxis,
@@ -317,7 +320,7 @@ class TestIsolationReport:
             isolation_report(self.make_spec(gammas=(1.0, 0.25, 1.0, 0.5)))
 
 
-def loop_fill_singular(grids, flags, singular_mask):
+def loop_fill_singular(grids, codes, singular_mask):
     """Cell-by-cell reference for the vectorized _fill_singular."""
     n_phi, n_delta = singular_mask.shape
     for i in range(n_phi):
@@ -329,7 +332,7 @@ def loop_fill_singular(grids, flags, singular_mask):
             src = before[-1] if before else (after[0] if after else None)
             for grid in grids.values():
                 grid[i, j] = grid[i, src] if src is not None else 0.0
-            flags[i][j] = flags[i][j] + ("singular",)
+            codes[i, j] |= SINGULAR
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -340,17 +343,24 @@ def test_fill_singular_matches_cell_loop(seed):
     # rows both occur.
     mask = rng.random((n_phi, n_delta)) < seed / 39
     grids = {name: rng.standard_normal((n_phi, n_delta)) for name in ("T_Ng", "eta")}
-    flags = [
-        [("eta_undefined",) if rng.random() < 0.3 else () for _ in range(n_delta)]
-        for _ in range(n_phi)
-    ]
+    codes = rng.integers(0, SINGULAR, (n_phi, n_delta), dtype=np.uint8)
     expected_grids = {name: grid.copy() for name, grid in grids.items()}
-    expected_flags = [list(row) for row in flags]
-    loop_fill_singular(expected_grids, expected_flags, mask)
-    _fill_singular(grids, flags, mask)
+    expected_codes = codes.copy()
+    loop_fill_singular(expected_grids, expected_codes, mask)
+    _fill_singular(grids, codes, mask)
     for name, grid in grids.items():
         np.testing.assert_array_equal(grid, expected_grids[name])
-    assert flags == expected_flags
+    np.testing.assert_array_equal(codes, expected_codes)
+
+
+@pytest.mark.parametrize("code", range(len(FLAG_NAMES)))
+def test_flag_names_follow_combine_directions(code):
+    """Bits 0 and 1 are the forward solve's flags, bit 2 the reverse solve's,
+    and bit 3 appends "singular"."""
+    forward = ("ill_conditioned",) * (code & 1) + ("eta_undefined",) * (code >> 1 & 1)
+    reverse = ("ill_conditioned",) * (code >> 2 & 1)
+    merged = combine_directions(TransferRates(flags=forward), TransferRates(flags=reverse))
+    assert FLAG_NAMES[code] == merged.flags + ("singular",) * (code >> 3 & 1)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -419,7 +429,9 @@ def per_cell_solver_sweep(spec):
             for name, val in zip(RATE_FIELDS, cell.as_row()):
                 grids[name][i, j] = val
             flags[i][j] = cell.flags
-    _fill_singular(grids, flags, singular)
+    _fill_singular(grids, np.zeros(shape, dtype=np.uint8), singular)
+    for i, j in zip(*np.nonzero(singular)):
+        flags[i][j] = ("singular",)
     return grids, flags
 
 

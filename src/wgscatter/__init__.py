@@ -2,18 +2,6 @@
 lambda-type atom: closed-form amplitudes, an independent boundary-matching
 solver, spectral sweeps, and parameter search."""
 
-from .closed_form import (
-    GiantAtomParams,
-    SemiInfiniteParams,
-    SmallAtomParams,
-    giant_forward,
-    giant_reverse,
-    semi_infinite_forward,
-    semi_infinite_reverse,
-    small_overlap_forward,
-    small_reverse,
-    small_separated_forward,
-)
 from .core import (
     AtomSpec,
     ConfigError,
@@ -29,13 +17,12 @@ from .core import (
     SystemConfig,
     TransferRates,
     combine_directions,
-    effective_phases,
-    effective_separation_phases,
     rates_from_amplitudes,
 )
 from .search import Bounds, Fixed, Linked, Objective, SearchReport, grid_refine_search
 from .solver import ChannelLayout, LinearSystem, assemble, build_layout, solve
 from .sweep import (
+    FAMILIES,
     Axis,
     FigurePreset,
     PhaseAxis,
@@ -58,9 +45,9 @@ __all__ = [
     "CouplingLeg",
     "DegenerateConfigError",
     "EnergyScale",
+    "FAMILIES",
     "FigurePreset",
     "Fixed",
-    "GiantAtomParams",
     "IncidentWave",
     "InvalidAmplitudeError",
     "LinearSystem",
@@ -71,9 +58,7 @@ __all__ = [
     "PhaseModel",
     "ScatterAmplitudes",
     "SearchReport",
-    "SemiInfiniteParams",
     "SingularityError",
-    "SmallAtomParams",
     "SweepResult",
     "SweepSpec",
     "SystemConfig",
@@ -82,20 +67,11 @@ __all__ = [
     "assemble",
     "build_layout",
     "combine_directions",
-    "effective_phases",
-    "effective_separation_phases",
     "figure_preset",
-    "giant_forward",
-    "giant_reverse",
     "grid_refine_search",
     "isolation_report",
     "rates_from_amplitudes",
     "run_sweep",
     "run_validation",
-    "semi_infinite_forward",
-    "semi_infinite_reverse",
-    "small_overlap_forward",
-    "small_reverse",
-    "small_separated_forward",
     "solve",
 ]

@@ -4,8 +4,10 @@ Every family admits a closed solution of the boundary-matching problem; the
 functions here evaluate those solutions directly, with no linear solve, and
 form the second route of the closed-form/solver cross-check.  The kernel
 functions (`*_fields`) broadcast over numpy arrays of detuning and phases and
-back the sweep engine; the public operations wrap them for scalar inputs and
-return full ScatterAmplitudes.
+back the sweep engine; `forward_amplitudes` and `reverse_amplitudes` turn
+scalar kernel output into full ScatterAmplitudes.  `sweep.FAMILIES` names
+the kernel of each family and direction, and `sweep.Route.amplitudes`
+reaches both steps from there.
 
 Amplitude conventions follow the piecewise plane-wave ansatz used by the
 solver: each coefficient multiplies exp(+/- i kappa x) over its region.  In
@@ -16,71 +18,19 @@ the pairs are exactly equal.
 
 Square roots of rate products use the non-negative real branch (couplings
 are real and positive).  Denominators smaller than DENOMINATOR_FLOOR (in
-units of the reference rate squared) raise SingularityError from the scalar
-operations; the kernels report them through a boolean mask instead so sweep
-grids can flag cells without aborting.
+units of the reference rate squared) raise SingularityError from
+`forward_amplitudes` and `reverse_amplitudes`; the kernels report them
+through a boolean mask instead so sweep grids can flag cells without
+aborting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (
-    DENOMINATOR_FLOOR,
-    ConfigError,
-    ScatterAmplitudes,
-    SingularityError,
-)
-
-
-def _gammas_ok(gamma) -> tuple[float, float, float, float]:
-    g = tuple(float(x) for x in gamma)
-    if len(g) != 4:
-        raise ConfigError("gamma must hold the four decay rates")
-    if min(g) < 0:
-        raise ConfigError("decay rates must be non-negative")
-    return g
-
-
-@dataclass(frozen=True)
-class SmallAtomParams:
-    """Point-coupled atoms: decay rates, detuning, accumulated phases kL and qL."""
-
-    gamma: tuple[float, float, float, float]
-    delta: float
-    phi_a: float = 0.0
-    phi_b: float = 0.0
-
-    def __post_init__(self) -> None:
-        _gammas_ok(self.gamma)
-
-
-@dataclass(frozen=True)
-class GiantAtomParams:
-    """Two-legged atoms: decay rates, detuning, leg-separation phases."""
-
-    gamma: tuple[float, float, float, float]
-    delta: float
-    phi1: float = 0.0
-    phi2: float = 0.0
-
-    def __post_init__(self) -> None:
-        _gammas_ok(self.gamma)
-
-
-@dataclass(frozen=True)
-class SemiInfiniteParams:
-    """Point-coupled atoms with guide M terminated; phi3 is the mirror phase kL."""
-
-    gamma: tuple[float, float, float, float]
-    delta: float
-    phi3: float = 0.0
-
-    def __post_init__(self) -> None:
-        _gammas_ok(self.gamma)
+from .core import DENOMINATOR_FLOOR, ScatterAmplitudes, SingularityError
 
 
 def _quiet(fn):
@@ -327,51 +277,3 @@ def reverse_amplitudes(f, params) -> ScatterAmplitudes:
 def _raise_if_singular_fields(f, params) -> None:
     if bool(np.any(f.singular)):
         raise SingularityError(f"vanishing denominator at {params!r}")
-
-
-def small_overlap_forward(p: SmallAtomParams) -> ScatterAmplitudes:
-    """Forward scattering with both atoms at the same point (phases ignored)."""
-    f = overlap_forward_fields(p.gamma, p.delta)
-    return forward_amplitudes(f, p)
-
-
-def small_separated_forward(p: SmallAtomParams) -> ScatterAmplitudes:
-    """Forward scattering with the atoms separated by the phases phi_a, phi_b."""
-    f = separated_forward_fields(p.gamma, p.delta, p.phi_a, p.phi_b)
-    return forward_amplitudes(f, p)
-
-
-def small_reverse(p: SmallAtomParams) -> ScatterAmplitudes:
-    """Reverse scattering at coinciding coupling points.
-
-    Only the two-level atom participates; the converted channel stays empty.
-    """
-    g1, _, g3, _ = p.gamma
-    f = spectator_reverse_fields(g1, g3, p.delta)
-    return reverse_amplitudes(f, p)
-
-
-def giant_forward(p: GiantAtomParams) -> ScatterAmplitudes:
-    """Forward scattering for co-located two-legged atoms."""
-    f = giant_forward_fields(p.gamma, p.delta, p.phi1, p.phi2)
-    return forward_amplitudes(f, p)
-
-
-def giant_reverse(p: GiantAtomParams) -> ScatterAmplitudes:
-    """Reverse scattering for the two-legged configuration (lambda atom inert)."""
-    g1, _, g3, _ = p.gamma
-    f = giant_reverse_fields(g1, g3, p.delta, p.phi1)
-    return reverse_amplitudes(f, p)
-
-
-def semi_infinite_forward(p: SemiInfiniteParams) -> ScatterAmplitudes:
-    """Forward scattering with guide M terminated by a mirror."""
-    f = mirrored_forward_fields(p.gamma, p.delta, p.phi3)
-    return forward_amplitudes(f, p)
-
-
-def semi_infinite_reverse(p: SemiInfiniteParams) -> ScatterAmplitudes:
-    """Reverse scattering with guide M terminated (lambda atom inert)."""
-    g1, _, g3, _ = p.gamma
-    f = mirrored_reverse_fields(g1, g3, p.delta, p.phi3)
-    return reverse_amplitudes(f, p)

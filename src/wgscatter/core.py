@@ -74,14 +74,11 @@ class NoFeasiblePointError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnergyScale:
-    """Reference decay rate (the energy unit) and group velocity."""
+    """Group velocity; energies are in units of the reference decay rate."""
 
-    gamma_ref: float = 1.0
     v_g: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.gamma_ref > 0:
-            raise ConfigError(f"gamma_ref must be positive, got {self.gamma_ref}")
         if not self.v_g > 0:
             raise ConfigError(f"v_g must be positive, got {self.v_g}")
 
@@ -348,16 +345,6 @@ def resolved_phase(pm: PhaseModel, name: str, delta):
         return base if np.ndim(delta) == 0 else np.full(np.shape(delta), base)
     shift = pm.tau * np.asarray(delta)
     return base + (float(shift) if np.ndim(delta) == 0 else shift)
-
-
-def effective_phases(pm: PhaseModel, delta):
-    """Detuning-resolved phases (phi1, phi2, phi3)."""
-    return tuple(resolved_phase(pm, n, delta) for n in ("phi1_prime", "phi2_prime", "phi3"))
-
-
-def effective_separation_phases(pm: PhaseModel, delta):
-    """Detuning-resolved (phi_a, phi_b) for the separated-atom layout."""
-    return tuple(resolved_phase(pm, n, delta) for n in ("phi_a", "phi_b"))
 
 
 def _check_finite(amps: ScatterAmplitudes) -> None:

@@ -69,6 +69,13 @@ class Linked:
     factor: float = 1.0
 
 
+def _lowest(spec: Fixed | Bounds | None) -> float:
+    """Lowest value an unlinked entry takes; a missing entry is fixed at 0."""
+    if isinstance(spec, Bounds):
+        return spec.lo
+    return spec.value if isinstance(spec, Fixed) else 0.0
+
+
 @dataclass(frozen=True)
 class Objective:
     """Search target over (gamma1..gamma4, phi1_prime, phi2_prime, tau).
@@ -76,9 +83,10 @@ class Objective:
     ``kind`` selects the figure of merit at resonance: the isolation
     contrast t_m_rev - (t_ng + t_ns), or the conversion merit
     eta**purity_weight * t_ns**rate_weight.  ``min_reverse`` is a hard
-    constraint t_m_rev >= floor.  ``tau`` may only be fixed: it scales
-    the detuning, which is zero at resonance.  No decay rate may be fixed,
-    bounded below or linked to another rate by a factor below 0.
+    constraint t_m_rev >= floor.  ``tau`` may only be fixed, at 0 or
+    above: it scales the detuning, which is zero at resonance.  No decay
+    rate may go below 0: none may be fixed or bounded below 0, or linked by
+    a factor below 0 or to an entry that is fixed or bounded below 0.
     """
 
     kind: str
@@ -111,13 +119,13 @@ class Objective:
                 target = self.parameters.get(spec.to)
                 if spec.to == name or isinstance(target, Linked):
                     raise ConfigError(f"bad link for {name!r}")
-        gammas = PARAM_NAMES[:4]
-        for name, spec in self.parameters.items():
-            if name in gammas and (
-                isinstance(spec, Fixed) and spec.value < 0
-                or isinstance(spec, Bounds) and spec.lo < 0
-                or isinstance(spec, Linked) and spec.to in gammas and spec.factor < 0
-            ):
+        if _lowest(self.parameters.get("tau")) < 0:
+            raise ConfigError("tau must be non-negative")
+        for name in PARAM_NAMES[:4]:
+            spec, factor = self.parameters.get(name), 1.0
+            if isinstance(spec, Linked):
+                spec, factor = self.parameters.get(spec.to), spec.factor
+            if factor < 0 or _lowest(spec) < 0:
                 raise ConfigError(f"decay rate {name!r} must be non-negative")
 
     def free_names(self) -> tuple[str, ...]:

@@ -11,7 +11,8 @@ per block), and "both" runs the two and records their maximum disagreement.
 FAMILIES is the one table of configuration families: for each incidence
 direction it names the closed-form kernel, the solver config builder and
 the phase constants they take.  Sweeps, search and validation all dispatch
-through it.
+through it, and `Route.amplitudes` gives one direction's full closed-form
+amplitude set at a scalar point.
 
 Grid cells whose denominators fall below the singularity floor are not
 errors: they carry the value of the nearest previously valid cell along the
@@ -44,6 +45,7 @@ from .core import (
     PHASE_NAMES,
     ConfigError,
     PhaseModel,
+    ScatterAmplitudes,
     SystemConfig,
     TransferRates,
     rates_from_outgoing,
@@ -108,6 +110,17 @@ class Route:
     def config(self, gammas, delta, phases: Mapping) -> SystemConfig:
         return getattr(configs, self.builder)(*self._args(gammas, delta, phases))
 
+    def amplitudes(self, gammas, delta, phases: Mapping) -> ScatterAmplitudes:
+        """Full closed-form amplitude set at one scalar point.
+
+        Raises ConfigError on bad rates and SingularityError where the
+        kernel's denominator vanishes.
+        """
+        _check_gammas(gammas)
+        to_amplitudes = cf.forward_amplitudes if self.port == 1 else cf.reverse_amplitudes
+        point = (self.kernel, gammas, delta, phases)
+        return to_amplitudes(self.fields(gammas, delta, phases), point)
+
 
 @dataclass(frozen=True)
 class Family:
@@ -165,6 +178,11 @@ FAMILIES = {
         Route(4, "mirrored_reverse_fields", "reverse_semi_infinite", ("phi3",)),
     ),
 }
+
+
+def _check_gammas(gammas) -> None:
+    if len(gammas) != 4 or not all(math.isfinite(g) and g >= 0 for g in gammas):
+        raise ConfigError("gammas must be four finite non-negative rates")
 
 
 def rates_from_fields(fwd, rev):
@@ -248,10 +266,7 @@ class SweepSpec:
             raise ConfigError(f"unknown family {self.family!r}")
         if self.engine not in ENGINES:
             raise ConfigError(f"unknown engine {self.engine!r}")
-        if len(self.gammas) != 4 or not all(
-            math.isfinite(g) and g >= 0 for g in self.gammas
-        ):
-            raise ConfigError("gammas must be four finite non-negative rates")
+        _check_gammas(self.gammas)
         if self.delta_axis.count < 2:
             raise ConfigError("the detuning axis needs at least two points")
 

@@ -2,7 +2,7 @@
 
 Draws are split evenly over the five configuration families (separated
 forward, point-coupled forward, point-coupled reverse, two-legged
-forward+reverse, terminated forward).  For each draw the closed-form
+forward+reverse, terminated forward+reverse).  For each draw the closed-form
 amplitudes and the solver amplitudes are computed at the same physical
 parameters and compared componentwise (ports, interior regions, atomic
 amplitudes), and both routes are checked for probability conservation.
@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import closed_form as cf
 from . import solver
 from .core import ScatterAmplitudes, rates_from_amplitudes
 from .sweep import FAMILIES
@@ -33,7 +32,10 @@ _DRAWS = {
         ("giant_forward", FAMILIES["giant"].forward),
         ("giant_reverse", FAMILIES["giant"].reverse),
     ],
-    "semi_infinite": [("semi_infinite", FAMILIES["semi_infinite"].forward)],
+    "semi_infinite": [
+        ("semi_infinite", FAMILIES["semi_infinite"].forward),
+        ("semi_infinite_reverse", FAMILIES["semi_infinite"].reverse),
+    ],
 }
 FAMILY_NAMES = tuple(_DRAWS)
 
@@ -61,6 +63,7 @@ _PRINTED = {
     "giant_forward": ("n_left_k", "n_right_k", "n_left_q", "n_right_q"),
     "giant_reverse": ("m_left", "m_right"),
     "semi_infinite": ("n_left_k", "n_right_k", "n_left_q", "n_right_q"),
+    "semi_infinite_reverse": ("m_left", "m_right"),
 }
 
 
@@ -157,8 +160,7 @@ def _draw_case(rng: np.random.Generator, family: str):
     phases = {name: float(drawn[k]) for name, k in _DRAWN_PHASE.items()}
     cases = []
     for label, route in _DRAWS[family]:
-        to_amplitudes = cf.forward_amplitudes if route.port == 1 else cf.reverse_amplitudes
-        closed = to_amplitudes(route.fields(g, delta, phases), (label, g, delta, phases))
+        closed = route.amplitudes(g, delta, phases)
         numeric = solver.solve(route.config(g, delta, phases))
         cases.append((label, closed, numeric))
     return cases

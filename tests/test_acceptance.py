@@ -16,17 +16,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wgscatter import closed_form as cf
 from wgscatter import configs, solver
 from wgscatter.core import (
     MARKOVIAN,
     NON_MARKOVIAN,
     PhaseModel,
-    effective_phases,
     rates_from_amplitudes,
+    resolved_phase,
 )
-from wgscatter.sweep import figure_preset, run_sweep
+from wgscatter.sweep import FAMILIES, figure_preset, run_sweep
 from wgscatter.validate import run_validation
+
+OVERLAP = FAMILIES["small_overlap"]
+GIANT = FAMILIES["giant"]
+TERMINATED = FAMILIES["semi_infinite"]
 
 DRAWS = 10000
 SEED = 20260810
@@ -61,9 +64,9 @@ def test_c02_oracle_equivalence(big_validation):
 
 def test_c03_isolation_anchor():
     gammas = (1.0, 0.25, 1.0, 0.0)
-    closed = cf.small_overlap_forward(cf.SmallAtomParams(gammas, 0.0))
+    closed = OVERLAP.forward.amplitudes(gammas, 0.0, {})
     numeric = solver.solve(configs.small_overlap(gammas, 0.0))
-    rev_closed = cf.small_reverse(cf.SmallAtomParams(gammas, 0.0))
+    rev_closed = OVERLAP.reverse.amplitudes(gammas, 0.0, {})
     rev_numeric = solver.solve(configs.reverse_small(1.0, 1.0, 0.0))
     checks = []
     for amps, rev in ((closed, rev_closed), (numeric, rev_numeric)):
@@ -86,9 +89,11 @@ def test_c03_isolation_anchor():
 
 def _anchor_rates(gammas):
     """Resonant `small_overlap` rates from the closed forms and from the solver."""
-    params = cf.SmallAtomParams(gammas, 0.0)
     routes = {
-        "closed": (cf.small_overlap_forward(params), cf.small_reverse(params)),
+        "closed": (
+            OVERLAP.forward.amplitudes(gammas, 0.0, {}),
+            OVERLAP.reverse.amplitudes(gammas, 0.0, {}),
+        ),
         "solver": (
             solver.solve(configs.small_overlap(gammas, 0.0)),
             solver.solve(configs.reverse_small(gammas[0], gammas[2], 0.0)),
@@ -193,11 +198,9 @@ def test_c06_giant_resonant_ratio():
             pm = PhaseModel(
                 regime=regime, tau=tau, phi1_prime=float(phi1p), phi2_prime=float(phi2p)
             )
-            phi1, phi2, _ = effective_phases(pm, 0.0)
+            phases = {n: resolved_phase(pm, n, 0.0) for n in GIANT.phases}
             rates = rates_from_amplitudes(
-                cf.giant_forward(
-                    cf.GiantAtomParams((0.32, 1.0, 1.0, 1.0), 0.0, phi1, phi2)
-                )
+                GIANT.forward.amplitudes((0.32, 1.0, 1.0, 1.0), 0.0, phases)
             )
             worst = max(worst, abs(rates.eta - target))
     report(6, worst <= 1e-10, f"max |eta - 1/1.32| over 100 draws x 2 regimes: {worst:.3e}")
@@ -206,14 +209,10 @@ def test_c06_giant_resonant_ratio():
 def test_c07_non_markovian_anchor():
     pm = PhaseModel(regime=NON_MARKOVIAN, tau=1.0, phi1_prime=math.pi)
     delta = 4.0
-    phi1, phi2, _ = effective_phases(pm, delta)
+    phases = {n: resolved_phase(pm, n, delta) for n in GIANT.phases}
     gammas = (1.0, 0.25, 1.0, 0.0)
-    fwd = rates_from_amplitudes(
-        cf.giant_forward(cf.GiantAtomParams(gammas, delta, phi1, phi2))
-    )
-    rev = rates_from_amplitudes(
-        cf.giant_reverse(cf.GiantAtomParams(gammas, delta, phi1, phi2))
-    )
+    fwd = rates_from_amplitudes(GIANT.forward.amplitudes(gammas, delta, phases))
+    rev = rates_from_amplitudes(GIANT.reverse.amplitudes(gammas, delta, phases))
     ok = abs(fwd.t_ng - 0.47) <= 0.01 and abs(rev.t_m_rev - 0.49) <= 0.01
     report(
         7,
@@ -223,13 +222,15 @@ def test_c07_non_markovian_anchor():
 
 
 def test_c08_markovian_destructive_interference():
+    gammas, phases = (1.0, 0.25, 1.0, 0.0), {"phi1_prime": math.pi, "phi2_prime": 0.0}
     worst = 0.0
     for delta in np.linspace(-10, 10, 101):
         if abs(delta) < 1e-9:
             continue  # singular point
-        p = cf.GiantAtomParams((1.0, 0.25, 1.0, 0.0), float(delta), math.pi, 0.0)
         worst = max(
-            worst, abs(cf.giant_forward(p).n_left_k), abs(cf.giant_reverse(p).m_left)
+            worst,
+            abs(GIANT.forward.amplitudes(gammas, float(delta), phases).n_left_k),
+            abs(GIANT.reverse.amplitudes(gammas, float(delta), phases).m_left),
         )
     report(8, worst <= 1e-14, f"max |t3g|,|t1~| at phi1'=pi over delta grid: {worst:.3e}")
 
@@ -237,13 +238,11 @@ def test_c08_markovian_destructive_interference():
 def test_c09_semi_infinite_anchors():
     gammas = (0.32, 1.0, 1.0, 1.0)
     at_zero = rates_from_amplitudes(
-        cf.semi_infinite_forward(cf.SemiInfiniteParams(gammas, 0.0, 0.0))
+        TERMINATED.forward.amplitudes(gammas, 0.0, {"phi3": 0.0})
     )
     worst_conv = 0.0
     for delta in np.linspace(-10, 10, 101):
-        a = cf.semi_infinite_forward(
-            cf.SemiInfiniteParams(gammas, float(delta), math.pi / 2)
-        )
+        a = TERMINATED.forward.amplitudes(gammas, float(delta), {"phi3": math.pi / 2})
         worst_conv = max(worst_conv, rates_from_amplitudes(a).t_ns)
     ok = (
         abs(at_zero.t_ng - 0.19) <= 0.01
@@ -263,8 +262,10 @@ def test_c10_giant_reduction():
     quadrupled = tuple(4 * g for g in gammas)
     worst = 0.0
     for delta in np.linspace(-10, 10, 100):
-        big = cf.giant_forward(cf.GiantAtomParams(gammas, float(delta), 0.0, 0.0))
-        small = cf.small_overlap_forward(cf.SmallAtomParams(quadrupled, float(delta)))
+        big = GIANT.forward.amplitudes(
+            gammas, float(delta), {"phi1_prime": 0.0, "phi2_prime": 0.0}
+        )
+        small = OVERLAP.forward.amplitudes(quadrupled, float(delta), {})
         for name in (
             "m_left",
             "m_right",

@@ -397,6 +397,34 @@ class TestSearchCommand:
             lambda obj: obj["parameters"]["gamma1"].update(bounds=[-2.0, -1.0]),
             "gamma1",
         ),
+        "rate_linked_to_negative_phase_bounds": (
+            lambda obj: obj["parameters"].update(
+                gamma3={"linked": "phi1_prime"}, phi1_prime={"bounds": [-2.0, -1.0]}
+            ),
+            "gamma3",
+        ),
+        "rate_linked_to_negative_fixed_phase": (
+            lambda obj: obj["parameters"].update(
+                gamma3={"linked": "phi1_prime"}, phi1_prime={"fixed": -1.0}
+            ),
+            "gamma3",
+        ),
+        "rate_linked_to_phase_by_negative_factor": (
+            lambda obj: obj["parameters"].update(
+                gamma3={"linked": "phi1_prime", "factor": -1.0}
+            ),
+            "gamma3",
+        ),
+        "rate_linked_to_negative_tau": (
+            lambda obj: obj["parameters"].update(
+                gamma3={"linked": "tau"}, tau={"fixed": -1.0}
+            ),
+            "tau",
+        ),
+        "negative_fixed_tau": (
+            lambda obj: obj["parameters"]["tau"].update(fixed=-1.0),
+            "tau",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_EDITS))
@@ -413,6 +441,15 @@ class TestSearchCommand:
     def test_negative_phase_bounds_accepted(self, tmp_path, capsys):
         doc = self.search_config(0.0)
         doc["objective"]["parameters"]["phi1_prime"] = {"bounds": [-1.0, -0.5]}
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["search", cfg, "--budget", "100"]) == 0
+        assert capsys.readouterr().out.startswith("# search report")
+
+    def test_rate_linked_to_non_negative_phase_accepted(self, tmp_path, capsys):
+        doc = self.search_config(0.0)
+        doc["objective"]["parameters"].update(
+            gamma3={"linked": "phi1_prime"}, phi1_prime={"bounds": [0.5, 1.0]}
+        )
         cfg = write_config(tmp_path, doc)
         assert cli.main(["search", cfg, "--budget", "100"]) == 0
         assert capsys.readouterr().out.startswith("# search report")

@@ -20,9 +20,9 @@ from wgscatter.core import (
     ScatterAmplitudes,
     SystemConfig,
     combine_directions,
-    effective_phases,
     rates_from_amplitudes,
     rates_from_outgoing,
+    resolved_phase,
 )
 
 
@@ -128,22 +128,26 @@ class TestRatesFromAmplitudes:
         )
 
 
+def phases(pm, delta, names=("phi1_prime", "phi2_prime", "phi3")):
+    return tuple(resolved_phase(pm, name, delta) for name in names)
+
+
 class TestEffectivePhases:
     def test_markovian_constant(self):
         pm = PhaseModel(regime=MARKOVIAN, phi1_prime=math.pi, tau=2.0)
         for delta in (-5.0, 0.0, 13.0):
-            phi1, phi2, phi3 = effective_phases(pm, delta)
+            phi1, phi2, phi3 = phases(pm, delta)
             assert phi1 == math.pi and phi2 == 0.0 and phi3 == 0.0
 
     def test_non_markovian_shift(self):
         pm = PhaseModel(regime=NON_MARKOVIAN, phi1_prime=math.pi, tau=1.0)
-        phi1, _, _ = effective_phases(pm, 4.0)
+        phi1 = resolved_phase(pm, "phi1_prime", 4.0)
         assert phi1 == pytest.approx(math.pi + 4.0, abs=1e-15)
 
     def test_zero_tau_reduces_to_markovian(self):
         pm = PhaseModel(regime=NON_MARKOVIAN, phi1_prime=1.2, phi2_prime=-0.4, tau=0.0)
         for delta in (-8.0, 3.3):
-            assert effective_phases(pm, delta) == (1.2, -0.4, 0.0)
+            assert phases(pm, delta) == (1.2, -0.4, 0.0)
 
     @given(
         st.floats(-10, 10),
@@ -154,8 +158,8 @@ class TestEffectivePhases:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_affine_in_delta(self, d1, d2, tau, phi0):
         pm = PhaseModel(regime=NON_MARKOVIAN, phi1_prime=phi0, tau=tau)
-        a1 = effective_phases(pm, d1)[0]
-        a2 = effective_phases(pm, d2)[0]
+        a1 = resolved_phase(pm, "phi1_prime", d1)
+        a2 = resolved_phase(pm, "phi1_prime", d2)
         assert a2 - a1 == pytest.approx(tau * (d2 - d1), abs=1e-9)
 
     def test_negative_tau_rejected(self):
@@ -171,12 +175,10 @@ class TestEffectivePhases:
             PhaseModel(regime=NON_MARKOVIAN, **{name: value})
 
     def test_separation_phases_follow_same_rule(self):
-        from wgscatter.core import effective_separation_phases
-
         pm = PhaseModel(regime=MARKOVIAN, phi_a=1.1, phi_b=0.4, tau=3.0)
-        assert effective_separation_phases(pm, 7.0) == (1.1, 0.4)
+        assert phases(pm, 7.0, ("phi_a", "phi_b")) == (1.1, 0.4)
         pm = PhaseModel(regime=NON_MARKOVIAN, phi_a=1.1, phi_b=0.4, tau=0.5)
-        phi_a, phi_b = effective_separation_phases(pm, 2.0)
+        phi_a, phi_b = phases(pm, 2.0, ("phi_a", "phi_b"))
         assert phi_a == pytest.approx(2.1, abs=1e-15)
         assert phi_b == pytest.approx(1.4, abs=1e-15)
 
@@ -188,7 +190,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             AtomSpec("qutrit")
         with pytest.raises(ConfigError):
-            EnergyScale(gamma_ref=0.0)
+            EnergyScale(v_g=0.0)
 
     def test_se_leg_requires_lambda(self):
         atoms = (AtomSpec("two_level"),)

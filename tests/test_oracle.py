@@ -8,62 +8,31 @@ import numpy as np
 import pytest
 
 from wgscatter import closed_form as cf
-from wgscatter import configs, solver
+from wgscatter import solver
 from wgscatter.core import ScatterAmplitudes
-from wgscatter.validate import (
-    FAMILY_NAMES,
-    pair_discrepancy,
-    run_validation,
-)
+from wgscatter.sweep import FAMILIES
+from wgscatter.validate import pair_discrepancy, run_validation
 
 
-@pytest.mark.parametrize("family", FAMILY_NAMES)
-def test_family_agreement(family):
-    rng = np.random.default_rng(hash(family) % 2**32)
+#: Every route of the family table: "<family>" is the forward route and
+#: "<family>_reverse" the reverse one.
+ROUTES = {
+    f"{name}{suffix}": getattr(family, direction)
+    for name, family in FAMILIES.items()
+    for direction, suffix in (("forward", ""), ("reverse", "_reverse"))
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTES))
+def test_family_agreement(case):
+    route = ROUTES[case]
+    rng = np.random.default_rng(sorted(ROUTES).index(case))
     for _ in range(120):
         g = tuple(rng.uniform(0.0, 3.0, 4))
         delta = float(rng.uniform(-10.0, 10.0))
-        ph = rng.uniform(0.0, 2 * np.pi, 3)
-        if family == "small_separated":
-            closed = cf.small_separated_forward(
-                cf.SmallAtomParams(g, delta, float(ph[0]), float(ph[1]))
-            )
-            numeric = solver.solve(
-                configs.small_separated(g, delta, float(ph[0]), float(ph[1]))
-            )
-        elif family == "small_overlap":
-            closed = cf.small_overlap_forward(cf.SmallAtomParams(g, delta))
-            numeric = solver.solve(configs.small_overlap(g, delta))
-        elif family == "small_reverse":
-            closed = cf.small_reverse(cf.SmallAtomParams(g, delta))
-            numeric = solver.solve(configs.reverse_small(g[0], g[2], delta))
-        elif family == "giant":
-            p = cf.GiantAtomParams(g, delta, float(ph[0]), float(ph[1]))
-            closed = cf.giant_forward(p)
-            numeric = solver.solve(configs.giant(g, delta, p.phi1, p.phi2))
-            rev_closed = cf.giant_reverse(p)
-            rev_numeric = solver.solve(
-                configs.reverse_giant(g[0], g[2], delta, p.phi1)
-            )
-            assert pair_discrepancy(rev_closed, rev_numeric) < 1e-10
-        else:
-            closed = cf.semi_infinite_forward(
-                cf.SemiInfiniteParams(g, delta, float(ph[2]))
-            )
-            numeric = solver.solve(configs.semi_infinite(g, delta, float(ph[2])))
-        assert pair_discrepancy(closed, numeric) < 1e-10
-
-
-def test_semi_infinite_reverse_agreement():
-    rng = np.random.default_rng(99)
-    for _ in range(120):
-        g1, g3 = rng.uniform(0.0, 3.0, 2)
-        delta = float(rng.uniform(-10.0, 10.0))
-        phi3 = float(rng.uniform(0.0, 2 * np.pi))
-        closed = cf.semi_infinite_reverse(
-            cf.SemiInfiniteParams((g1, 1.0, g3, 1.0), delta, phi3)
-        )
-        numeric = solver.solve(configs.reverse_semi_infinite(g1, g3, delta, phi3))
+        phases = dict(zip(route.phases, rng.uniform(0.0, 2 * np.pi, len(route.phases))))
+        closed = route.amplitudes(g, delta, phases)
+        numeric = solver.solve(route.config(g, delta, phases))
         assert pair_discrepancy(closed, numeric) < 1e-10
 
 
@@ -91,3 +60,15 @@ def test_corrupted_formula_detected():
     report = run_validation(draws=20, seed=1, corruption=corrupt)
     assert not report.passed
     assert report.max_discrepancy.value > 1e-10
+
+
+def test_wrong_terminated_reverse_kernel_detected(monkeypatch):
+    kernel = cf.mirrored_reverse_fields
+
+    def wrong(*args):
+        fields = kernel(*args)
+        fields.t1 = fields.t1 * (1.0 + 1e-6)
+        return fields
+
+    monkeypatch.setattr(cf, "mirrored_reverse_fields", wrong)
+    assert not run_validation(draws=20, seed=1).passed

@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wgscatter import closed_form as cf
 from wgscatter import configs, solver
 from wgscatter.core import (
     MARKOVIAN,
@@ -377,8 +376,8 @@ def test_rates_from_fields_matches_amplitude_rates(family):
     for j, d in enumerate(delta.tolist()):
         cell_phases = {name: float(values[j]) for name, values in phases.items()}
         rates, _, _ = entry.closed_rates(gammas, d, cell_phases)
-        fwd = cf.forward_amplitudes(entry.forward.fields(gammas, d, cell_phases), d)
-        rev = cf.reverse_amplitudes(entry.reverse.fields(gammas, d, cell_phases), d)
+        fwd = entry.forward.amplitudes(gammas, d, cell_phases)
+        rev = entry.reverse.amplitudes(gammas, d, cell_phases)
         expected = combine_directions(rates_from_amplitudes(fwd), rates_from_amplitudes(rev))
         for name, value in zip(RATE_FIELDS, expected.as_row()):
             # Only the residual sums its terms in another order.
@@ -387,6 +386,16 @@ def test_rates_from_fields_matches_amplitude_rates(family):
             assert rates[name] == pytest.approx(value, abs=1e-15), name
             # Array kernels may round differently from scalar ones.
             assert row[name][j] == pytest.approx(value, abs=1e-15), name
+
+
+@pytest.mark.parametrize(
+    "gammas", [(-1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0), (math.nan, 1.0, 1.0, 1.0)]
+)
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_route_amplitudes_rejects_bad_rates(gammas, direction):
+    route = getattr(FAMILIES["giant"], direction)
+    with pytest.raises(ConfigError, match="gammas"):
+        route.amplitudes(gammas, 0.0, {"phi1_prime": 0.3, "phi2_prime": 0.1})
 
 
 def test_rates_from_fields_sets_eta_to_zero_without_guide_n_output():

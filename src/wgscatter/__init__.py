@@ -7,7 +7,6 @@ from .core import (
     ConfigError,
     CouplingLeg,
     DegenerateConfigError,
-    EnergyScale,
     IncidentWave,
     InvalidAmplitudeError,
     NoFeasiblePointError,
@@ -44,7 +43,6 @@ __all__ = [
     "ConfigError",
     "CouplingLeg",
     "DegenerateConfigError",
-    "EnergyScale",
     "FAMILIES",
     "FigurePreset",
     "Fixed",

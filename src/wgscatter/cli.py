@@ -105,6 +105,8 @@ def parse_config(doc: dict) -> tuple[sweep_mod.SweepSpec, search_mod.Objective |
     if phase_doc is not None:
         _reject_unknown(phase_doc, {"min", "max", "count", "linkage"}, "sweep.phase")
         linkage_doc = _require(phase_doc, "linkage", "sweep.phase")
+        if not isinstance(linkage_doc, dict):
+            raise ConfigError("sweep.phase.linkage must be an object")
         linkage = tuple(
             sorted(
                 (str(k), _finite(v, f"sweep.phase.linkage.{k}")) for k, v in linkage_doc.items()
@@ -288,7 +290,7 @@ def write_csv(result: sweep_mod.SweepResult, stream, extra: dict | None = None) 
 
 def _copy_data_rows(source: Path, head_lines: int, head: str, path: Path) -> None:
     """Write ``head`` to ``path``, then the data rows of the CSV at ``source``."""
-    with open(source, "rb") as src, open(path, "w") as dst:
+    with open(source, "rb") as src, _create(path) as dst:
         for _ in range(head_lines):
             src.readline()
         dst.write(head)
@@ -296,7 +298,7 @@ def _copy_data_rows(source: Path, head_lines: int, head: str, path: Path) -> Non
         shutil.copyfileobj(src, dst.buffer)
 
 
-def result_as_json(result: sweep_mod.SweepResult, extra: dict | None = None) -> dict:
+def result_as_json(result: sweep_mod.SweepResult) -> dict:
     spec = result.spec
     payload = {
         "metadata": {
@@ -313,7 +315,6 @@ def result_as_json(result: sweep_mod.SweepResult, extra: dict | None = None) -> 
     }
     if result.engine_discrepancy is not None:
         payload["max_engine_discrepancy"] = result.engine_discrepancy
-    payload.update(extra or {})
     return payload
 
 
@@ -330,10 +331,18 @@ def _load_config(path: str) -> dict:
         ) from exc
 
 
+def _create(path):
+    """open(path, "w"); a path that cannot be written is a config error."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _open_out(path: str):
     if path == "-":
         return sys.stdout, False
-    return open(path, "w"), True
+    return _create(path), True
 
 
 def _cmd_spectrum(args) -> int:
@@ -357,7 +366,10 @@ def _cmd_spectrum(args) -> int:
 def _cmd_figure(args) -> int:
     preset = sweep_mod.figure_preset(args.id)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc}") from exc
     results = {}
     for key, spec in preset.sweeps.items():
         if args.delta_count:
@@ -375,7 +387,7 @@ def _cmd_figure(args) -> int:
         if panel.sweep in first_panels:
             _copy_data_rows(*first_panels[panel.sweep], _csv_head(result, extra), path)
         else:
-            with open(path, "w") as stream:
+            with _create(path) as stream:
                 write_csv(result, stream, extra=extra)
             first_panels[panel.sweep] = (path, _csv_head(result, extra).count("\n"))
         print(path)

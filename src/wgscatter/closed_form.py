@@ -26,6 +26,7 @@ aborting.
 
 from __future__ import annotations
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,12 +37,11 @@ from .core import DENOMINATOR_FLOOR, ScatterAmplitudes, SingularityError
 def _quiet(fn):
     """Silence 0/0 warnings inside kernels; the singular mask reports them."""
 
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         with np.errstate(divide="ignore", invalid="ignore"):
             return fn(*args, **kwargs)
 
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
     return wrapper
 
 

@@ -32,7 +32,6 @@ from .core import (
     AtomSpec,
     ConfigError,
     CouplingLeg,
-    EnergyScale,
     IncidentWave,
     SystemConfig,
 )
@@ -40,16 +39,14 @@ from .core import (
 TWO_PI = 2.0 * math.pi
 
 
-def _split(phi_k: float, phi_q: float, separation: float) -> tuple[float, float]:
+def _split(phi_k: float, phi_q: float) -> tuple[float, float]:
     """(wavevector k, level splitting omega_s) realizing the two phases.
 
-    omega_s is wrapped into [0, 2*pi/separation) so it stays non-negative;
-    the wrap shifts q by a multiple of 2*pi/separation, which leaves every
-    amplitude of the discrete-breakpoint problem unchanged.
+    omega_s is wrapped into [0, 2*pi) so it stays non-negative; the wrap
+    shifts q by a multiple of 2*pi, which leaves every amplitude of the
+    discrete-breakpoint problem (unit separation) unchanged.
     """
-    k = phi_k / separation
-    omega_s = ((phi_k - phi_q) % TWO_PI) / separation
-    return k, omega_s
+    return phi_k, (phi_k - phi_q) % TWO_PI
 
 
 def _config(
@@ -60,15 +57,12 @@ def _config(
     omega_s: float,
     positions: tuple[float, float],
     double_legs: bool,
-    port: int,
     wall: float | None = None,
-    scale: EnergyScale | None = None,
 ) -> SystemConfig:
-    scale = scale or EnergyScale()
     g1, g2, g3, g4 = gammas
     if min(gammas) < 0:
         raise ConfigError("decay rates must be non-negative")
-    omega_1 = scale.v_g * k - delta
+    omega_1 = k - delta
     atoms = (
         AtomSpec(TWO_LEVEL, omega_1=omega_1),
         AtomSpec(LAMBDA, omega_1=omega_1, omega_s=omega_s),
@@ -84,78 +78,61 @@ def _config(
         legs.append(CouplingLeg(1, WAVEGUIDE_M, GE, x, g2))
         legs.append(CouplingLeg(1, WAVEGUIDE_N, SE, x, g4))
     return SystemConfig(
-        scale=scale,
         atoms=atoms,
         legs=tuple(legs),
-        incident=IncidentWave(port=port, delta=delta),
+        incident=IncidentWave(port=1, delta=delta),
         wall=wall,
     )
 
 
-def small_overlap(gammas, delta, *, port: int = 1, k: float = 1.0) -> SystemConfig:
+def small_overlap(gammas, delta) -> SystemConfig:
     """Both atoms coupled at the same point x = 0."""
     return _config(
         tuple(gammas),
         delta,
-        k=k,
+        k=1.0,
         omega_s=0.0,
         positions=(0.0, 0.0),
         double_legs=False,
-        port=port,
     )
 
 
-def small_separated(
-    gammas, delta, phi_a: float, phi_b: float, *, length: float = 1.0, port: int = 1
-) -> SystemConfig:
-    """Two-level atom at x = 0, lambda atom at x = length."""
-    if length <= 0:
-        raise ConfigError("atom separation must be positive")
-    k, omega_s = _split(phi_a, phi_b, length)
+def small_separated(gammas, delta, phi_a: float, phi_b: float) -> SystemConfig:
+    """Two-level atom at x = 0, lambda atom at x = 1."""
+    k, omega_s = _split(phi_a, phi_b)
     return _config(
         tuple(gammas),
         delta,
         k=k,
         omega_s=omega_s,
-        positions=(0.0, length),
+        positions=(0.0, 1.0),
         double_legs=False,
-        port=port,
     )
 
 
-def giant(
-    gammas, delta, phi1: float, phi2: float, *, separation: float = 1.0, port: int = 1
-) -> SystemConfig:
-    """Co-located giant atoms, each coupling at x = 0 and x = separation."""
-    if separation <= 0:
-        raise ConfigError("leg separation must be positive")
-    k, omega_s = _split(phi1, phi2, separation)
+def giant(gammas, delta, phi1: float, phi2: float) -> SystemConfig:
+    """Co-located giant atoms, each coupling at x = 0 and x = 1."""
+    k, omega_s = _split(phi1, phi2)
     return _config(
         tuple(gammas),
         delta,
         k=k,
         omega_s=omega_s,
-        positions=(0.0, separation),
+        positions=(0.0, 1.0),
         double_legs=True,
-        port=port,
     )
 
 
-def semi_infinite(
-    gammas, delta, phi3: float, *, wall: float = 1.0, port: int = 1
-) -> SystemConfig:
-    """Co-located atoms at x = 0 with guide M terminated by a mirror at x = wall."""
-    if wall <= 0:
-        raise ConfigError("the wall position must be positive")
+def semi_infinite(gammas, delta, phi3: float) -> SystemConfig:
+    """Co-located atoms at x = 0 with guide M terminated by a mirror at x = 1."""
     return _config(
         tuple(gammas),
         delta,
-        k=phi3 / wall,
+        k=phi3,
         omega_s=0.0,
         positions=(0.0, 0.0),
         double_legs=False,
-        port=port,
-        wall=wall,
+        wall=1.0,
     )
 
 
@@ -168,15 +145,12 @@ def _spectator(
     points: tuple[float, ...],
     wall: float | None,
 ) -> SystemConfig:
-    scale = EnergyScale()
-    omega_1 = scale.v_g * k - delta
     legs = []
     for x in points:
         legs.append(CouplingLeg(0, WAVEGUIDE_M, GE, x, gamma1))
         legs.append(CouplingLeg(0, WAVEGUIDE_N, GE, x, gamma3))
     return SystemConfig(
-        scale=scale,
-        atoms=(AtomSpec(TWO_LEVEL, omega_1=omega_1),),
+        atoms=(AtomSpec(TWO_LEVEL, omega_1=k - delta),),
         legs=tuple(legs),
         incident=IncidentWave(port=4, delta=delta),
         wall=wall,
@@ -188,26 +162,13 @@ def reverse_small(gamma1: float, gamma3: float, delta: float) -> SystemConfig:
     return _spectator(gamma1, gamma3, delta, k=1.0, points=(0.0,), wall=None)
 
 
-def reverse_giant(
-    gamma1: float, gamma3: float, delta: float, phi1: float, *, separation: float = 1.0
-) -> SystemConfig:
+def reverse_giant(gamma1: float, gamma3: float, delta: float, phi1: float) -> SystemConfig:
     """Reverse incidence on the giant-atom configuration (lambda atom inert)."""
-    if separation <= 0:
-        raise ConfigError("leg separation must be positive")
-    return _spectator(
-        gamma1,
-        gamma3,
-        delta,
-        k=phi1 / separation,
-        points=(0.0, separation),
-        wall=None,
-    )
+    return _spectator(gamma1, gamma3, delta, k=phi1, points=(0.0, 1.0), wall=None)
 
 
 def reverse_semi_infinite(
-    gamma1: float, gamma3: float, delta: float, phi3: float, *, wall: float = 1.0
+    gamma1: float, gamma3: float, delta: float, phi3: float
 ) -> SystemConfig:
-    """Reverse incidence with guide M terminated (lambda atom inert)."""
-    if wall <= 0:
-        raise ConfigError("the wall position must be positive")
-    return _spectator(gamma1, gamma3, delta, k=phi3 / wall, points=(0.0,), wall=wall)
+    """Reverse incidence with guide M terminated at x = 1 (lambda atom inert)."""
+    return _spectator(gamma1, gamma3, delta, k=phi3, points=(0.0,), wall=1.0)

@@ -73,17 +73,6 @@ class NoFeasiblePointError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EnergyScale:
-    """Group velocity; energies are in units of the reference decay rate."""
-
-    v_g: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.v_g > 0:
-            raise ConfigError(f"v_g must be positive, got {self.v_g}")
-
-
-@dataclass(frozen=True)
 class AtomSpec:
     """One bridge atom.
 
@@ -136,7 +125,7 @@ class CouplingLeg:
 
     @property
     def coupling(self) -> float:
-        """Coupling strength g = sqrt(gamma * v_g) in natural units (v_g = 1)."""
+        """Coupling strength g = sqrt(gamma)."""
         return math.sqrt(self.gamma)
 
 
@@ -166,17 +155,13 @@ class SystemConfig:
     """Full physical description of one scattering problem.
 
     ``wall`` is the coordinate of a terminating mirror on guide M; ``None``
-    means both guides are infinite.  ``omega_0`` is the linearization
-    reference frequency of the guides; only differences of frequencies enter
-    the scattering amplitudes.
+    means both guides are infinite.
     """
 
-    scale: EnergyScale
     atoms: tuple[AtomSpec, ...]
     legs: tuple[CouplingLeg, ...]
     incident: IncidentWave
     wall: float | None = None
-    omega_0: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.atoms:
@@ -207,13 +192,6 @@ class SystemConfig:
                 raise ConfigError("the wall must sit strictly beyond all guide-M legs")
             if self.incident.port == 2:
                 raise ConfigError("port 2 does not exist on a terminated guide M")
-
-    @property
-    def unconventional_layout(self) -> bool:
-        """True when an s-e leg attaches to guide M (allowed, but unusual)."""
-        return any(
-            l.transition == SE and l.waveguide == WAVEGUIDE_M for l in self.legs
-        )
 
     @property
     def omega_s(self) -> float:

@@ -11,9 +11,9 @@ Conventions (matching the closed forms):
 * right movers carry coefficients of exp(+i kappa x), left movers of
   exp(-i kappa x), with one coefficient pair per region between breakpoints;
 * integrating the stationary equations across a coupling point x_c gives the
-  jump rows
-      -i v_g [c_R(x_c+) - c_R(x_c-)] + sum g u = 0
-      +i v_g [c_L(x_c+) - c_L(x_c-)] + sum g u = 0;
+  jump rows (natural units, v_g = 1)
+      -i [c_R(x_c+) - c_R(x_c-)] + sum g u = 0
+      +i [c_L(x_c+) - c_L(x_c-)] + sum g u = 0;
 * atomic rows use the average field value at a coupling point,
   c(x_c) = (c(x_c+) + c(x_c-)) / 2, the regularization of the delta coupling
   that reproduces the analytic amplitudes;
@@ -189,10 +189,9 @@ class _Index:
 
 
 def _wavevector(cfg: SystemConfig, energy: float, kind: str) -> float:
-    v = cfg.scale.v_g
     if kind == "k":
-        return (energy - cfg.omega_0) / v
-    return (energy - cfg.omega_0 - cfg.omega_s) / v
+        return energy
+    return energy - cfg.omega_s
 
 
 def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> LinearSystem:
@@ -214,7 +213,6 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> LinearSystem:
     # of the contiguous stack; a single cell keeps plain 2-D indexing cost.
     matrix = np.moveaxis(stack, (-2, -1), (0, 1)) if cells else stack
     rhs = np.zeros(n, dtype=complex)
-    v = cfg.scale.v_g
     inc = cfg.incident
     row = 0
 
@@ -245,13 +243,13 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> LinearSystem:
             x_c = layout.breakpoints[j]
             phase = np.exp(1j * kappa * x_c)
             couplings = [leg for leg in ch.legs if leg.position == x_c]
-            matrix[row, idx.right(ch.name, j + 1)] = -1j * v * phase
-            matrix[row, idx.right(ch.name, j)] = 1j * v * phase
+            matrix[row, idx.right(ch.name, j + 1)] = -1j * phase
+            matrix[row, idx.right(ch.name, j)] = 1j * phase
             for leg in couplings:
                 matrix[row, idx.atom_cols[leg.atom]] += leg.coupling
             row += 1
-            matrix[row, idx.left(ch.name, j + 1)] = 1j * v / phase
-            matrix[row, idx.left(ch.name, j)] = -1j * v / phase
+            matrix[row, idx.left(ch.name, j + 1)] = 1j / phase
+            matrix[row, idx.left(ch.name, j)] = -1j / phase
             for leg in couplings:
                 matrix[row, idx.atom_cols[leg.atom]] += leg.coupling
             row += 1

@@ -31,7 +31,7 @@ is deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping
 
@@ -262,7 +262,7 @@ class SweepSpec:
     engine: str = "closed"
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}")
         if self.engine not in ENGINES:
             raise ConfigError(f"unknown engine {self.engine!r}")
@@ -412,16 +412,16 @@ class FigurePanel:
 @dataclass(frozen=True)
 class FigurePreset:
     figure: str
-    sweeps: dict[str, SweepSpec] = field(default_factory=dict)
-    panels: tuple[FigurePanel, ...] = ()
+    sweeps: dict[str, SweepSpec]
+    panels: tuple[FigurePanel, ...]
 
 
-def _phase_sweep(name_factors, count=DEFAULT_PHASE_COUNT) -> PhaseAxis:
-    return PhaseAxis(0.0, TWO_PI, count, linkage=tuple(name_factors))
+def _phase_sweep(name_factors) -> PhaseAxis:
+    return PhaseAxis(0.0, TWO_PI, DEFAULT_PHASE_COUNT, linkage=tuple(name_factors))
 
 
-def _delta_spectrum(family, gammas, pm, engine="closed") -> SweepSpec:
-    return SweepSpec(family, gammas, pm, DEFAULT_DELTA, None, engine)
+def _delta_spectrum(family, gammas, pm) -> SweepSpec:
+    return SweepSpec(family, gammas, pm, DEFAULT_DELTA)
 
 
 def figure_preset(figure_id: str) -> FigurePreset:

@@ -85,16 +85,13 @@ class ValidationReport:
     max_residual_closed: Worst = field(default_factory=Worst)
     max_residual_solver: Worst = field(default_factory=Worst)
     max_discrepancy: Worst = field(default_factory=Worst)
-    tol_closed: float = TOL_CLOSED
-    tol_solver: float = TOL_SOLVER
-    tol_pair: float = TOL_PAIR
 
     @property
     def passed(self) -> bool:
         return (
-            self.max_residual_closed.value <= self.tol_closed
-            and self.max_residual_solver.value <= self.tol_solver
-            and self.max_discrepancy.value <= self.tol_pair
+            self.max_residual_closed.value <= TOL_CLOSED
+            and self.max_residual_solver.value <= TOL_SOLVER
+            and self.max_discrepancy.value <= TOL_PAIR
         )
 
     def lines(self) -> list[str]:
@@ -103,11 +100,11 @@ class ValidationReport:
             f"validation: {status}",
             f"draws={self.draws} seed={self.seed}",
             f"max_closed_residual={self.max_residual_closed.value:.17g} "
-            f"(tol {self.tol_closed:g}) at {self.max_residual_closed.where}",
+            f"(tol {TOL_CLOSED:g}) at {self.max_residual_closed.where}",
             f"max_solver_residual={self.max_residual_solver.value:.17g} "
-            f"(tol {self.tol_solver:g}) at {self.max_residual_solver.where}",
+            f"(tol {TOL_SOLVER:g}) at {self.max_residual_solver.where}",
             f"max_pair_discrepancy={self.max_discrepancy.value:.17g} "
-            f"(tol {self.tol_pair:g}) at {self.max_discrepancy.where}",
+            f"(tol {TOL_PAIR:g}) at {self.max_discrepancy.where}",
         ]
         return out
 

@@ -137,6 +137,8 @@ class TestSpectrum:
             ("delta", "count", 2.7),
             ("phase", "count", True),
             ("phase", "count", 3.0),
+            pytest.param("phase", "linkage", ["phi_a"], id="phase-linkage-list"),
+            pytest.param("system", "family", ["small_separated"], id="system-family-list"),
         ],
     )
     def test_non_finite_or_non_integer_value_rejected(self, tmp_path, capsys, block, key, value):
@@ -153,7 +155,9 @@ class TestSpectrum:
         target[key] = value
         cfg = write_config(tmp_path, doc)
         assert cli.main(["spectrum", cfg, "--out", str(tmp_path / "out.csv")]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert captured.out == ""
         assert not (tmp_path / "out.csv").exists()
 
     def test_parse_failure_reports_location(self, tmp_path, capsys):
@@ -163,12 +167,26 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "missing" / "out.csv"
+        assert cli.main(["spectrum", cfg, "--out", str(out)]) == 2
+        assert_cannot_write(capsys, out)
+
     def test_json_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
         assert cli.main(["spectrum", cfg, "--json", "--out", "-"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["rates"]["T_M_rev"][0]  # phase-major nesting
         assert "timestamp" not in payload["metadata"]
+
+
+def assert_cannot_write(capsys, path):
+    """A one-line config error naming ``path``, and nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_broken_pipe_exits_quietly(tmp_path):
@@ -262,6 +280,12 @@ class TestFigure:
         assert quarter
         assert all(float(r[3]) <= 1e-14 for r in quarter)
 
+    def test_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "taken"
+        out_dir.write_text("")
+        assert cli.main(["figure", "fig2a", "--out-dir", str(out_dir), "--delta-count", "5"]) == 2
+        assert_cannot_write(capsys, out_dir)
+
     def test_unknown_figure_id_exits_2(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["figure", "fig99", "--out-dir", "."])
@@ -327,6 +351,12 @@ class TestSearchCommand:
         doc["objective"]["parameters"]["gamma1"] = {"bounds": [0.001, 0.01]}
         cfg = write_config(tmp_path, doc)
         assert cli.main(["search", cfg, "--budget", "300"]) == 1
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.search_config(0.0))
+        out = tmp_path / "missing" / "report.txt"
+        assert cli.main(["search", cfg, "--budget", "100", "--out", str(out)]) == 2
+        assert_cannot_write(capsys, out)
 
     def test_missing_objective_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, base_config())

@@ -13,7 +13,6 @@ from wgscatter.core import (
     AtomSpec,
     ConfigError,
     CouplingLeg,
-    EnergyScale,
     IncidentWave,
     InvalidAmplitudeError,
     PhaseModel,
@@ -189,14 +188,12 @@ class TestConfigValidation:
             AtomSpec("two_level", omega_s=0.5)
         with pytest.raises(ConfigError):
             AtomSpec("qutrit")
-        with pytest.raises(ConfigError):
-            EnergyScale(v_g=0.0)
 
     def test_se_leg_requires_lambda(self):
         atoms = (AtomSpec("two_level"),)
         legs = (CouplingLeg(0, "N", "se", 0.0, 1.0),)
         with pytest.raises(ConfigError):
-            SystemConfig(EnergyScale(), atoms, legs, IncidentWave(1))
+            SystemConfig(atoms, legs, IncidentWave(1))
 
     def test_duplicate_leg_rejected(self):
         atoms = (AtomSpec("two_level"),)
@@ -205,44 +202,33 @@ class TestConfigValidation:
             CouplingLeg(0, "M", "ge", 0.0, 0.5),
         )
         with pytest.raises(ConfigError):
-            SystemConfig(EnergyScale(), atoms, legs, IncidentWave(1))
+            SystemConfig(atoms, legs, IncidentWave(1))
 
     def test_wall_must_clear_legs(self):
         atoms = (AtomSpec("two_level"),)
         legs = (CouplingLeg(0, "M", "ge", 0.0, 1.0),)
         with pytest.raises(ConfigError):
-            SystemConfig(EnergyScale(), atoms, legs, IncidentWave(1), wall=0.0)
+            SystemConfig(atoms, legs, IncidentWave(1), wall=0.0)
 
     def test_port2_invalid_when_terminated(self):
         atoms = (AtomSpec("two_level"),)
         legs = (CouplingLeg(0, "M", "ge", 0.0, 1.0),)
         with pytest.raises(ConfigError):
-            SystemConfig(EnergyScale(), atoms, legs, IncidentWave(2), wall=1.0)
+            SystemConfig(atoms, legs, IncidentWave(2), wall=1.0)
 
     def test_atom_without_leg_rejected(self):
         atoms = (AtomSpec("two_level"), AtomSpec("lambda"))
         legs = (CouplingLeg(0, "M", "ge", 0.0, 1.0),)
         with pytest.raises(ConfigError):
-            SystemConfig(EnergyScale(), atoms, legs, IncidentWave(1))
+            SystemConfig(atoms, legs, IncidentWave(1))
 
-    def test_bus_side_conversion_leg_allowed_but_flagged(self):
+    def test_bus_side_conversion_leg_allowed(self):
         atoms = (AtomSpec("lambda", omega_s=0.2),)
         legs = (
             CouplingLeg(0, "M", "se", 0.0, 1.0),
             CouplingLeg(0, "N", "ge", 0.0, 1.0),
         )
-        cfg = SystemConfig(EnergyScale(), atoms, legs, IncidentWave(1))
-        assert cfg.unconventional_layout
-        standard = SystemConfig(
-            EnergyScale(),
-            atoms,
-            (
-                CouplingLeg(0, "N", "se", 0.0, 1.0),
-                CouplingLeg(0, "M", "ge", 0.0, 1.0),
-            ),
-            IncidentWave(1),
-        )
-        assert not standard.unconventional_layout
+        SystemConfig(atoms, legs, IncidentWave(1))
 
 
 @pytest.mark.parametrize("port", [1, 2, 3, 4])

@@ -12,7 +12,6 @@ from wgscatter.core import (
     AtomSpec,
     CouplingLeg,
     DegenerateConfigError,
-    EnergyScale,
     IncidentWave,
     SystemConfig,
     rates_from_amplitudes,
@@ -21,7 +20,6 @@ from wgscatter.core import (
 
 def single_atom_config(gamma: float, delta: float) -> SystemConfig:
     return SystemConfig(
-        scale=EnergyScale(),
         atoms=(AtomSpec("two_level", omega_1=1.0),),
         legs=(CouplingLeg(0, "M", "ge", 0.0, gamma),),
         incident=IncidentWave(port=1, delta=delta),
@@ -40,7 +38,6 @@ class TestTextbookCases:
 
     def test_decoupled_passthrough(self):
         cfg = SystemConfig(
-            scale=EnergyScale(),
             atoms=(AtomSpec("two_level", omega_1=1.0),),
             legs=(CouplingLeg(0, "M", "ge", 0.0, 0.0),),
             incident=IncidentWave(port=1, delta=0.3),
@@ -52,7 +49,6 @@ class TestTextbookCases:
 
     def test_bare_terminated_guide_reflects(self):
         cfg = SystemConfig(
-            scale=EnergyScale(),
             atoms=(AtomSpec("two_level", omega_1=1.0),),
             legs=(CouplingLeg(0, "M", "ge", 0.0, 0.0),),
             incident=IncidentWave(port=1, delta=0.3),
@@ -134,7 +130,6 @@ class TestSolutions:
     def test_degenerate_system_raises(self):
         # Two identical atoms at one point produce exactly duplicate columns.
         cfg = SystemConfig(
-            scale=EnergyScale(),
             atoms=(
                 AtomSpec("two_level", omega_1=1.0),
                 AtomSpec("two_level", omega_1=1.0),
@@ -178,7 +173,6 @@ class TestStructuralProperties:
         amp = scale * complex(math.cos(phase), math.sin(phase))
         base = configs.small_overlap((0.8, 1.1, 0.6, 0.9), 0.7)
         scaled = SystemConfig(
-            scale=base.scale,
             atoms=base.atoms,
             legs=base.legs,
             incident=IncidentWave(port=1, delta=0.7, amplitude=amp),

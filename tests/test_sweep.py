@@ -1,12 +1,13 @@
 """Sweep grids, presets, regime handling, and isolation reports."""
 
+import inspect
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wgscatter import configs, solver
+from wgscatter import closed_form, configs, solver
 from wgscatter.core import (
     MARKOVIAN,
     NON_MARKOVIAN,
@@ -14,7 +15,6 @@ from wgscatter.core import (
     ConfigError,
     CouplingLeg,
     DegenerateConfigError,
-    EnergyScale,
     IncidentWave,
     PhaseModel,
     SystemConfig,
@@ -388,6 +388,19 @@ def test_rates_from_fields_matches_amplitude_rates(family):
             assert row[name][j] == pytest.approx(value, abs=1e-15), name
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_route_functions_take_exactly_the_route_arguments(family, direction):
+    """A route's kernel and builder take exactly the positional arguments
+    `Route._args` passes, with no defaults and no keyword-only parameters."""
+    route = getattr(FAMILIES[family], direction)
+    n_args = len(route._args((1.0, 1.0, 1.0, 1.0), 0.0, dict.fromkeys(route.phases, 0.0)))
+    for fn in (getattr(closed_form, route.kernel), getattr(configs, route.builder)):
+        params = list(inspect.signature(fn).parameters.values())
+        assert [p.kind for p in params] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * n_args
+        assert all(p.default is inspect.Parameter.empty for p in params)
+
+
 @pytest.mark.parametrize(
     "gammas", [(-1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0), (math.nan, 1.0, 1.0, 1.0)]
 )
@@ -507,7 +520,6 @@ def twin_atoms(gammas, delta):
     """Two identical two-level atoms at one point: at delta = 0 their columns
     coincide and the system is exactly singular."""
     return SystemConfig(
-        scale=EnergyScale(),
         atoms=(AtomSpec("two_level", omega_1=1.0), AtomSpec("two_level", omega_1=1.0)),
         legs=(CouplingLeg(0, "M", "ge", 0.0, 1.0), CouplingLeg(1, "M", "ge", 0.0, 1.0)),
         incident=IncidentWave(port=1, delta=delta),

@@ -27,6 +27,10 @@ from .core import PHASE_NAMES, ConfigError, PhaseModel
 
 GAMMA_UNITS = "Gamma_ref"
 PHASE_UNITS = "radians"
+#: Largest magnitude a configuration number may have.  Far past any physical
+#: value, and far enough under the float range that the squares and products
+#: of rates, detunings and phases in both engines stay finite.
+MAX_MAGNITUDE = 1e100
 
 
 def _fmt(x: float) -> str:
@@ -52,8 +56,12 @@ def _finite(value, where: str) -> float:
         number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    except OverflowError:
+        number = math.inf  # a JSON integer past the float range
     if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")
+    if abs(number) > MAX_MAGNITUDE:
+        raise ConfigError(f"{where} must be at most {MAX_MAGNITUDE:g} in magnitude, got {value!r}")
     return number
 
 

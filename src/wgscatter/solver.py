@@ -25,9 +25,13 @@ Conventions (matching the closed forms):
 Within one sweep the layout never changes; only the energy and each atom's
 omega_1 and omega_s vary with the detuning.  `solve_batch` therefore takes a
 configuration whose detuning-dependent fields are arrays over a block of
-cells, and assembles, solves and condition-checks the whole block with one
-stacked numpy call each.  Every cell's matrix, solution and condition number
-are bit-identical to a `solve` of that cell alone.
+cells, and assembles and solves the whole block with one stacked numpy call
+each.  A cell is marked singular exactly where `solve` of that cell alone
+raises DegenerateConfigError.  Every other cell's matrix and solution are
+bit-identical to that `solve`, and so is its ``ill_conditioned`` flag: one
+stacked Frobenius condition number bounds every cell's 2-norm one from
+above, and the exact SVD runs only on the cells that bound cannot clear
+(see `_ill_conditioned`).
 """
 
 from __future__ import annotations
@@ -45,14 +49,17 @@ from .core import (
     SE,
     WAVEGUIDE_M,
     DegenerateConfigError,
-    InvalidAmplitudeError,
     ScatterAmplitudes,
     SystemConfig,
     region_label,
 )
 
-#: Condition-number estimate above which a solution is flagged.
+#: Condition number (2-norm, exact SVD) above which a solution is flagged.
 ILL_CONDITIONED = 1e12
+#: A cell whose Frobenius bound on the condition number is at most this is
+#: not ill-conditioned; the bound and the SVD each err by about n*u*kappa
+#: relative, so 100x under the gate leaves no cell the exact check would flag.
+_SCREEN = ILL_CONDITIONED * 1e-2
 
 
 @dataclass(frozen=True)
@@ -328,12 +335,30 @@ def _extract(
     )
 
 
+def _ill_conditioned(matrix: np.ndarray) -> np.ndarray:
+    """``np.linalg.cond(matrix) > ILL_CONDITIONED`` for one matrix or a stack.
+
+    ``cond(A, "fro")`` = ``||A||_F * ||A^-1||_F`` takes one stacked inverse
+    and is never below the 2-norm condition number, so a cell at most
+    `_SCREEN` is cleared without an SVD.  Every other cell gets the exact
+    check, including a singular one, whose Frobenius value is inf; `cond`
+    treats each matrix of a stack on its own, so checking a subset gives the
+    values the full stack would.
+    """
+    unsure = ~(np.linalg.cond(matrix, "fro") <= _SCREEN)
+    flags = np.zeros(np.shape(unsure), dtype=bool)
+    if unsure.any():
+        flags[unsure] = np.linalg.cond(matrix[unsure]) > ILL_CONDITIONED
+    return flags
+
+
 def solve(cfg: SystemConfig) -> ScatterAmplitudes:
     """Solve one configuration and return the full amplitude set.
 
-    Raises DegenerateConfigError when the system is exactly singular; an
-    ill-conditioned (but solvable) system is returned with an
-    ``"ill_conditioned"`` flag attached.
+    Raises DegenerateConfigError when the system is exactly singular or its
+    solution is not finite (an underflowed pivot, as with a subnormal decay
+    rate at resonance); an ill-conditioned (but solvable) system is returned
+    with an ``"ill_conditioned"`` flag attached.
     """
     layout = build_layout(cfg)
     system = assemble(layout, cfg, cfg.energy)
@@ -341,8 +366,10 @@ def solve(cfg: SystemConfig) -> ScatterAmplitudes:
         x = np.linalg.solve(system.matrix, system.rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateConfigError(f"singular scattering system: {exc}") from exc
+    if not np.isfinite(x).all():
+        raise DegenerateConfigError("singular scattering system: non-finite solution")
     flags: tuple[str, ...] = ()
-    if np.linalg.cond(system.matrix) > ILL_CONDITIONED:
+    if _ill_conditioned(system.matrix):
         flags = ("ill_conditioned",)
     return _extract(layout, system._index, x, cfg, flags)
 
@@ -354,7 +381,8 @@ def solve_batch(cfg: SystemConfig) -> BlockSolution:
     over the block (the `configs` builders make them from array detunings
     and phases).  One stacked solve covers the block; if any cell is exactly
     singular, the cells are solved one by one and only those that fail are
-    marked singular.  Raises InvalidAmplitudeError on a non-finite solution.
+    marked singular.  A cell whose solution is not finite is marked singular
+    too, as `solve` raises on it.
     """
     if np.ndim(cfg.energy) != 1:
         raise ValueError("solve_batch needs a 1-D block of cells")
@@ -374,9 +402,13 @@ def solve_batch(cfg: SystemConfig) -> BlockSolution:
                 x[k] = np.linalg.solve(cell, system.rhs)
             except np.linalg.LinAlgError:
                 singular[k] = True
-    if not np.isfinite(x).all():
-        raise InvalidAmplitudeError("non-finite amplitude in a solver block")
-    ill_conditioned = np.linalg.cond(matrix) > ILL_CONDITIONED
+    # A solution that is not finite (an underflowed pivot, as with a
+    # subnormal decay rate at resonance) is as good as singular.
+    unresolved = ~np.isfinite(x).all(axis=-1)
+    if unresolved.any():
+        singular |= unresolved
+        x[unresolved] = 0.0
+    ill_conditioned = _ill_conditioned(matrix)
     outgoing = np.zeros((len(matrix), 6), dtype=complex)
     for port, col in enumerate(_outgoing_columns(layout, system._index)):
         if col is not None:

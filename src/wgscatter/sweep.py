@@ -67,6 +67,10 @@ TWO_PI = 2.0 * math.pi
 #: 20x20 complex matrix per cell for the giant layout) on long rows.
 SOLVER_BLOCK = 128
 
+#: Largest grid (phase count x detuning count) a sweep accepts: 13x the
+#: full preset grid (629 x 2001), and about 1 GB of rate grids per engine.
+MAX_CELLS = 1 << 24
+
 #: Flag names of the bits of a cell's code, lowest bit first.
 FLAG_BITS = ("ill_conditioned", "eta_undefined", "ill_conditioned", "singular")
 ILL_FORWARD, ETA_UNDEFINED, ILL_REVERSE, SINGULAR = 1, 2, 4, 8
@@ -269,6 +273,12 @@ class SweepSpec:
         _check_gammas(self.gammas)
         if self.delta_axis.count < 2:
             raise ConfigError("the detuning axis needs at least two points")
+        n_phase = 1 if self.phase_axis is None else self.phase_axis.count
+        if n_phase * self.delta_axis.count > MAX_CELLS:
+            raise ConfigError(
+                f"a {n_phase} x {self.delta_axis.count} grid exceeds the limit of "
+                f"{MAX_CELLS} cells"
+            )
 
 
 @dataclass(frozen=True)

@@ -7,27 +7,32 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wgscatter import cli
-from wgscatter.core import ConfigError, PhaseModel
+from wgscatter.core import PHASE_NAMES, ConfigError, PhaseModel
 from wgscatter.sweep import (
     ETA_UNDEFINED,
     FIGURE_IDS,
+    FAMILIES,
     FLAG_NAMES,
     ILL_REVERSE,
+    MAX_CELLS,
     RATE_FIELDS,
+    SOLVER_BLOCK,
     Axis,
     PhaseAxis,
     SweepResult,
     SweepSpec,
     figure_preset,
+    run_sweep,
 )
 
 
@@ -56,6 +61,16 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+@pytest.fixture
+def no_axis_values(monkeypatch):
+    """Fail the test if any axis is evaluated (its grid allocated)."""
+
+    def no_grid(self):
+        raise AssertionError("an axis was evaluated")
+
+    monkeypatch.setattr(Axis, "values", no_grid)
 
 
 class TestSpectrum:
@@ -127,6 +142,21 @@ class TestSpectrum:
         cfg = write_config(tmp_path, doc)
         assert cli.main(["spectrum", cfg, "--out", "-"]) == 2
 
+    def test_oversized_grid_exits_2_before_allocating(self, tmp_path, capsys, no_axis_values):
+        doc = base_config()
+        doc["sweep"]["delta"]["count"] = 10**12
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["spectrum", cfg, "--out", str(tmp_path / "out.csv")]) == 2
+        assert f"limit of {MAX_CELLS} cells" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("option", ["--delta-count", "--phase-count"])
+    def test_oversized_figure_grid_exits_2(self, tmp_path, capsys, no_axis_values, option):
+        argv = ["figure", "fig9", "--out-dir", str(tmp_path), option, str(10**12)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "block, key, value",
         [
@@ -139,6 +169,9 @@ class TestSpectrum:
             ("phase", "count", 3.0),
             pytest.param("phase", "linkage", ["phi_a"], id="phase-linkage-list"),
             pytest.param("system", "family", ["small_separated"], id="system-family-list"),
+            pytest.param("system", "tau", 1e101, id="system-tau-past-magnitude-cap"),
+            pytest.param("delta", "min", -1e101, id="delta-min-past-magnitude-cap"),
+            pytest.param("system", "gamma", [10**400, 0.25, 1.0, 0.0], id="system-gamma-huge-int"),
         ],
     )
     def test_non_finite_or_non_integer_value_rejected(self, tmp_path, capsys, block, key, value):
@@ -650,6 +683,30 @@ def test_flagged_spectrum_matches_golden_digest(tmp_path, doc, engine, flag, dig
     assert sha256_of(out) == digest
 
 
+#: `spectrum` output of `giant_at_pi_config` with 2 * SOLVER_BLOCK + 37
+#: detunings, taken before the condition check screened cells with a bound:
+#: each phase row spans three solver blocks, and the flagged cells at
+#: resonance sit in the middle one.
+MULTI_BLOCK_DIGESTS = {
+    "both": ("eta_undefined", "0c3b138a8385f5aefdd6ef776071f001646f011ece50677433dfc80e5c860dd7"),
+    "solver": ("ill_conditioned", "46b9a1f57b9fc1fc8cdfcdbac9135c5d75d1f9a8b7d06ea0d4f07157958608fd"),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(MULTI_BLOCK_DIGESTS))
+def test_multi_block_flagged_spectrum_matches_golden_digest(tmp_path, engine):
+    """Rows split across solver blocks with flagged cells; digests taken at
+    the parent of the screened condition check."""
+    doc = giant_at_pi_config()
+    doc["sweep"]["delta"]["count"] = 2 * SOLVER_BLOCK + 37
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out.csv"
+    assert cli.main(["spectrum", cfg, "--engine", engine, "--out", str(out)]) == 0
+    flag, digest = MULTI_BLOCK_DIGESTS[engine]
+    assert f",{flag}\n" in out.read_text()
+    assert sha256_of(out) == digest
+
+
 #: Phase linkage per family; small_overlap has no phase, so its sweep
 #: repeats one spectrum on every phase row.
 FAMILY_LINKAGE = {
@@ -878,3 +935,75 @@ def test_writer_keeps_reverse_ill_conditioning_after_eta():
     assert [row.rsplit(",", 1)[1] for row in rows] == ["", "eta_undefined;ill_conditioned"]
     payload = cli.result_as_json(result)
     assert payload["flags"] == [["", "eta_undefined;ill_conditioned"]]
+
+
+# ---------------------------------------------------------------------------
+# Every small configuration parse_config accepts gives finite or flagged cells
+# ---------------------------------------------------------------------------
+
+#: Non-negative numbers from 0 to just past the magnitude cap: the extremes,
+#: ordinary values, every decade from subnormal up, and Hypothesis's edge
+#: floats.
+MAGNITUDES = st.one_of(
+    st.sampled_from((0.0, 5e-324, 1.0, cli.MAX_MAGNITUDE)),
+    st.floats(0.0, 10.0),
+    st.builds(pow, st.just(10.0), st.floats(-320.0, math.log10(cli.MAX_MAGNITUDE) + 1.0)),
+    st.floats(0.0, cli.MAX_MAGNITUDE),
+)
+NUMBERS = st.builds(lambda sign, x: sign * x, st.sampled_from((1.0, -1.0)), MAGNITUDES)
+
+
+@st.composite
+def small_configs(draw):
+    """Any family and regime, any phases and linkage, grids up to 4 x 9."""
+    names = st.lists(st.sampled_from(PHASE_NAMES), unique=True)
+    doc = base_config()
+    doc["system"].update(
+        family=draw(st.sampled_from(sorted(FAMILIES))),
+        gamma=[draw(MAGNITUDES) for _ in range(4)],
+        phases={name: draw(NUMBERS) for name in draw(names)},
+        regime=draw(st.sampled_from(("markovian", "non_markovian"))),
+        tau=draw(MAGNITUDES),
+    )
+    # A symmetric axis with an odd count has the resonance delta = 0 on it.
+    stop = draw(NUMBERS)
+    start = draw(st.one_of(st.just(-stop), NUMBERS))
+    doc["sweep"]["delta"] = {"min": start, "max": stop, "count": draw(st.integers(2, 9))}
+    if draw(st.booleans()):
+        start, count = draw(NUMBERS), draw(st.integers(1, 4))
+        doc["sweep"]["phase"] = {
+            "min": start,
+            "max": start if count == 1 else draw(NUMBERS),
+            "count": count,
+            "linkage": {name: draw(NUMBERS) for name in draw(names.filter(bool))},
+        }
+    return doc
+
+
+def subnormal_rate_config():
+    """A subnormal gamma2 swept onto resonance: the solver's LU pivot
+    underflows and the solution is not finite, which used to abort the
+    sweep with InvalidAmplitudeError."""
+    doc = base_config()
+    doc["system"].update(family="semi_infinite", gamma=[0.0, 5e-324, 0.0, 0.0])
+    doc["sweep"]["delta"] = {"min": 4.0, "max": 0.0, "count": 3}
+    return doc
+
+
+@given(small_configs())
+@example(subnormal_rate_config())
+@settings(max_examples=150, deadline=None, derandomize=True)
+# A closed-form denominator below the singularity floor may overflow on its
+# way to a cell that is then flagged singular.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_accepted_config_gives_finite_or_flagged_cells(doc):
+    """The closed and solver engines both finish on every configuration
+    parse_config accepts, and each cell has finite rates or a flag."""
+    try:
+        spec, _ = cli.parse_config(doc)
+    except ConfigError:
+        return
+    for engine in ("closed", "solver"):
+        result = run_sweep(replace(spec, engine=engine))
+        finite = np.logical_and.reduce([np.isfinite(result.rates[name]) for name in RATE_FIELDS])
+        assert (finite | (result.codes != 0)).all(), engine

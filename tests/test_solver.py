@@ -13,8 +13,18 @@ from wgscatter.core import (
     CouplingLeg,
     DegenerateConfigError,
     IncidentWave,
+    PhaseModel,
     SystemConfig,
     rates_from_amplitudes,
+)
+from wgscatter.sweep import (
+    ILL_FORWARD,
+    ILL_REVERSE,
+    SOLVER_BLOCK,
+    Axis,
+    PhaseAxis,
+    SweepSpec,
+    run_sweep,
 )
 
 
@@ -258,6 +268,120 @@ class TestBlockSolve:
         assert (3, 3) in shapes
         assert result.outgoing.shape == (5, 6)
 
+    def test_non_finite_solution_is_singular(self):
+        # A subnormal decay rate at resonance: the LU pivot underflows.
+        block = configs.semi_infinite((0.0, 5e-324, 0.0, 0.0), np.array([4.0, 2.0, 0.0]), 0.0)
+        result = solver.solve_batch(block)
+        assert result.singular.tolist() == [False, False, True]
+        assert np.isfinite(result.outgoing).all()
+        assert not result.outgoing[2].any()
+
+    def test_non_finite_solution_raises_in_scalar_solve(self):
+        # The cell `solve_batch` marks singular above; `solve` raises on it
+        # as on an exactly singular system.
+        with pytest.raises(DegenerateConfigError, match="non-finite"):
+            solver.solve(configs.semi_infinite((0.0, 5e-324, 0.0, 0.0), 0.0, 0.0))
+        assert solver.solve(configs.semi_infinite((0.0, 5e-324, 0.0, 0.0), 2.0, 0.0)).flags == ()
+
     def test_linear_system_takes_labels(self):
         system = solver.LinearSystem(np.eye(2), np.ones(2), ("a", "b"))
         assert system.labels == ("a", "b")
+
+
+def conditioned_stack(rng, kappas, n: int) -> np.ndarray:
+    """Complex n x n matrices U diag(s) V^H, one per target condition number,
+    with singular values log-spaced from 1 down to 1/kappa."""
+    cells = []
+    for kappa in kappas:
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        cells.append((u * np.logspace(0.0, -math.log10(kappa), n)) @ v.conj().T)
+    return np.array(cells)
+
+
+#: Condition numbers from 1e6 to 1e15, with several in the range (1e10, 1e12]
+#: that the Frobenius bound cannot clear and the gate itself.
+KAPPAS = (*np.logspace(6.0, 15.0, 19).tolist(), 2e10, 1e11, 5e11, 9.9e11, 1e12, 1.01e12)
+
+
+def exact_flags(matrix: np.ndarray) -> np.ndarray:
+    return np.linalg.cond(matrix) > solver.ILL_CONDITIONED
+
+
+@pytest.fixture
+def cond_cells(monkeypatch):
+    """Number of matrices each exact (SVD) np.linalg.cond call receives."""
+    cells: list[int] = []
+    original = np.linalg.cond
+
+    def counting_cond(x, p=None):
+        if p is None:
+            cells.append(math.prod(np.shape(x)[:-2]))
+        return original(x, p)
+
+    monkeypatch.setattr(np.linalg, "cond", counting_cond)
+    return cells
+
+
+def twin_atoms(delta) -> SystemConfig:
+    """Two identical atoms at one point: exactly singular at delta = 0."""
+    return SystemConfig(
+        atoms=(AtomSpec("two_level", omega_1=1.0), AtomSpec("two_level", omega_1=1.0)),
+        legs=(CouplingLeg(0, "M", "ge", 0.0, 1.0), CouplingLeg(1, "M", "ge", 0.0, 1.0)),
+        incident=IncidentWave(port=1, delta=delta),
+    )
+
+
+class TestIllConditionedScreen:
+    """`solver._ill_conditioned` is the exact `cond > ILL_CONDITIONED` check,
+    cell by cell, with the SVD run only where the bound cannot decide."""
+
+    @pytest.mark.parametrize("n", [4, 13, 20])
+    def test_stack_and_matrices_match_exact_check(self, n, cond_cells):
+        stack = conditioned_stack(np.random.default_rng(n), KAPPAS, n)
+        expected = exact_flags(stack)
+        assert expected.any() and not expected.all()
+        cond_cells.clear()
+        flags = solver._ill_conditioned(stack)
+        assert flags.dtype == bool
+        assert flags.tolist() == expected.tolist()
+        # The cells at or above 2e10 have a bound above the screen.
+        assert sum(cond_cells) >= sum(k >= 2e10 for k in KAPPAS)
+        for matrix, flag in zip(stack, expected.tolist()):
+            assert bool(solver._ill_conditioned(matrix)) is flag
+
+    def test_block_whose_stacked_solve_raised(self):
+        block = twin_atoms(np.linspace(-1.0, 1.0, 5))
+        matrix = solver.assemble(solver.build_layout(block), block, block.energy).matrix
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(matrix)
+        expected = exact_flags(matrix)
+        assert expected.tolist() == [False, False, True, False, False]
+        assert solver._ill_conditioned(matrix).tolist() == expected.tolist()
+        result = solver.solve_batch(block)
+        assert result.singular.tolist() == expected.tolist()
+        assert result.ill_conditioned.tolist() == expected.tolist()
+
+    def test_non_finite_inverse_gets_exact_check(self):
+        matrix = np.diag([1.0, 1e-310]).astype(complex)
+        assert not np.isfinite(np.linalg.inv(matrix)).all()
+        assert bool(solver._ill_conditioned(matrix)) is bool(exact_flags(matrix)) is True
+        stack = np.array([np.eye(2, dtype=complex), matrix])
+        assert solver._ill_conditioned(stack).tolist() == exact_flags(stack).tolist()
+
+    def test_well_conditioned_block_runs_no_svd(self, cond_cells):
+        delta = np.linspace(-10.0, 10.0, SOLVER_BLOCK)
+        result = solver.solve_batch(configs.giant((0.5, 1.0, 1.5, 0.7), delta, 0.4, 1.1))
+        assert not result.ill_conditioned.any()
+        solver.solve(configs.giant((0.5, 1.0, 1.5, 0.7), 0.3, 0.4, 1.1))
+        assert sum(cond_cells) == 0
+
+    def test_ill_conditioned_cells_still_reach_svd(self, cond_cells):
+        # Phases 3, pi - 0.07, pi: the cells at pi and resonance are flagged.
+        axis = PhaseAxis(3.0, math.pi, 3, linkage=(("phi1_prime", 1.0),))
+        spec = SweepSpec("giant", (1.0, 0.25, 1.0, 0.0), PhaseModel(), Axis(-1.0, 1.0, 5), axis, "solver")
+        codes = run_sweep(spec).codes
+        flagged = int(np.count_nonzero(codes & (ILL_FORWARD | ILL_REVERSE)))
+        assert flagged >= 1
+        assert codes[2, 2] & ILL_FORWARD
+        assert flagged <= sum(cond_cells) < codes.size

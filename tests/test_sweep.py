@@ -25,6 +25,7 @@ from wgscatter.core import (
 from wgscatter.sweep import (
     FAMILIES,
     FLAG_NAMES,
+    MAX_CELLS,
     RATE_FIELDS,
     SINGULAR,
     SOLVER_BLOCK,
@@ -176,6 +177,14 @@ class TestRunSweep:
     def test_delta_axis_needs_two_points(self):
         with pytest.raises(ConfigError):
             small_spec(delta_axis=Axis(0.0, 0.0, 1))
+
+    def test_grid_above_max_cells_rejected(self):
+        axis = PhaseAxis(0.0, 1.0, 8, linkage=(("phi_a", 1.0),))
+        with pytest.raises(ConfigError, match="limit of"):
+            small_spec(delta_axis=Axis(-1.0, 1.0, 3 * 10**7), phase_axis=axis)
+        with pytest.raises(ConfigError, match="limit of"):
+            small_spec(delta_axis=Axis(-1.0, 1.0, MAX_CELLS + 1))
+        small_spec(delta_axis=Axis(-1.0, 1.0, MAX_CELLS // 8), phase_axis=axis)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, value):

@@ -35,11 +35,12 @@ from .core import DENOMINATOR_FLOOR, ScatterAmplitudes, SingularityError
 
 
 def _quiet(fn):
-    """Silence 0/0 warnings inside kernels; the singular mask reports them."""
+    """Silence 0/0 and overflow warnings inside kernels; the singular mask
+    reports them."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return fn(*args, **kwargs)
 
     return wrapper

@@ -13,9 +13,10 @@ transition starts from the unoccupied second ground state), so the lambda
 atom stays a ground-state spectator and only the two-level atom's legs
 participate.
 
-The detuning and the phases may be arrays of one shape, one value per cell
-of a solver block: the builders are plain arithmetic on them, and the
-resulting omega_1 and omega_s are arrays over the block.
+The rates, the detuning and the phases may be arrays of one shape, one
+value per cell of a solver block: the builders are plain arithmetic on
+them, and the resulting omega_1, omega_s and leg rates are arrays over the
+block.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .core import (
     CouplingLeg,
     IncidentWave,
     SystemConfig,
+    _holds,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -60,7 +62,7 @@ def _config(
     wall: float | None = None,
 ) -> SystemConfig:
     g1, g2, g3, g4 = gammas
-    if min(gammas) < 0:
+    if not all(_holds(g >= 0) for g in gammas):
         raise ConfigError("decay rates must be non-negative")
     omega_1 = k - delta
     atoms = (

@@ -107,7 +107,10 @@ def _holds(condition) -> bool:
 
 @dataclass(frozen=True)
 class CouplingLeg:
-    """A single delta-coupling point between one atomic transition and one guide."""
+    """A single delta-coupling point between one atomic transition and one guide.
+
+    ``gamma`` may be an array, one rate per cell of a solver block.
+    """
 
     atom: int
     waveguide: str
@@ -120,12 +123,18 @@ class CouplingLeg:
             raise ConfigError(f"unknown waveguide {self.waveguide!r}")
         if self.transition not in (GE, SE):
             raise ConfigError(f"unknown transition {self.transition!r}")
-        if self.gamma < 0:
+        if not _holds(self.gamma >= 0):
             raise ConfigError("leg decay rate must be non-negative")
 
     @property
-    def coupling(self) -> float:
-        """Coupling strength g = sqrt(gamma)."""
+    def coupling(self):
+        """Coupling strength g = sqrt(gamma).
+
+        np.sqrt and math.sqrt are both correctly rounded, so a cell of an
+        array rate gets the bits its scalar rate would.
+        """
+        if isinstance(self.gamma, np.ndarray):
+            return np.sqrt(self.gamma)
         return math.sqrt(self.gamma)
 
 

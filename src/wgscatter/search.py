@@ -3,10 +3,15 @@
 Objectives are evaluated from the closed forms at resonance (delta = 0),
 where the converted fraction depends only on rate ratios and the leg phases
 drop out of it.  The search is a coarse grid pass followed by coordinate-wise
-golden-section refinement around the best cell.  It is fully deterministic:
-ties are broken toward the lexicographically smallest parameter vector, so no
-randomness is involved.  Every reported optimum is re-verified against the
-boundary-matching solver before it is returned.
+golden-section refinement around the best cell.  The grid pass evaluates its
+points as arrays, one broadcast `Family.closed_rates` call per chunk of
+GRID_CHUNK points, and then scans the values in grid order with the same
+record rule the refinement applies to each of its points, so it counts,
+traces and breaks ties exactly as evaluating point by point would.  The
+search is fully deterministic: ties are broken toward the lexicographically
+smallest parameter vector, so no randomness is involved.  Every reported
+optimum is re-verified against the boundary-matching solver before it is
+returned.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .core import (
     SingularityError,
     TransferRates,
 )
-from .sweep import FAMILIES, RATE_FIELDS
+from .sweep import FAMILIES, MAX_CELLS, RATE_FIELDS
 
 #: Search evaluates the giant-atom layout only.
 FAMILY = "giant"
@@ -46,6 +51,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Maximum allowed closed-form/solver disagreement at the reported optimum.
 VERIFY_TOL = 1e-10
+
+#: Grid points per broadcast evaluation; bounds the grid pass's memory.
+GRID_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -168,6 +176,26 @@ def _objective_value(obj: Objective, rates: TransferRates) -> float:
     return rates.eta**obj.purity_weight * rates.t_ns**obj.rate_weight
 
 
+def _objective_values(obj: Objective, columns: dict[str, np.ndarray]) -> np.ndarray:
+    """`_objective_value` at many points: ``columns`` maps each free
+    parameter to its values; a singular point gets -inf."""
+    params = obj.resolve(columns)
+    gammas = tuple(params[f"gamma{i}"] for i in (1, 2, 3, 4))
+    rates, singular, _ = GIANT.closed_rates(gammas, 0.0, params)
+    shape = np.shape(next(iter(columns.values())))
+    t_m_rev = np.broadcast_to(rates["T_M_rev"], shape)
+    if obj.kind == ISOLATION_CONTRAST:
+        values = t_m_rev - (rates["T_Ng"] + rates["T_Ns"])
+    else:
+        values = (
+            np.float_power(rates["eta"], obj.purity_weight)
+            * np.float_power(rates["T_Ns"], obj.rate_weight)
+        )
+    values = np.array(np.broadcast_to(values, shape))
+    values[singular | (t_m_rev < obj.min_reverse)] = -math.inf
+    return values
+
+
 @dataclass
 class SearchReport:
     best_params: dict[str, float]
@@ -190,13 +218,28 @@ class _Tracker:
         self.ties = 0
 
     def evaluate(self, point: tuple[float, ...]) -> float:
-        self.evaluations += 1
         params = self.obj.resolve(dict(zip(self.names, point)))
         try:
-            rates = rates_at_resonance(params)
+            value = _objective_value(self.obj, rates_at_resonance(params))
         except SingularityError:
-            return -math.inf
-        value = _objective_value(self.obj, rates)
+            value = -math.inf
+        return self.record(point, value)
+
+    def scan(self, grids: list[np.ndarray]) -> None:
+        """Evaluate every point of the grid ``grids`` spans, in row-major order."""
+        shape = tuple(len(g) for g in grids)
+        total = math.prod(shape)
+        for start in range(0, total, GRID_CHUNK):
+            index = np.unravel_index(np.arange(start, min(start + GRID_CHUNK, total)), shape)
+            columns = [g[i] for g, i in zip(grids, index)]
+            values = _objective_values(self.obj, dict(zip(self.names, columns)))
+            points = zip(*(c.tolist() for c in columns))
+            for point, value in zip(points, values.tolist()):
+                self.record(point, value)
+
+    def record(self, point: tuple[float, ...], value: float) -> float:
+        """Count one evaluation and keep it if it improves or ties the best."""
+        self.evaluations += 1
         if value == -math.inf:
             return value
         if value > self.best_value + 1e-12:
@@ -214,6 +257,11 @@ def grid_refine_search(obj: Objective, budget: int = 2000) -> SearchReport:
     """Coarse grid pass, then golden-section refinement along each free axis."""
     if budget < 100:
         raise ConfigError("search budget must be at least 100 evaluations")
+    if budget // 2 > MAX_CELLS:
+        raise ConfigError(
+            f"a search budget of {budget} exceeds the grid limit of {MAX_CELLS} points "
+            "(half the budget goes to the grid)"
+        )
     names = obj.free_names()
     bounds = {n: obj.parameters[n] for n in names}
     ndim = len(names)
@@ -222,11 +270,7 @@ def grid_refine_search(obj: Objective, budget: int = 2000) -> SearchReport:
     per_dim = max(3, int((budget // 2) ** (1.0 / ndim)))
     while per_dim**ndim > budget // 2 and per_dim > 3:
         per_dim -= 1
-    grids = [np.linspace(bounds[n].lo, bounds[n].hi, per_dim) for n in names]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    for point in points:
-        tracker.evaluate(tuple(float(x) for x in point))
+    tracker.scan([np.linspace(bounds[n].lo, bounds[n].hi, per_dim) for n in names])
 
     if tracker.best_point is None:
         raise NoFeasiblePointError(

@@ -22,11 +22,12 @@ Conventions (matching the closed forms):
   couplings this puts maximal coupling at k L = 0 and decoupling at
   k L = pi/2, matching the terminated-guide spectra.
 
-Within one sweep the layout never changes; only the energy and each atom's
-omega_1 and omega_s vary with the detuning.  `solve_batch` therefore takes a
-configuration whose detuning-dependent fields are arrays over a block of
-cells, and assembles and solves the whole block with one stacked numpy call
-each.  A cell is marked singular exactly where `solve` of that cell alone
+A block of cells that share one layout is solved at once: `solve_batch`
+takes a configuration whose energy, each atom's omega_1 and omega_s, and
+each leg's gamma may be arrays over the block, and assembles and solves the
+whole block with one stacked numpy call each.  The cells must share one
+active-leg pattern (which legs have gamma > 0), since that fixes the
+layout.  A cell is marked singular exactly where `solve` of that cell alone
 raises DegenerateConfigError.  Every other cell's matrix and solution are
 bit-identical to that `solve`, and so is its ``ill_conditioned`` flag: one
 stacked Frobenius condition number bounds every cell's 2-norm one from
@@ -51,6 +52,7 @@ from .core import (
     DegenerateConfigError,
     ScatterAmplitudes,
     SystemConfig,
+    _holds,
     region_label,
 )
 
@@ -117,16 +119,23 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class BlockSolution:
-    """Outgoing amplitudes and flags of a block of cells.
+    """Solution and flags of a block of cells.
 
     ``outgoing`` has one row per cell in `ScatterAmplitudes.outgoing` order,
-    zero where the port does not exist.  A ``singular`` cell has no solution
-    and a zero row; its ``ill_conditioned`` entry is meaningless.
+    zero where the port does not exist.  ``x`` is the full solution, one
+    row per cell with one column per unknown named by ``labels`` (such as
+    ``"M_k:1:R"`` or ``"u_e2"``), and ``interior`` names the regions that
+    `ScatterAmplitudes.interior` reports.  A ``singular`` cell has no
+    solution and zero rows; its ``ill_conditioned`` entry is meaningless.
+    ``ill_conditioned`` is None when the solve was not asked to check.
     """
 
     outgoing: np.ndarray
     singular: np.ndarray
-    ill_conditioned: np.ndarray
+    ill_conditioned: np.ndarray | None
+    x: np.ndarray
+    labels: tuple[str, ...]
+    interior: tuple[str, ...]
 
 
 def build_layout(cfg: SystemConfig) -> ChannelLayout:
@@ -134,9 +143,10 @@ def build_layout(cfg: SystemConfig) -> ChannelLayout:
 
     Zero-strength legs are dropped: a channel that nothing couples to would
     otherwise contribute spurious singular blocks, and its amplitudes are
-    exactly zero by inspection.
+    exactly zero by inspection.  A leg with an array rate must be active in
+    every cell of the block or in none.
     """
-    active = [l for l in cfg.legs if l.gamma > 0.0]
+    active = [l for l in cfg.legs if _active(l.gamma)]
     positions = sorted({l.position for l in active})
     if cfg.wall is not None:
         positions.append(cfg.wall)
@@ -165,6 +175,25 @@ def build_layout(cfg: SystemConfig) -> ChannelLayout:
 
     active_atoms = tuple(sorted({l.atom for l in active}))
     return ChannelLayout(tuple(channels), breakpoints, cfg.wall, active_atoms)
+
+
+def _active(gamma) -> bool:
+    """Whether a leg couples: gamma > 0 in every cell, or in none."""
+    positive = gamma > 0.0
+    if _holds(positive):
+        return True
+    if np.any(positive):
+        raise ValueError("the cells of a block must share one active-leg pattern")
+    return False
+
+
+def _interior(layout: ChannelLayout) -> tuple[str, ...]:
+    """Regions between coupling points, and before the wall, by channel."""
+    return tuple(
+        region_label(ch.name, r)
+        for ch in layout.channels
+        for r in range(1, ch.n_regions if ch.terminated else ch.n_regions - 1)
+    )
 
 
 class _Index:
@@ -308,14 +337,11 @@ def _extract(
         0.0j if col is None else complex(x[col]) for col in _outgoing_columns(layout, idx)
     )
 
-    interior: dict[str, tuple[complex, complex]] = {}
-    for ch in layout.channels:
-        stop = ch.n_regions if ch.terminated else ch.n_regions - 1
-        for r in range(1, stop):
-            interior[region_label(ch.name, r)] = (
-                complex(x[idx.right(ch.name, r)]),
-                complex(x[idx.left(ch.name, r)]),
-            )
+    columns = dict(zip(idx.labels, x.tolist()))
+    interior = {
+        label: (columns[f"{label}:R"], columns[f"{label}:L"])
+        for label in _interior(layout)
+    }
 
     excited = tuple(
         complex(x[idx.atom_cols[a]]) if a in idx.atom_cols else 0.0j
@@ -374,15 +400,17 @@ def solve(cfg: SystemConfig) -> ScatterAmplitudes:
     return _extract(layout, system._index, x, cfg, flags)
 
 
-def solve_batch(cfg: SystemConfig) -> BlockSolution:
+def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockSolution:
     """Solve a 1-D block of cells that share one layout.
 
     The detuning and each atom's omega_1 and omega_s in ``cfg`` are arrays
-    over the block (the `configs` builders make them from array detunings
-    and phases).  One stacked solve covers the block; if any cell is exactly
-    singular, the cells are solved one by one and only those that fail are
-    marked singular.  A cell whose solution is not finite is marked singular
-    too, as `solve` raises on it.
+    over the block, and so may be each leg's gamma (the `configs` builders
+    make them from array rates, detunings and phases).  One stacked solve
+    covers the block; if any cell is exactly singular, the cells are solved
+    one by one and only those that fail are marked singular.  A cell whose solution is not finite is marked singular
+    too, as `solve` raises on it.  ``check_conditioning=False`` skips the
+    condition check, whose stacked inverse holds as much memory again as
+    the block's matrices.
     """
     if np.ndim(cfg.energy) != 1:
         raise ValueError("solve_batch needs a 1-D block of cells")
@@ -408,9 +436,11 @@ def solve_batch(cfg: SystemConfig) -> BlockSolution:
     if unresolved.any():
         singular |= unresolved
         x[unresolved] = 0.0
-    ill_conditioned = _ill_conditioned(matrix)
+    ill_conditioned = _ill_conditioned(matrix) if check_conditioning else None
     outgoing = np.zeros((len(matrix), 6), dtype=complex)
     for port, col in enumerate(_outgoing_columns(layout, system._index)):
         if col is not None:
             outgoing[:, port] = x[:, col]
-    return BlockSolution(outgoing, singular, ill_conditioned)
+    return BlockSolution(
+        outgoing, singular, ill_conditioned, x, system.labels, _interior(layout)
+    )

@@ -195,25 +195,30 @@ def rates_from_fields(fwd, rev):
     Returns the RATE_FIELDS values, the singular mask, and the mask of cells
     with no output into guide N, where eta is undefined and set to 0.
     Builtin abs and ** act elementwise on arrays and stay cheap on scalars.
+    Overflow and inf/inf are silenced as in the kernels: near a vanishing
+    denominator the amplitudes blow up, and the singular mask reports it.
     """
-    t_ng = abs(fwd.t3g) ** 2 + abs(fwd.t4g) ** 2
-    t_ns = abs(fwd.t3s) ** 2 + abs(fwd.t4s) ** 2
-    r_m = abs(fwd.r1) ** 2
-    t2 = abs(fwd.t2) ** 2
-    t_m_rev = abs(rev.t1) ** 2 + abs(getattr(rev, "t2", 0.0)) ** 2
-    total_n = t_ng + t_ns
-    rates = {
-        "T_Ng": t_ng,
-        "T_Ns": t_ns,
-        "T_M_rev": t_m_rev,
-        "R_M": r_m,
-        "T2": t2,
-        "eta": np.divide(t_ns, total_n, out=np.zeros_like(total_n), where=total_n > 0.0),
-        "residual": np.maximum(
-            abs(r_m + t2 + t_ng + t_ns - 1.0),
-            abs(t_m_rev + abs(rev.t3g) ** 2 + abs(rev.r4g) ** 2 - 1.0),
-        ),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_ng = abs(fwd.t3g) ** 2 + abs(fwd.t4g) ** 2
+        t_ns = abs(fwd.t3s) ** 2 + abs(fwd.t4s) ** 2
+        r_m = abs(fwd.r1) ** 2
+        t2 = abs(fwd.t2) ** 2
+        t_m_rev = abs(rev.t1) ** 2 + abs(getattr(rev, "t2", 0.0)) ** 2
+        total_n = t_ng + t_ns
+        rates = {
+            "T_Ng": t_ng,
+            "T_Ns": t_ns,
+            "T_M_rev": t_m_rev,
+            "R_M": r_m,
+            "T2": t2,
+            "eta": np.divide(
+                t_ns, total_n, out=np.zeros_like(total_n), where=total_n > 0.0
+            ),
+            "residual": np.maximum(
+                abs(r_m + t2 + t_ng + t_ns - 1.0),
+                abs(t_m_rev + abs(rev.t3g) ** 2 + abs(rev.r4g) ** 2 - 1.0),
+            ),
+        }
     return rates, fwd.singular | rev.singular, total_n == 0.0
 
 

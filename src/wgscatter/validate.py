@@ -4,8 +4,22 @@ Draws are split evenly over the five configuration families (separated
 forward, point-coupled forward, point-coupled reverse, two-legged
 forward+reverse, terminated forward+reverse).  For each draw the closed-form
 amplitudes and the solver amplitudes are computed at the same physical
-parameters and compared componentwise (ports, interior regions, atomic
-amplitudes), and both routes are checked for probability conservation.
+parameters and compared componentwise (ports, interior regions and atomic
+amplitudes, matched by region label), and both routes are checked for
+probability conservation.
+
+Draws run in rounds of ``len(FAMILY_NAMES) * SOLVER_BLOCK``, so memory does
+not grow with the draw count.  In a round each route makes one kernel call
+over its family's draws and one `solver.solve_batch` per group of draws
+with the same zero rates (a zero rate drops its legs, which changes the
+layout), and its per-draw values are reduced to their maxima before the
+next route runs.  Each reported maximum is the first in draw order, ties
+going to the earlier case and then to the earlier check of a case, as one
+running maximum updated draw by draw would keep it.  An error is raised
+for the earliest draw that has one, and within a draw in the order
+draw-by-draw checking would meet it: a closed-form singularity or a
+singular solver system, case by case, before non-finite closed amplitudes
+or a component-set mismatch.
 
 Rates are drawn from [0, 3], detunings from [-10, 10], and phases from
 [0, 2*pi), all in reference-rate units.  A seeded generator makes reports
@@ -15,13 +29,17 @@ bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import solver
-from .core import ScatterAmplitudes, rates_from_amplitudes
-from .sweep import FAMILIES
+from .core import (
+    DegenerateConfigError,
+    InvalidAmplitudeError,
+    ScatterAmplitudes,
+    SingularityError,
+)
+from .sweep import FAMILIES, SOLVER_BLOCK
 
 #: Draw families in draw order, each a list of (label, route) cases.
 _DRAWS = {
@@ -38,6 +56,16 @@ _DRAWS = {
     ],
 }
 FAMILY_NAMES = tuple(_DRAWS)
+
+#: Draws per round: SOLVER_BLOCK per family, so no solver block is longer.
+ROUND = len(FAMILY_NAMES) * SOLVER_BLOCK
+
+#: Bounds of the eight uniform values of a draw, in the generator's order:
+#: four rates, the detuning and three phases.
+_LOW = np.array([0.0] * 4 + [-10.0] + [0.0] * 3)
+_HIGH = np.array([3.0] * 4 + [10.0] + [2.0 * np.pi] * 3)
+
+_PORTS = ("m_left", "m_right", "n_left_k", "n_right_k", "n_left_q", "n_right_q")
 
 #: Which of the three phases drawn per case feeds each phase constant.
 _DRAWN_PHASE = {"phi_a": 0, "phi_b": 1, "phi1_prime": 0, "phi2_prime": 1, "phi3": 2}
@@ -110,14 +138,7 @@ class ValidationReport:
 
 
 def _amplitude_items(a: ScatterAmplitudes) -> list[tuple[str, complex]]:
-    items = [
-        ("m_left", a.m_left),
-        ("m_right", a.m_right),
-        ("n_left_k", a.n_left_k),
-        ("n_right_k", a.n_right_k),
-        ("n_left_q", a.n_left_q),
-        ("n_right_q", a.n_right_q),
-    ]
+    items = [(name, getattr(a, name)) for name in _PORTS]
     for label in sorted(a.interior):
         right, left = a.interior[label]
         items.append((f"{label}:R", right))
@@ -142,58 +163,169 @@ def hybrid_residual(
 ) -> float:
     """Conservation residual of the closed amplitudes with the solver's values
     spliced into every component the closed route does not print."""
-    fields = ("m_left", "m_right", "n_left_k", "n_right_k", "n_left_q", "n_right_q")
     total = 0.0
-    for name in fields:
+    for name in _PORTS:
         source = closed if name in printed else numeric
         total += abs(getattr(source, name)) ** 2
     return abs(total - 1.0)
 
 
-def _draw_case(rng: np.random.Generator, family: str):
-    g = tuple(rng.uniform(0.0, 3.0, size=4))
-    delta = float(rng.uniform(-10.0, 10.0))
-    drawn = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    phases = {name: float(drawn[k]) for name, k in _DRAWN_PHASE.items()}
-    cases = []
-    for label, route in _DRAWS[family]:
-        closed = route.amplitudes(g, delta, phases)
-        numeric = solver.solve(route.config(g, delta, phases))
-        cases.append((label, closed, numeric))
-    return cases
+def _closed_components(route, f, cells: int) -> dict[str, np.ndarray]:
+    """Kernel output as arrays over the cells, keyed as `_amplitude_items`."""
+    if route.port == 1:
+        ports = (f.r1, f.t2, f.t3g, f.t4g, f.t3s, f.t4s)
+        excited = (f.u1, f.u2)
+    else:
+        ports = (f.t1, getattr(f, "t2", 0.0), f.t3g, f.r4g, 0.0, 0.0)
+        excited = (f.u1,)
+    items = dict(zip(_PORTS, ports))
+    for label, (right, left) in f.interior.items():
+        items[f"{label}:R"] = right
+        items[f"{label}:L"] = left
+    for i, u in enumerate(excited):
+        items[f"u_e{i + 1}"] = u
+    return {
+        key: np.broadcast_to(np.asarray(value, dtype=complex), (cells,))
+        for key, value in items.items()
+    }
 
 
-def run_validation(
-    draws: int = 10000,
-    seed: int = 0,
-    *,
-    corruption: Callable[[ScatterAmplitudes], ScatterAmplitudes] | None = None,
-) -> ValidationReport:
-    """Run the random-draw suite.
+def _solver_components(sol: solver.BlockSolution, atoms: int) -> dict[str, np.ndarray]:
+    """A block's amplitudes keyed as `_amplitude_items`; an inactive atom's is 0."""
+    items = dict(zip(_PORTS, sol.outgoing.T))
+    column = {label: k for k, label in enumerate(sol.labels)}
+    for label in sol.interior:
+        for mover in ("R", "L"):
+            items[f"{label}:{mover}"] = sol.x[:, column[f"{label}:{mover}"]]
+    for atom in range(atoms):
+        k = column.get(f"u_e{atom + 1}")
+        items[f"u_e{atom + 1}"] = np.zeros(len(sol.x), complex) if k is None else sol.x[:, k]
+    return items
 
-    ``corruption`` is a test hook applied to every closed amplitude set
-    before checking; a corrupted formula must trip the tolerances.
+
+def _probabilities(items: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """|z|^2 of each port, computed as `core.rates_from_outgoing` does, so
+    each value is bit-identical to Python's ``abs(z) ** 2``."""
+    return [np.float_power(np.hypot(items[p].real, items[p].imag), 2.0) for p in _PORTS]
+
+
+def _residual(probs: list[np.ndarray]) -> np.ndarray:
+    """|sum of outgoing probabilities - 1|, summed in port order."""
+    return np.abs(sum(probs) - 1.0)
+
+
+def _check_route(label, route, gammas, delta, phases, draw, case, errors):
+    """One route over its family's draws of a round.
+
+    Returns its per-draw values, one row per draw and one column per check
+    in update order: the closed residuals (hybrid, then the closed route's
+    own), the solver residual and the pair discrepancy.  Appends the
+    earliest draw of each error it finds to ``errors``, keyed by (draw,
+    stage, case, step) in the order draw-by-draw checking would meet it.
     """
+    cells = len(delta)
+    fields = route.fields(gammas, delta, phases)
+    closed = _closed_components(route, fields, cells)
+    point = (route.kernel, label)
+    _first_error(
+        errors, draw, np.broadcast_to(fields.singular, (cells,)), (0, case, 0),
+        lambda d: SingularityError(f"vanishing denominator at {point!r}, draw {d}"),
+    )
+    finite = np.logical_and.reduce([np.isfinite(v) for v in closed.values()])
+    _first_error(
+        errors, draw, ~finite, (1, case, 0),
+        lambda d: InvalidAmplitudeError(f"non-finite closed amplitude at {point!r}, draw {d}"),
+    )
+    closed_probs = _probabilities(closed)
+    printed = _PRINTED[label]
+    hybrid = np.zeros(cells)
+    solver_residual = np.zeros(cells)
+    discrepancy = np.zeros(cells)
+    # Draws with the same zero rates share a layout.  (np.unique would do,
+    # but its first call costs about 1 MB of resident memory.)
+    pattern = sum((g > 0.0) << k for k, g in enumerate(gammas))
+    for zeros in sorted(set(pattern.tolist())):
+        group = np.flatnonzero(pattern == zeros)
+        cfg = route.config(
+            tuple(g[group] for g in gammas),
+            delta[group],
+            {name: value[group] for name, value in phases.items()},
+        )
+        sol = solver.solve_batch(cfg, check_conditioning=False)
+        _first_error(
+            errors, draw[group], sol.singular, (0, case, 1),
+            lambda d: DegenerateConfigError(f"singular scattering system at {point!r}, draw {d}"),
+        )
+        numeric = _solver_components(sol, len(cfg.atoms))
+        if set(closed) != set(numeric):
+            missing = set(closed) ^ set(numeric)
+            _first_error(
+                errors, draw[group], np.ones(len(group), bool), (1, case, 1),
+                lambda d: AssertionError(f"amplitude sets disagree on components: {missing}"),
+            )
+            continue
+        numeric_probs = _probabilities(numeric)
+        solver_residual[group] = _residual(numeric_probs)
+        hybrid[group] = _residual(
+            [
+                c[group] if port in printed else n
+                for port, c, n in zip(_PORTS, closed_probs, numeric_probs)
+            ]
+        )
+        diff = np.array([closed[key][group] - numeric[key] for key in closed])
+        discrepancy[group] = np.hypot(diff.real, diff.imag).max(axis=0)
+    closed_residuals = np.stack([hybrid, _residual(closed_probs)], axis=-1)
+    return closed_residuals, solver_residual[:, None], discrepancy[:, None]
+
+
+def _first_error(errors, draw, mask, stage, make) -> None:
+    """Record the earliest draw under ``mask``, keyed for ordering."""
+    hits = np.flatnonzero(mask)
+    if hits.size:
+        d = int(draw[hits[0]])
+        errors.append(((d, *stage), make(d)))
+
+
+def _run_round(report: ValidationReport, first: int, sample: np.ndarray) -> None:
+    """Check draws ``first``, ``first + 1``, ..., one row of ``sample`` each
+    (four rates, the detuning, three phases), and update the report."""
+    families = len(FAMILY_NAMES)
+    candidates: dict[str, list] = {"closed": [], "solver": [], "pair": []}
+    errors: list = []
+    for f, family in enumerate(FAMILY_NAMES):
+        rows = sample[f::families]
+        if not len(rows):
+            continue
+        draw = first + f + families * np.arange(len(rows))
+        gammas = tuple(rows[:, :4].T)
+        delta = rows[:, 4]
+        phases = {name: rows[:, 5 + k] for name, k in _DRAWN_PHASE.items()}
+        for case, (label, route) in enumerate(_DRAWS[family]):
+            checked = _check_route(label, route, gammas, delta, phases, draw, case, errors)
+            for name, values in zip(candidates, checked):
+                cell, update = np.unravel_index(np.argmax(values), values.shape)
+                d = int(draw[cell])
+                candidates[name].append(
+                    (d, case, int(update), float(values[cell, update]), f"{label}[draw {d}]")
+                )
+    if errors:
+        raise min(errors, key=lambda item: item[0])[1]
+    for name, worst in (
+        ("closed", report.max_residual_closed),
+        ("solver", report.max_residual_solver),
+        ("pair", report.max_discrepancy),
+    ):
+        for *_, value, where in sorted(candidates[name]):
+            worst.update(value, where)
+
+
+def run_validation(draws: int = 10000, seed: int = 0) -> ValidationReport:
+    """Run the random-draw suite."""
     if draws < 1:
         raise ValueError("draws must be at least 1")
     rng = np.random.default_rng(seed)
     report = ValidationReport(draws=draws, seed=seed)
-    for i in range(draws):
-        family = FAMILY_NAMES[i % len(FAMILY_NAMES)]
-        for name, closed, numeric in _draw_case(rng, family):
-            if corruption is not None:
-                closed = corruption(closed)
-            where = f"{name}[draw {i}]"
-            closed_rates = rates_from_amplitudes(closed)
-            numeric_rates = rates_from_amplitudes(numeric)
-            report.max_residual_closed.update(
-                hybrid_residual(closed, numeric, _PRINTED[name]), where
-            )
-            report.max_residual_closed.update(
-                closed_rates.conservation_residual, where
-            )
-            report.max_residual_solver.update(
-                numeric_rates.conservation_residual, where
-            )
-            report.max_discrepancy.update(pair_discrepancy(closed, numeric), where)
+    for first in range(0, draws, ROUND):
+        count = min(ROUND, draws - first)
+        _run_round(report, first, rng.uniform(_LOW, _HIGH, size=(count, len(_LOW))))
     return report

@@ -391,6 +391,21 @@ class TestSearchCommand:
         assert cli.main(["search", cfg, "--budget", "100", "--out", str(out)]) == 2
         assert_cannot_write(capsys, out)
 
+    def test_budget_over_grid_cap_exits_2_before_allocating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Half the budget goes to the grid, which may not exceed the sweep
+        cap; the refusal comes before any grid array exists."""
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        cfg = write_config(tmp_path, self.search_config(0.0))
+        assert cli.main(["search", cfg, "--budget", str(10**12)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(MAX_CELLS) in err
+
     def test_missing_objective_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         assert cli.main(["search", cfg]) == 2
@@ -993,9 +1008,6 @@ def subnormal_rate_config():
 @given(small_configs())
 @example(subnormal_rate_config())
 @settings(max_examples=150, deadline=None, derandomize=True)
-# A closed-form denominator below the singularity floor may overflow on its
-# way to a cell that is then flagged singular.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_accepted_config_gives_finite_or_flagged_cells(doc):
     """The closed and solver engines both finish on every configuration
     parse_config accepts, and each cell has finite rates or a flag."""

@@ -1,15 +1,21 @@
-"""Derivative-free parameter search: anchors, plateau handling, properties."""
+"""Derivative-free parameter search: anchors, plateau handling, properties,
+and the broadcast grid stage against point-by-point evaluation."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
-from wgscatter.core import NoFeasiblePointError
+from wgscatter import search
+from wgscatter.core import NoFeasiblePointError, SingularityError
 from wgscatter.search import (
     Bounds,
     Fixed,
     Linked,
     Objective,
+    _objective_values,
+    _Tracker,
     grid_refine_search,
     rates_at_resonance,
 )
@@ -127,3 +133,136 @@ class TestProperties:
         b = grid_refine_search(conversion_objective(floor), budget=600)
         assert a.best_params == b.best_params
         assert a.trace == b.trace
+
+
+# ---------------------------------------------------------------------------
+# The broadcast grid stage against a point-by-point reference
+# ---------------------------------------------------------------------------
+
+
+def per_point_scan(self, grids):
+    """The grid stage as one `_Tracker.evaluate` per point, in row-major order."""
+    mesh = np.meshgrid(*grids, indexing="ij")
+    for point in np.stack([m.ravel() for m in mesh], axis=-1):
+        self.evaluate(tuple(float(x) for x in point))
+
+
+def fixed_giant(**free) -> dict:
+    params = {
+        "gamma1": Fixed(0.7),
+        "gamma2": Fixed(1.1),
+        "gamma3": Linked("gamma1", 1.3),
+        "gamma4": Fixed(0.4),
+        "phi1_prime": Fixed(0.3),
+        "phi2_prime": Fixed(1.2),
+        "tau": Fixed(0.5),
+    }
+    params.update(free)
+    return params
+
+
+#: Objectives whose grids hold a tie plateau, singular points and points
+#: below min_reverse.
+EDGE_OBJECTIVES = {
+    "plateau": Objective(
+        kind="isolation_contrast",
+        parameters=fixed_giant(
+            gamma1=Bounds(0.05, 3.0), gamma2=Fixed(0.25), gamma3=Linked("gamma1"),
+            gamma4=Fixed(0.0), phi1_prime=Fixed(0.0), phi2_prime=Fixed(0.0),
+        ),
+    ),
+    # phi1_prime = pi closes every denominator at resonance.
+    "singular": Objective(
+        kind="conversion_merit",
+        parameters=fixed_giant(phi1_prime=Bounds(0.0, math.pi), gamma2=Bounds(0.1, 2.0)),
+    ),
+    "min_reverse": Objective(
+        kind="conversion_merit",
+        parameters=fixed_giant(gamma1=Bounds(0.001, 3.0), gamma3=Fixed(1.0)),
+        purity_weight=2.0,
+        min_reverse=0.4,
+    ),
+}
+
+
+def random_objective(rng: random.Random) -> Objective:
+    names = ("gamma1", "gamma2", "gamma4", "phi1_prime", "phi2_prime")
+    free = {}
+    for name in rng.sample(names, rng.randint(1, 3)):
+        if name.startswith("phi"):
+            # Often reaching pi, where the giant denominators close.
+            free[name] = Bounds(rng.uniform(0.0, 2.0), rng.choice([math.pi, 3.0, 6.0]))
+        else:
+            lo = rng.choice([0.0, rng.uniform(0.0, 1.0)])
+            free[name] = Bounds(lo, lo + rng.uniform(0.2, 2.0))
+    kind = rng.choice(["isolation_contrast", "conversion_merit"])
+    return Objective(
+        kind=kind,
+        parameters=fixed_giant(**free),
+        purity_weight=rng.uniform(0.5, 3.0),
+        rate_weight=rng.uniform(0.5, 3.0),
+        min_reverse=rng.uniform(0.0, 0.45),
+    )
+
+
+def assert_same_search(obj: Objective, budget: int, monkeypatch) -> None:
+    def run():
+        try:
+            return grid_refine_search(obj, budget=budget)
+        except NoFeasiblePointError:
+            return None
+
+    got = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(_Tracker, "scan", per_point_scan)
+        want = run()
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert got.best_params == want.best_params
+    assert got.evaluations == want.evaluations
+    assert got.degenerate_plateau == want.degenerate_plateau
+    assert [(e, p) for e, _, p in got.trace] == [(e, p) for e, _, p in want.trace]
+    for (_, a, _), (_, b, _) in zip(got.trace, want.trace):
+        assert abs(a - b) <= 1e-15
+    assert abs(got.objective_value - want.objective_value) <= 1e-15
+    assert got.rates == want.rates
+    assert got.solver_discrepancy == want.solver_discrepancy
+
+
+class TestBroadcastGrid:
+    @pytest.mark.parametrize("case", sorted(EDGE_OBJECTIVES))
+    def test_edge_grid_matches_per_point_evaluation(self, case, monkeypatch):
+        assert_same_search(EDGE_OBJECTIVES[case], 400, monkeypatch)
+
+    def test_edge_grids_hold_what_they_are_named_for(self):
+        grids = {
+            case: [np.linspace(obj.parameters[n].lo, obj.parameters[n].hi, 20)
+                   for n in obj.free_names()]
+            for case, obj in EDGE_OBJECTIVES.items()
+        }
+        tracker = _Tracker(EDGE_OBJECTIVES["plateau"])
+        tracker.scan(grids["plateau"])
+        assert tracker.ties > 0
+        obj = EDGE_OBJECTIVES["singular"]
+        with pytest.raises(SingularityError):
+            rates_at_resonance(obj.resolve({"phi1_prime": math.pi, "gamma2": 1.0}))
+        obj = EDGE_OBJECTIVES["min_reverse"]
+        values = _objective_values(obj, {"gamma1": grids["min_reverse"][0]})
+        assert np.isneginf(values).any() and np.isfinite(values).any()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_grid_matches_per_point_evaluation(self, seed, monkeypatch):
+        assert_same_search(random_objective(random.Random(seed)), 300, monkeypatch)
+
+    def test_chunked_grid_matches_one_pass(self, monkeypatch):
+        obj = EDGE_OBJECTIVES["singular"]
+        grids = [np.linspace(0.0, math.pi, 41), np.linspace(0.1, 2.0, 37)]
+        whole = _Tracker(obj)
+        whole.scan(grids)
+        monkeypatch.setattr(search, "GRID_CHUNK", 100)
+        chunked = _Tracker(obj)
+        chunked.scan(grids)
+        assert (chunked.evaluations, chunked.best_point, chunked.trace, chunked.ties) == (
+            whole.evaluations, whole.best_point, whole.trace, whole.ties
+        )

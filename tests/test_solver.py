@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from wgscatter import configs, solver
 from wgscatter.core import (
     AtomSpec,
+    ConfigError,
     CouplingLeg,
     DegenerateConfigError,
     IncidentWave,
@@ -18,6 +19,7 @@ from wgscatter.core import (
     rates_from_amplitudes,
 )
 from wgscatter.sweep import (
+    FAMILIES,
     ILL_FORWARD,
     ILL_REVERSE,
     SOLVER_BLOCK,
@@ -26,6 +28,14 @@ from wgscatter.sweep import (
     SweepSpec,
     run_sweep,
 )
+
+#: Every route of the family table: "<family>" is the forward route and
+#: "<family>_reverse" the reverse one.
+ROUTES = {
+    f"{name}{suffix}": getattr(family, direction)
+    for name, family in FAMILIES.items()
+    for direction, suffix in (("forward", ""), ("reverse", "_reverse"))
+}
 
 
 def single_atom_config(gamma: float, delta: float) -> SystemConfig:
@@ -232,6 +242,60 @@ class TestBlockSolve:
             amps = solver.solve(cell)
             assert result.outgoing[j].tobytes() == np.array(amps.outgoing()).tobytes()
             assert bool(result.ill_conditioned[j]) == ("ill_conditioned" in amps.flags)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_per_cell_rates_are_bitwise_per_cell(self, route):
+        """Rates, detunings and phases all vary over the block: its outgoing
+        amplitudes and full solution equal each cell's own solve."""
+        rng = np.random.default_rng(sorted(ROUTES).index(route))
+        r = ROUTES[route]
+        gammas = tuple(rng.uniform(0.0, 3.0, (4, 60)))
+        delta = rng.uniform(-10.0, 10.0, 60)
+        phases = {name: rng.uniform(0.0, 2 * np.pi, 60) for name in r.phases}
+        result = solver.solve_batch(r.config(gammas, delta, phases))
+        assert not result.singular.any()
+        column = {label: k for k, label in enumerate(result.labels)}
+        for j in range(60):
+            cell = r.config(
+                tuple(float(g[j]) for g in gammas),
+                float(delta[j]),
+                {name: float(p[j]) for name, p in phases.items()},
+            )
+            amps = solver.solve(cell)
+            assert result.outgoing[j].tobytes() == np.array(amps.outgoing()).tobytes()
+            system = solver.assemble(solver.build_layout(cell), cell, cell.energy)
+            x = np.linalg.solve(system.matrix, system.rhs)
+            assert result.labels == system.labels
+            assert result.x[j].tobytes() == x.tobytes()
+            assert set(result.interior) == set(amps.interior)
+            for label, pair in amps.interior.items():
+                right = result.x[j, column[f"{label}:R"]]
+                left = result.x[j, column[f"{label}:L"]]
+                assert (right, left) == pair
+
+    def test_condition_check_can_be_skipped(self):
+        block = configs.giant((0.5, 1.0, 1.5, 0.7), np.linspace(-1.0, 1.0, 5), 0.4, 1.1)
+        checked = solver.solve_batch(block)
+        unchecked = solver.solve_batch(block, check_conditioning=False)
+        assert checked.ill_conditioned is not None and unchecked.ill_conditioned is None
+        assert unchecked.x.tobytes() == checked.x.tobytes()
+
+    def test_block_cells_share_one_active_leg_pattern(self):
+        gammas = (np.array([1.0, 1.0]), 1.0, 1.0, np.array([0.5, 0.0]))
+        with pytest.raises(ValueError, match="active-leg pattern"):
+            solver.solve_batch(configs.giant(gammas, np.array([0.1, 0.2]), 0.3, 0.4))
+        zero = (np.array([1.0, 1.0]), 1.0, 1.0, np.zeros(2))
+        result = solver.solve_batch(configs.giant(zero, np.array([0.1, 0.2]), 0.3, 0.4))
+        assert not any(label.startswith("N_q") for label in result.labels)
+
+    @pytest.mark.parametrize("where", range(4))
+    def test_negative_rate_entry_is_rejected(self, where):
+        gammas = [np.ones(3) for _ in range(4)]
+        gammas[where] = np.array([1.0, -1e-300, 1.0])
+        with pytest.raises(ConfigError):
+            configs.giant(tuple(gammas), np.zeros(3), 0.1, 0.2)
+        with pytest.raises(ConfigError):
+            CouplingLeg(0, "M", "ge", 0.0, gammas[where])
 
     def test_block_must_be_one_dimensional(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -418,6 +419,21 @@ def test_route_amplitudes_rejects_bad_rates(gammas, direction):
     route = getattr(FAMILIES["giant"], direction)
     with pytest.raises(ConfigError, match="gammas"):
         route.amplitudes(gammas, 0.0, {"phi1_prime": 0.3, "phi2_prime": 0.1})
+
+
+def test_singular_cells_raise_no_overflow_warning():
+    """Rates near 1e100 and a subnormal on resonance overflow the terminated
+    reverse kernel's divisions; the cells are flagged, with no warning."""
+    spec = SweepSpec(
+        "semi_infinite",
+        (0.0, 1e100, 0.0, 2.3e-307),
+        PhaseModel(),
+        Axis(-5e-324, 5e-324, 3),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_sweep(spec)
+    assert (result.codes == SINGULAR).all()
 
 
 def test_rates_from_fields_sets_eta_to_zero_without_guide_n_output():

@@ -830,6 +830,97 @@ def test_flagged_json_matches_golden_digest(tmp_path, doc, engine, flag, digest)
     assert actual == digest
 
 
+def search_objective(kind, free, **extra):
+    """A giant objective with ``free`` bounds over fixed rates and phases."""
+    parameters = {
+        "gamma1": {"fixed": 0.7},
+        "gamma2": {"fixed": 1.1},
+        "gamma3": {"linked": "gamma1", "factor": 1.3},
+        "gamma4": {"fixed": 0.4},
+        "phi1_prime": {"fixed": 0.3},
+        "phi2_prime": {"fixed": 1.2},
+        "tau": {"fixed": 0.5},
+    }
+    parameters.update(free)
+    doc = base_config(objective={"kind": kind, "parameters": parameters, **extra})
+    doc["system"]["family"] = "giant"
+    return doc
+
+
+#: Search objectives with 1 to 3 free parameters and their budgets.  In
+#: "singular_edge" the refinement closes in on phi1_prime = pi, where every
+#: resonance denominator vanishes, and probes that singular point twice.
+SEARCH_CASES = {
+    "conversion_1d": (
+        search_objective(
+            "conversion_merit",
+            {"gamma1": {"bounds": [0.01, 3.0]}, "gamma3": {"fixed": 1.0}},
+            min_reverse=2 * 0.32 / 1.32**2,
+        ),
+        400,
+    ),
+    "isolation_2d": (
+        search_objective(
+            "isolation_contrast",
+            {"gamma1": {"bounds": [0.05, 2.0]}, "gamma2": {"bounds": [0.1, 1.5]}},
+            min_reverse=0.1,
+        ),
+        300,
+    ),
+    "conversion_3d": (
+        search_objective(
+            "conversion_merit",
+            {
+                "gamma2": {"bounds": [0.1, 2.0]},
+                "gamma4": {"bounds": [0.05, 1.5]},
+                "phi1_prime": {"bounds": [0.0, 1.0]},
+            },
+            purity_weight=1.5,
+            rate_weight=0.8,
+            min_reverse=0.2,
+        ),
+        500,
+    ),
+    "singular_edge": (
+        search_objective("isolation_contrast", {"phi1_prime": {"bounds": [2.0, math.pi]}}),
+        600,
+    ),
+}
+
+#: `search` report digests (text, then `--json`), taken while the
+#: golden-section refinement evaluated every probe afresh.
+SEARCH_DIGESTS = {
+    "conversion_1d": (
+        "929a2731803705b154faad0d73c4056a86b5f0b275db56fccadf78a57a95ca13",
+        "ad5d66f6a3a10e877ea393a39e9024e9aaaadb8b5bd69386498c96c5be1f5b80",
+    ),
+    "conversion_3d": (
+        "32c8349bee774a1ae5d917668da42e91e608031d010b71f7d48f6d65919a1343",
+        "c372bc2b1bbb173c8eae9f3af9a651b391b0467720b431c99a522675c7eea650",
+    ),
+    "isolation_2d": (
+        "d7c75b4a5d06ddc543e8f11349731a61a9651b1902110452735205421d5cfe13",
+        "21b677b336d174c8a4bdcfeda9afacddb708329e024b6bd2bb9f2485a7e700ea",
+    ),
+    "singular_edge": (
+        "e4ce54b9ed61052a08f3ef31a557b83b24cecdc33c1b50ef1b205e332e7bcf6c",
+        "10a8018b82bd34c71473f8df2cd50e1524b6570aa47bbbabc95e2dcf8031440d",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_search_report_matches_golden_digest(tmp_path, case):
+    doc, budget = SEARCH_CASES[case]
+    cfg = write_config(tmp_path, doc)
+    digests = []
+    for fmt, name in (([], "report.txt"), (["--json"], "report.json")):
+        out = tmp_path / name
+        assert cli.main(["search", cfg, "--budget", str(budget), "--out", str(out)] + fmt) == 0
+        digests.append(sha256_of(out))
+    assert tuple(digests) == SEARCH_DIGESTS[case]
+
+
 # ---------------------------------------------------------------------------
 # The chunked writer against the per-cell formatting it replaced
 # ---------------------------------------------------------------------------

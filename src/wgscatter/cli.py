@@ -14,6 +14,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -340,7 +341,19 @@ def _load_config(path: str) -> dict:
 
 
 def _create(path):
-    """open(path, "w"); a path that cannot be written is a config error."""
+    """open(path, "w") on a new file; a path that cannot be written is a
+    config error.
+
+    An existing regular file is unlinked first, so the output is a new file
+    (default permissions; other hard links keep the old content): on some
+    file systems truncating a just-written file in place stalls for tens to
+    hundreds of milliseconds.  A symlink, device or FIFO is opened as it is.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except OSError:
+        pass  # missing, or not removable: the open below decides
     try:
         return open(path, "w")
     except OSError as exc:

@@ -780,6 +780,43 @@ def test_family_spectrum_matches_golden_digest(tmp_path, family, regime, engine)
     assert sha256_of(out) == ENGINE_DIGESTS[family, regime, engine]
 
 
+class TestOutputFileReplaced:
+    """An existing regular output file is unlinked and written anew."""
+
+    CASE = ("giant", "markovian", "both")
+
+    def spectrum(self, tmp_path, out):
+        cfg = write_config(tmp_path, family_config(*self.CASE[:2]))
+        assert cli.main(["spectrum", cfg, "--engine", self.CASE[2], "--out", str(out)]) == 0
+
+    def test_repeated_runs_give_the_golden_bytes(self, tmp_path):
+        out = tmp_path / "out.csv"
+        old = "an older, longer file\n" * 10_000
+        out.write_text(old)
+        other_link = tmp_path / "other_link.csv"
+        os.link(out, other_link)
+        for _ in range(2):
+            self.spectrum(tmp_path, out)
+            assert sha256_of(out) == ENGINE_DIGESTS[self.CASE]
+        assert other_link.read_text() == old
+
+    def test_symlinked_out_stays_a_symlink(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        out = tmp_path / "link.csv"
+        out.symlink_to(target)
+        self.spectrum(tmp_path, out)
+        assert out.is_symlink()
+        assert sha256_of(target) == ENGINE_DIGESTS[self.CASE]
+
+    def test_figure_twice_into_one_directory(self, tmp_path):
+        argv = ["figure", "fig9", "--out-dir", str(tmp_path), "--delta-count", "51"]
+        for _ in range(2):
+            assert cli.main(argv + ["--phase-count", "3"]) == 0
+            panels = {p.name: sha256_of(p) for p in tmp_path.glob("*.csv")}
+            assert panels == PRESET_DIGESTS["fig9"]
+
+
 #: `spectrum --engine both --json` output of `family_config` for every family
 #: and regime, taken before flags were stored as one code per cell.
 JSON_DIGESTS = {

@@ -216,13 +216,23 @@ class _Tracker:
         self.best_point: tuple[float, ...] | None = None
         self.trace: list[tuple[int, float, tuple[float, ...]]] = []
         self.ties = 0
+        #: Objective value of each point `evaluate` has computed (-inf where
+        #: singular).  Grid values stay out: the broadcast path may differ
+        #: from the one-point path in the last bits.  0.0 and -0.0 share a
+        #: key; the rates are the same at both.
+        self.values: dict[tuple[float, ...], float] = {}
 
     def evaluate(self, point: tuple[float, ...]) -> float:
-        params = self.obj.resolve(dict(zip(self.names, point)))
-        try:
-            value = _objective_value(self.obj, rates_at_resonance(params))
-        except SingularityError:
-            value = -math.inf
+        """Evaluate one point; a point seen before reuses its value but is
+        still recorded, so it counts and ties as a fresh evaluation would."""
+        value = self.values.get(point)
+        if value is None:
+            params = self.obj.resolve(dict(zip(self.names, point)))
+            try:
+                value = _objective_value(self.obj, rates_at_resonance(params))
+            except SingularityError:
+                value = -math.inf
+            self.values[point] = value
         return self.record(point, value)
 
     def scan(self, grids: list[np.ndarray]) -> None:

@@ -275,6 +275,14 @@ def grid_refine_search(obj: Objective, budget: int = 2000) -> SearchReport:
     names = obj.free_names()
     bounds = {n: obj.parameters[n] for n in names}
     ndim = len(names)
+    # The fewest evaluations a search makes: three grid points per axis,
+    # then two golden-section probes per axis.
+    least = 3**ndim + 2 * ndim
+    if budget < least:
+        raise ConfigError(
+            f"a search budget of {budget} is below the {least} evaluations "
+            f"that {ndim} free parameters need"
+        )
     tracker = _Tracker(obj)
 
     per_dim = max(3, int((budget // 2) ** (1.0 / ndim)))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wgscatter import cli
+from wgscatter import search as search_mod
 from wgscatter.core import PHASE_NAMES, ConfigError, PhaseModel
 from wgscatter.sweep import (
     ETA_UNDEFINED,
@@ -540,6 +541,51 @@ class TestSearchCommand:
         assert cli.main(["search", cfg, "--budget", "100"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and family in err
+
+    #: Free parameters in the order they are added; gamma3 is free only when
+    #: all six are, and otherwise linked to gamma1 (a missing gamma3 would be
+    #: fixed at 0).
+    FREE_BOUNDS = {
+        "gamma1": [0.05, 2.0],
+        "gamma2": [0.1, 1.5],
+        "gamma4": [0.05, 1.2],
+        "phi1_prime": [0.0, 1.0],
+        "phi2_prime": [0.0, 2.5],
+        "gamma3": [0.2, 1.8],
+    }
+
+    def evaluations(self, tmp_path, n_free, budget):
+        """`search` on ``n_free`` free parameters: its exit code and, on
+        success, the evaluation count it reports."""
+        free = {name: {"bounds": b} for name, b in list(self.FREE_BOUNDS.items())[:n_free]}
+        doc = search_objective("isolation_contrast", free, min_reverse=0.0)
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "report.json"
+        code = cli.main(["search", cfg, "--budget", str(budget), "--json", "--out", str(out)])
+        return code, json.loads(out.read_text())["evaluations"] if code == 0 else None
+
+    @pytest.mark.parametrize("n_free", range(1, 7))
+    def test_evaluations_never_exceed_budget(self, tmp_path, capsys, n_free):
+        least = 3**n_free + 2 * n_free
+        for budget in sorted({100, 101, 250, least - 1, least, least + 1, 777, 1500}):
+            if budget < 100:
+                continue
+            code, evaluations = self.evaluations(tmp_path, n_free, budget)
+            if budget < least:
+                assert code == 2
+                assert capsys.readouterr().err.startswith("config error: a search budget")
+            else:
+                assert code == 0 and evaluations <= budget
+
+    def test_six_free_parameters_need_741_evaluations(self, tmp_path, capsys, monkeypatch):
+        with monkeypatch.context() as patch:
+            # Any evaluation would call None and fail.
+            patch.setattr(search_mod, "_objective_values", None)
+            patch.setattr(search_mod, "rates_at_resonance", None)
+            assert self.evaluations(tmp_path, 6, 740) == (2, None)
+        err = capsys.readouterr().err
+        assert "budget of 740 is below the 741 evaluations" in err
+        assert self.evaluations(tmp_path, 6, 741) == (0, 741)
 
 
 class TestDumpConfig:

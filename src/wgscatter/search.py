@@ -8,6 +8,9 @@ points as arrays, one broadcast `Family.closed_rates` call per chunk of
 GRID_CHUNK points, and then scans the values in grid order with the same
 record rule the refinement applies to each of its points, so it counts,
 traces and breaks ties exactly as evaluating point by point would.  The
+refinement evaluates one point at a time; a probe at a point it has already
+evaluated reuses that value, and is counted, traced and tie-broken as a fresh
+one.  The search never makes more evaluations than its budget.  The
 search is fully deterministic: ties are broken toward the lexicographically
 smallest parameter vector, so no randomness is involved.  Every reported
 optimum is re-verified against the boundary-matching solver before it is

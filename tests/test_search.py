@@ -328,10 +328,7 @@ class TestRevisitedProbes:
     @pytest.mark.parametrize("case", sorted(REVISIT_CASES))
     def test_one_rates_call_per_distinct_probe(self, case, monkeypatch):
         obj, budget = REVISIT_CASES[case]
-        try:
-            report, calls, _, probes = counted_search(obj, budget, monkeypatch)
-        except NoFeasiblePointError:
-            pytest.skip("no feasible grid point")
+        report, calls, _, probes = counted_search(obj, budget, monkeypatch)
         # One call per distinct probe, plus one for the reported rates.
         assert calls == len({point for point, _ in probes}) + 1
         with monkeypatch.context() as patch:

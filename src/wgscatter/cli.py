@@ -53,10 +53,11 @@ def _require(block: dict, key: str, where: str):
 
 
 def _finite(value, where: str) -> float:
+    # Only JSON numbers: float() would also take true/false and "0.5".
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
     except OverflowError:
         number = math.inf  # a JSON integer past the float range
     if not math.isfinite(number):

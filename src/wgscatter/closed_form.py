@@ -4,10 +4,10 @@ Every family admits a closed solution of the boundary-matching problem; the
 functions here evaluate those solutions directly, with no linear solve, and
 form the second route of the closed-form/solver cross-check.  The kernel
 functions (`*_fields`) broadcast over numpy arrays of detuning and phases and
-back the sweep engine; `forward_amplitudes` and `reverse_amplitudes` turn
-scalar kernel output into full ScatterAmplitudes.  `sweep.FAMILIES` names
+back the sweep engine; `components` names their output as
+`ScatterAmplitudes.components` does, at any shape.  `sweep.FAMILIES` names
 the kernel of each family and direction, and `sweep.Route.amplitudes`
-reaches both steps from there.
+builds a full ScatterAmplitudes from one scalar point's components.
 
 Amplitude conventions follow the piecewise plane-wave ansatz used by the
 solver: each coefficient multiplies exp(+/- i kappa x) over its region.  In
@@ -17,11 +17,10 @@ and for giant atoms t4g = t3g * exp(-i phi1); at coinciding coupling points
 the pairs are exactly equal.
 
 Square roots of rate products use the non-negative real branch (couplings
-are real and positive).  Denominators smaller than DENOMINATOR_FLOOR (in
-units of the reference rate squared) raise SingularityError from
-`forward_amplitudes` and `reverse_amplitudes`; the kernels report them
-through a boolean mask instead so sweep grids can flag cells without
-aborting.
+are real and positive).  The kernels report denominators smaller than
+DENOMINATOR_FLOOR (in units of the reference rate squared) through a
+boolean mask, so sweep grids can flag cells without aborting;
+`sweep.Route.amplitudes` raises SingularityError on them.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import DENOMINATOR_FLOOR, ScatterAmplitudes, SingularityError
+from .core import DENOMINATOR_FLOOR, named_components
 
 
 def _quiet(fn):
@@ -224,57 +223,21 @@ def mirrored_reverse_fields(gamma1, gamma3, delta, phi3) -> SimpleNamespace:
         "N_k:1": (r4g, np.ones_like(r4g)),
     }
     return SimpleNamespace(
-        t1=t1, t3g=t3g, r4g=r4g, u1=u1,
+        t1=t1, t2=np.zeros_like(t1), t3g=t3g, r4g=r4g, u1=u1,
         interior=interior, singular=_singular_mask(den),
     )
 
 
-# ---------------------------------------------------------------------------
-# Scalar operations returning full amplitude sets.
-# ---------------------------------------------------------------------------
+def components(port: int, fields) -> dict:
+    """Kernel output by component name (see `core.named_components`);
+    values keep the kernel's shape.
 
-
-def _scalar_interior(interior) -> dict[str, tuple[complex, complex]]:
-    return {
-        label: (complex(pair[0]), complex(pair[1])) for label, pair in interior.items()
-    }
-
-
-def forward_amplitudes(f, params) -> ScatterAmplitudes:
-    """Scalar forward kernel output as a full port-1 amplitude set.
-
-    ``params`` names the point in the SingularityError message.
+    ``port`` is the route's incident port: 1 for a forward kernel, 4 for a
+    reverse one, which has no guide-N q-channel output.
     """
-    _raise_if_singular_fields(f, params)
-    return ScatterAmplitudes(
-        incident_port=1,
-        m_left=complex(f.r1),
-        m_right=complex(f.t2),
-        n_left_k=complex(f.t3g),
-        n_right_k=complex(f.t4g),
-        n_left_q=complex(f.t3s),
-        n_right_q=complex(f.t4s),
-        interior=_scalar_interior(f.interior),
-        excited=(complex(f.u1), complex(f.u2)),
-    )
-
-
-def reverse_amplitudes(f, params) -> ScatterAmplitudes:
-    """Scalar reverse kernel output as a full port-4 amplitude set."""
-    _raise_if_singular_fields(f, params)
-    return ScatterAmplitudes(
-        incident_port=4,
-        m_left=complex(f.t1),
-        m_right=complex(getattr(f, "t2", 0.0)),
-        n_left_k=complex(f.t3g),
-        n_right_k=complex(f.r4g),
-        n_left_q=0.0j,
-        n_right_q=0.0j,
-        interior=_scalar_interior(f.interior),
-        excited=(complex(f.u1),),
-    )
-
-
-def _raise_if_singular_fields(f, params) -> None:
-    if bool(np.any(f.singular)):
-        raise SingularityError(f"vanishing denominator at {params!r}")
+    f = fields
+    if port == 1:
+        return named_components(
+            (f.r1, f.t2, f.t3g, f.t4g, f.t3s, f.t4s), f.interior, (f.u1, f.u2)
+        )
+    return named_components((f.t1, f.t2, f.t3g, f.r4g, 0.0, 0.0), f.interior, (f.u1,))

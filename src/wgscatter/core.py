@@ -216,6 +216,26 @@ class SystemConfig:
         return self.atoms[0].omega_1 + self.incident.delta
 
 
+#: Outgoing ports in `ScatterAmplitudes.outgoing` order, named as its fields.
+PORTS = ("m_left", "m_right", "n_left_k", "n_right_k", "n_left_q", "n_right_q")
+
+
+def named_components(outgoing, interior: Mapping, excited) -> dict:
+    """Amplitudes by name: the `PORTS`, then ``"<region>:R"`` and ``":L"``
+    for each interior region, then ``"u_e<atom>"`` counting atoms from 1.
+
+    The one naming of amplitude components that both engines' maps and
+    `ScatterAmplitudes.components` share; values may have any shape.
+    """
+    items = dict(zip(PORTS, outgoing))
+    for label, (right, left) in interior.items():
+        items[f"{label}:R"] = right
+        items[f"{label}:L"] = left
+    for atom, u in enumerate(excited, 1):
+        items[f"u_e{atom}"] = u
+    return items
+
+
 def region_label(channel: str, index: int) -> str:
     """Label of one piecewise region, e.g. ``"M_k:1"``."""
     return f"{channel}:{index}"
@@ -247,14 +267,24 @@ class ScatterAmplitudes:
     flags: tuple[str, ...] = ()
 
     def outgoing(self) -> tuple[complex, ...]:
-        return (
-            self.m_left,
-            self.m_right,
-            self.n_left_k,
-            self.n_right_k,
-            self.n_left_q,
-            self.n_right_q,
-        )
+        return tuple(getattr(self, name) for name in PORTS)
+
+    def components(self) -> dict[str, complex]:
+        """Every amplitude by name, as `named_components` keys them."""
+        return named_components(self.outgoing(), self.interior, self.excited)
+
+    @classmethod
+    def from_components(cls, port: int, items: Mapping, flags=()) -> ScatterAmplitudes:
+        """Inverse of `components`.  Values may be Python or 0-d numpy
+        numbers; each becomes a complex."""
+        values = {key: complex(value) for key, value in items.items()}
+        interior = {
+            key[:-2]: (value, values[key[:-2] + ":L"])
+            for key, value in values.items()
+            if key.endswith(":R")
+        }
+        excited = tuple(value for key, value in values.items() if key.startswith("u_e"))
+        return cls(port, *(values[name] for name in PORTS), interior, excited, tuple(flags))
 
 
 @dataclass(frozen=True)
@@ -384,17 +414,22 @@ def rates_from_amplitudes(amps: ScatterAmplitudes) -> TransferRates:
     )
 
 
+def abs2(z):
+    """|z|^2 elementwise, bit-identical to Python's ``abs(z) ** 2``: np.hypot
+    and float_power(p, 2.0) compute what abs(complex) and float ** 2 do."""
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+
+
 def rates_from_outgoing(outgoing: np.ndarray, incident_port: int):
     """`rates_from_amplitudes` over a block of outgoing amplitude sets.
 
     ``outgoing`` has one row per cell in `ScatterAmplitudes.outgoing` order.
     Returns the `TransferRates.as_row` values as a (7, cells) array and the
     mask of cells where eta is undefined (forward incidence only).  Each
-    value is bit-identical to the scalar function's: np.hypot and
-    float_power(p, 2.0) compute what Python's abs(complex) and float ** 2
-    compute, and the probabilities are summed in the same order.
+    value is bit-identical to the scalar function's: `abs2` gives its
+    probabilities, and they are summed in the same order.
     """
-    probs = [np.float_power(np.hypot(z.real, z.imag), 2.0) for z in outgoing.T]
+    probs = [abs2(z) for z in outgoing.T]
     p_m_left, p_m_right, p_nl_k, p_nr_k, p_nl_q, p_nr_q = probs
     rows = np.zeros((7, len(outgoing)))
     rows[6] = np.abs(sum(probs) - 1.0)

@@ -53,6 +53,7 @@ from .core import (
     ScatterAmplitudes,
     SystemConfig,
     _holds,
+    named_components,
     region_label,
 )
 
@@ -311,54 +312,42 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> LinearSystem:
     return LinearSystem(stack, rhs, idx.labels, idx)
 
 
-def _outgoing_columns(layout: ChannelLayout, idx: _Index) -> tuple[int | None, ...]:
-    """Unknown of each outgoing port in `ScatterAmplitudes.outgoing` order.
+def _outgoing(layout: ChannelLayout, idx: _Index, x: np.ndarray) -> np.ndarray:
+    """Port values of one solution or a block, in `ScatterAmplitudes.outgoing`
+    order on the last axis.
 
-    None marks a port with no channel, or the right end of a terminated one.
+    A port with no channel, or the right end of a terminated one, is 0.
     """
-    columns: list[int | None] = []
-    for name in (CH_M_K, CH_N_K, CH_N_Q):
+    outgoing = np.zeros(x.shape[:-1] + (6,), dtype=complex)
+    for pair, name in enumerate((CH_M_K, CH_N_K, CH_N_Q)):
         ch = next((c for c in layout.channels if c.name == name), None)
         if ch is None:
-            columns += [None, None]
-        else:
-            last = ch.n_regions - 1
-            columns += [
-                idx.left(name, 0),
-                None if ch.terminated else idx.right(name, last),
-            ]
-    return tuple(columns)
+            continue
+        outgoing[..., 2 * pair] = x[..., idx.left(name, 0)]
+        if not ch.terminated:
+            outgoing[..., 2 * pair + 1] = x[..., idx.right(name, ch.n_regions - 1)]
+    return outgoing
 
 
-def _extract(
-    layout: ChannelLayout, idx: _Index, x: np.ndarray, cfg: SystemConfig, flags: tuple
-) -> ScatterAmplitudes:
-    m_left, m_right, n_left_k, n_right_k, n_left_q, n_right_q = (
-        0.0j if col is None else complex(x[col]) for col in _outgoing_columns(layout, idx)
-    )
+def components(x, labels, interior, outgoing, atoms: int) -> dict:
+    """A solution by component name (see `core.named_components`).
 
-    columns = dict(zip(idx.labels, x.tolist()))
-    interior = {
-        label: (columns[f"{label}:R"], columns[f"{label}:L"])
-        for label in _interior(layout)
+    ``x`` is one cell's solution or a block's, one unknown per last-axis
+    column named by ``labels``; ``interior`` names the reported regions,
+    ``outgoing`` holds the port values on its last axis and ``atoms`` is
+    the configuration's atom count.  An atom with no active leg gets 0.
+    """
+    column = {label: k for k, label in enumerate(labels)}
+    pairs = {
+        label: (x[..., column[f"{label}:R"]], x[..., column[f"{label}:L"]])
+        for label in interior
     }
-
-    excited = tuple(
-        complex(x[idx.atom_cols[a]]) if a in idx.atom_cols else 0.0j
-        for a in range(len(cfg.atoms))
-    )
-    return ScatterAmplitudes(
-        incident_port=cfg.incident.port,
-        m_left=m_left,
-        m_right=m_right,
-        n_left_k=n_left_k,
-        n_right_k=n_right_k,
-        n_left_q=n_left_q,
-        n_right_q=n_right_q,
-        interior=interior,
-        excited=excited,
-        flags=flags,
-    )
+    inactive = np.zeros(x.shape[:-1], dtype=complex)
+    excited = [
+        x[..., column[f"u_e{atom}"]] if f"u_e{atom}" in column else inactive
+        for atom in range(1, atoms + 1)
+    ]
+    return named_components(np.moveaxis(outgoing, -1, 0), pairs, excited)
 
 
 def _ill_conditioned(matrix: np.ndarray) -> np.ndarray:
@@ -397,7 +386,9 @@ def solve(cfg: SystemConfig) -> ScatterAmplitudes:
     flags: tuple[str, ...] = ()
     if _ill_conditioned(system.matrix):
         flags = ("ill_conditioned",)
-    return _extract(layout, system._index, x, cfg, flags)
+    outgoing = _outgoing(layout, system._index, x)
+    items = components(x, system.labels, _interior(layout), outgoing, len(cfg.atoms))
+    return ScatterAmplitudes.from_components(cfg.incident.port, items, flags)
 
 
 def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockSolution:
@@ -407,10 +398,10 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
     over the block, and so may be each leg's gamma (the `configs` builders
     make them from array rates, detunings and phases).  One stacked solve
     covers the block; if any cell is exactly singular, the cells are solved
-    one by one and only those that fail are marked singular.  A cell whose solution is not finite is marked singular
-    too, as `solve` raises on it.  ``check_conditioning=False`` skips the
-    condition check, whose stacked inverse holds as much memory again as
-    the block's matrices.
+    one by one and only those that fail are marked singular.  A cell whose
+    solution is not finite is marked singular too, as `solve` raises on it.
+    ``check_conditioning=False`` skips the condition check, whose stacked
+    inverse holds as much memory again as the block's matrices.
     """
     if np.ndim(cfg.energy) != 1:
         raise ValueError("solve_batch needs a 1-D block of cells")
@@ -437,10 +428,7 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
         singular |= unresolved
         x[unresolved] = 0.0
     ill_conditioned = _ill_conditioned(matrix) if check_conditioning else None
-    outgoing = np.zeros((len(matrix), 6), dtype=complex)
-    for port, col in enumerate(_outgoing_columns(layout, system._index)):
-        if col is not None:
-            outgoing[:, port] = x[:, col]
+    outgoing = _outgoing(layout, system._index, x)
     return BlockSolution(
         outgoing, singular, ill_conditioned, x, system.labels, _interior(layout)
     )

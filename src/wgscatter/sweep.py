@@ -12,7 +12,8 @@ FAMILIES is the one table of configuration families: for each incidence
 direction it names the closed-form kernel, the solver config builder and
 the phase constants they take.  Sweeps, search and validation all dispatch
 through it, and `Route.amplitudes` gives one direction's full closed-form
-amplitude set at a scalar point.
+amplitude set at a scalar point, from the kernel's named components
+(`closed_form.components`).
 
 Grid cells whose denominators fall below the singularity floor are not
 errors: they carry the value of the nearest previously valid cell along the
@@ -46,6 +47,7 @@ from .core import (
     ConfigError,
     PhaseModel,
     ScatterAmplitudes,
+    SingularityError,
     SystemConfig,
     TransferRates,
     rates_from_outgoing,
@@ -115,15 +117,18 @@ class Route:
         return getattr(configs, self.builder)(*self._args(gammas, delta, phases))
 
     def amplitudes(self, gammas, delta, phases: Mapping) -> ScatterAmplitudes:
-        """Full closed-form amplitude set at one scalar point.
+        """Full closed-form amplitude set at one scalar point: the kernel's
+        `closed_form.components` as a ScatterAmplitudes.
 
         Raises ConfigError on bad rates and SingularityError where the
         kernel's denominator vanishes.
         """
         _check_gammas(gammas)
-        to_amplitudes = cf.forward_amplitudes if self.port == 1 else cf.reverse_amplitudes
-        point = (self.kernel, gammas, delta, phases)
-        return to_amplitudes(self.fields(gammas, delta, phases), point)
+        fields = self.fields(gammas, delta, phases)
+        if np.any(fields.singular):
+            point = (self.kernel, gammas, delta, phases)
+            raise SingularityError(f"vanishing denominator at {point!r}")
+        return ScatterAmplitudes.from_components(self.port, cf.components(self.port, fields))
 
 
 @dataclass(frozen=True)
@@ -203,7 +208,7 @@ def rates_from_fields(fwd, rev):
         t_ns = abs(fwd.t3s) ** 2 + abs(fwd.t4s) ** 2
         r_m = abs(fwd.r1) ** 2
         t2 = abs(fwd.t2) ** 2
-        t_m_rev = abs(rev.t1) ** 2 + abs(getattr(rev, "t2", 0.0)) ** 2
+        t_m_rev = abs(rev.t1) ** 2 + abs(rev.t2) ** 2
         total_n = t_ng + t_ns
         rates = {
             "T_Ng": t_ng,

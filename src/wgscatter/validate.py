@@ -5,8 +5,10 @@ forward, point-coupled forward, point-coupled reverse, two-legged
 forward+reverse, terminated forward+reverse).  For each draw the closed-form
 amplitudes and the solver amplitudes are computed at the same physical
 parameters and compared componentwise (ports, interior regions and atomic
-amplitudes, matched by region label), and both routes are checked for
-probability conservation.
+amplitudes), and both routes are checked for probability conservation.
+Each engine names its output once, `closed_form.components` for kernel
+output and `solver.components` for a solved block, with the keys of
+`ScatterAmplitudes.components`; components are matched by those names.
 
 Draws run in rounds of ``len(FAMILY_NAMES) * SOLVER_BLOCK``, so memory does
 not grow with the draw count.  In a round each route makes one kernel call
@@ -32,12 +34,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import closed_form as cf
 from . import solver
 from .core import (
+    PORTS,
     DegenerateConfigError,
     InvalidAmplitudeError,
     ScatterAmplitudes,
     SingularityError,
+    abs2,
 )
 from .sweep import FAMILIES, SOLVER_BLOCK
 
@@ -64,8 +69,6 @@ ROUND = len(FAMILY_NAMES) * SOLVER_BLOCK
 #: four rates, the detuning and three phases.
 _LOW = np.array([0.0] * 4 + [-10.0] + [0.0] * 3)
 _HIGH = np.array([3.0] * 4 + [10.0] + [2.0 * np.pi] * 3)
-
-_PORTS = ("m_left", "m_right", "n_left_k", "n_right_k", "n_left_q", "n_right_q")
 
 #: Which of the three phases drawn per case feeds each phase constant.
 _DRAWN_PHASE = {"phi_a": 0, "phi_b": 1, "phi1_prime": 0, "phi2_prime": 1, "phi3": 2}
@@ -137,21 +140,10 @@ class ValidationReport:
         return out
 
 
-def _amplitude_items(a: ScatterAmplitudes) -> list[tuple[str, complex]]:
-    items = [(name, getattr(a, name)) for name in _PORTS]
-    for label in sorted(a.interior):
-        right, left = a.interior[label]
-        items.append((f"{label}:R", right))
-        items.append((f"{label}:L", left))
-    for i, u in enumerate(a.excited):
-        items.append((f"u_e{i + 1}", u))
-    return items
-
-
 def pair_discrepancy(closed: ScatterAmplitudes, numeric: ScatterAmplitudes) -> float:
     """Largest componentwise difference between the two amplitude routes."""
-    da = dict(_amplitude_items(closed))
-    db = dict(_amplitude_items(numeric))
+    da = closed.components()
+    db = numeric.components()
     if set(da) != set(db):
         missing = set(da) ^ set(db)
         raise AssertionError(f"amplitude sets disagree on components: {missing}")
@@ -164,49 +156,15 @@ def hybrid_residual(
     """Conservation residual of the closed amplitudes with the solver's values
     spliced into every component the closed route does not print."""
     total = 0.0
-    for name in _PORTS:
+    for name in PORTS:
         source = closed if name in printed else numeric
         total += abs(getattr(source, name)) ** 2
     return abs(total - 1.0)
 
 
-def _closed_components(route, f, cells: int) -> dict[str, np.ndarray]:
-    """Kernel output as arrays over the cells, keyed as `_amplitude_items`."""
-    if route.port == 1:
-        ports = (f.r1, f.t2, f.t3g, f.t4g, f.t3s, f.t4s)
-        excited = (f.u1, f.u2)
-    else:
-        ports = (f.t1, getattr(f, "t2", 0.0), f.t3g, f.r4g, 0.0, 0.0)
-        excited = (f.u1,)
-    items = dict(zip(_PORTS, ports))
-    for label, (right, left) in f.interior.items():
-        items[f"{label}:R"] = right
-        items[f"{label}:L"] = left
-    for i, u in enumerate(excited):
-        items[f"u_e{i + 1}"] = u
-    return {
-        key: np.broadcast_to(np.asarray(value, dtype=complex), (cells,))
-        for key, value in items.items()
-    }
-
-
-def _solver_components(sol: solver.BlockSolution, atoms: int) -> dict[str, np.ndarray]:
-    """A block's amplitudes keyed as `_amplitude_items`; an inactive atom's is 0."""
-    items = dict(zip(_PORTS, sol.outgoing.T))
-    column = {label: k for k, label in enumerate(sol.labels)}
-    for label in sol.interior:
-        for mover in ("R", "L"):
-            items[f"{label}:{mover}"] = sol.x[:, column[f"{label}:{mover}"]]
-    for atom in range(atoms):
-        k = column.get(f"u_e{atom + 1}")
-        items[f"u_e{atom + 1}"] = np.zeros(len(sol.x), complex) if k is None else sol.x[:, k]
-    return items
-
-
 def _probabilities(items: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """|z|^2 of each port, computed as `core.rates_from_outgoing` does, so
-    each value is bit-identical to Python's ``abs(z) ** 2``."""
-    return [np.float_power(np.hypot(items[p].real, items[p].imag), 2.0) for p in _PORTS]
+    """|z|^2 of each port, bit-identical to Python's ``abs(z) ** 2``."""
+    return [abs2(items[port]) for port in PORTS]
 
 
 def _residual(probs: list[np.ndarray]) -> np.ndarray:
@@ -225,7 +183,10 @@ def _check_route(label, route, gammas, delta, phases, draw, case, errors):
     """
     cells = len(delta)
     fields = route.fields(gammas, delta, phases)
-    closed = _closed_components(route, fields, cells)
+    closed = {
+        key: np.broadcast_to(np.asarray(value, dtype=complex), (cells,))
+        for key, value in cf.components(route.port, fields).items()
+    }
     point = (route.kernel, label)
     _first_error(
         errors, draw, np.broadcast_to(fields.singular, (cells,)), (0, case, 0),
@@ -256,7 +217,9 @@ def _check_route(label, route, gammas, delta, phases, draw, case, errors):
             errors, draw[group], sol.singular, (0, case, 1),
             lambda d: DegenerateConfigError(f"singular scattering system at {point!r}, draw {d}"),
         )
-        numeric = _solver_components(sol, len(cfg.atoms))
+        numeric = solver.components(
+            sol.x, sol.labels, sol.interior, sol.outgoing, len(cfg.atoms)
+        )
         if set(closed) != set(numeric):
             missing = set(closed) ^ set(numeric)
             _first_error(
@@ -269,7 +232,7 @@ def _check_route(label, route, gammas, delta, phases, draw, case, errors):
         hybrid[group] = _residual(
             [
                 c[group] if port in printed else n
-                for port, c, n in zip(_PORTS, closed_probs, numeric_probs)
+                for port, c, n in zip(PORTS, closed_probs, numeric_probs)
             ]
         )
         diff = np.array([closed[key][group] - numeric[key] for key in closed])

@@ -194,6 +194,37 @@ class TestSpectrum:
         assert captured.out == ""
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            pytest.param("system", "gamma", [True, 0.25, 1.0, 0.0], id="system-gamma-bool"),
+            pytest.param("system", "gamma", [1.0, "0.5", 1.0, 0.0], id="system-gamma-string"),
+            pytest.param("phases", "phi1_prime", "3.0", id="system-phases-string"),
+            pytest.param("system", "tau", False, id="system-tau-bool"),
+            pytest.param("delta", "min", "-1", id="delta-min-string"),
+            pytest.param("delta", "max", True, id="delta-max-bool"),
+            pytest.param("phase", "min", "0.5", id="phase-min-string"),
+            pytest.param("phase", "linkage", {"phi_a": True}, id="linkage-factor-bool"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["spectrum", "dump-config"])
+    def test_non_number_value_rejected(self, tmp_path, capsys, command, block, key, value):
+        """JSON booleans and numeric strings are not numbers."""
+        doc = base_config()
+        doc["sweep"]["phase"] = {"min": 0.5, "max": 0.5, "count": 3, "linkage": {"phi_a": 1.0}}
+        doc["system"]["family"] = "small_separated"
+        target = {
+            "system": doc["system"],
+            "phases": doc["system"]["phases"],
+            "delta": doc["sweep"]["delta"],
+            "phase": doc["sweep"]["phase"],
+        }[block]
+        target[key] = value
+        assert cli.main([command, write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and "must be a number" in captured.err
+        assert captured.out == ""
+
     def test_parse_failure_reports_location(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"system": \n}')
@@ -431,6 +462,28 @@ class TestSearchCommand:
         assert cli.main(["search", cfg, "--budget", "100"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
+
+    #: One JSON boolean or numeric string per objective key.
+    NON_NUMBER_EDITS = {
+        "fixed": lambda obj: obj["parameters"]["gamma2"].update(fixed="1.0"),
+        "bounds": lambda obj: obj["parameters"]["gamma1"].update(bounds=[True, 3.0]),
+        "factor": lambda obj: obj["parameters"].update(
+            gamma3={"linked": "gamma1", "factor": "2"}
+        ),
+        "purity_weight": lambda obj: obj.update(purity_weight=True),
+        "rate_weight": lambda obj: obj.update(rate_weight="1"),
+        "min_reverse": lambda obj: obj.update(min_reverse=False),
+    }
+
+    @pytest.mark.parametrize("key", sorted(NON_NUMBER_EDITS))
+    def test_non_number_objective_entry_exits_2(self, tmp_path, capsys, key):
+        doc = self.search_config(0.0)
+        self.NON_NUMBER_EDITS[key](doc["objective"])
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["search", cfg, "--budget", "100"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error:") and key in err and "must be a number" in err
 
     #: Malformed objective blocks, each of which once escaped main() as a
     #: traceback, ran a search that ignored part of an entry, or let a decay

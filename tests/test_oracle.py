@@ -6,6 +6,8 @@ equivalence of the round-based `run_validation` with a draw-by-draw
 reference.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from wgscatter import closed_form as cf
 from wgscatter import solver, validate
 from wgscatter.core import (
     DegenerateConfigError,
+    ScatterAmplitudes,
     SingularityError,
     rates_from_amplitudes,
 )
@@ -78,6 +81,65 @@ def test_wrong_terminated_reverse_kernel_detected(monkeypatch):
 
     monkeypatch.setattr(cf, "mirrored_reverse_fields", wrong)
     assert not run_validation(draws=20, seed=1).passed
+
+
+def swapping(a: str, b: str):
+    """`closed_form.components` with components ``a`` and ``b`` of forward
+    kernel output swapped."""
+    components = cf.components
+
+    def broken(port, fields):
+        items = components(port, fields)
+        if port == 1 and a in items:
+            items[a], items[b] = items[b], items[a]
+        return items
+
+    return broken
+
+
+def test_swapped_ports_detected(monkeypatch):
+    # Only the two-legged forward route has n_left_k != n_right_k.
+    monkeypatch.setattr(cf, "components", swapping("n_left_k", "n_right_k"))
+    report = run_validation(draws=50, seed=1)
+    assert not report.passed
+    assert report.max_discrepancy.value > 1e-10
+    assert report.max_discrepancy.where.startswith("giant_forward[")
+
+
+def test_swapped_interior_movers_detected(monkeypatch):
+    monkeypatch.setattr(cf, "components", swapping("M_k:1:R", "M_k:1:L"))
+    report = run_validation(draws=50, seed=1)
+    assert not report.passed
+    assert report.max_discrepancy.value > 1e-10
+
+
+#: The seven distinct routes: both small families share their reverse one.
+DISTINCT_ROUTES = {route.kernel: route for route in ROUTES.values()}
+
+
+def assert_round_trip(a: ScatterAmplitudes) -> None:
+    items = a.components()
+    back = ScatterAmplitudes.from_components(a.incident_port, items, a.flags)
+    assert back == a
+    assert list(back.components().items()) == list(items.items())
+
+
+@pytest.mark.parametrize("kernel", sorted(DISTINCT_ROUTES))
+def test_components_round_trip(kernel):
+    route = DISTINCT_ROUTES[kernel]
+    rng = np.random.default_rng(3)
+    g = tuple(rng.uniform(0.0, 3.0, 4))
+    phases = dict(zip(route.phases, rng.uniform(0.0, 2 * np.pi, len(route.phases))))
+    assert_round_trip(route.amplitudes(g, 0.7, phases))
+    assert_round_trip(solver.solve(route.config(g, 0.7, phases)))
+
+
+def test_flagged_components_round_trip():
+    route = FAMILIES["giant"].forward
+    cfg = route.config((1.0, 0.25, 1.0, 0.0), 0.0, {"phi1_prime": math.pi, "phi2_prime": 0.0})
+    a = solver.solve(cfg)
+    assert a.flags == ("ill_conditioned",)
+    assert_round_trip(a)
 
 
 # ---------------------------------------------------------------------------

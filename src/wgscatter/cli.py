@@ -261,7 +261,7 @@ def _metadata_lines(result: sweep_mod.SweepResult, extra: dict | None = None) ->
     return lines
 
 
-CSV_HEADER = "delta,phi,T_Ng,T_Ns,T_M_rev,R_M,T2,eta,residual,flags"
+CSV_HEADER = ",".join(("delta", "phi", *sweep_mod.RATE_FIELDS, "flags"))
 
 #: Data rows formatted per string operation; bounds the writer's memory.
 CSV_CHUNK_ROWS = 1024
@@ -497,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="run a sweep from a config file, emit CSV")
     p.add_argument("config")
-    p.add_argument("--engine", choices=("closed", "solver", "both"))
+    p.add_argument("--engine", choices=sweep_mod.ENGINES)
     p.add_argument("--out", default="-")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_spectrum)

@@ -63,8 +63,6 @@ BLOCKED_THRESHOLD = 1e-6
 #: Reverse throughput defining a usable isolation window.
 WINDOW_THRESHOLD = 0.45
 
-TWO_PI = 2.0 * math.pi
-
 #: Detunings per stacked solver block.  Bounds the block's memory (one
 #: 20x20 complex matrix per cell for the giant layout) on long rows.
 SOLVER_BLOCK = 128
@@ -436,12 +434,48 @@ class FigurePreset:
     panels: tuple[FigurePanel, ...]
 
 
-def _phase_sweep(name_factors) -> PhaseAxis:
-    return PhaseAxis(0.0, TWO_PI, DEFAULT_PHASE_COUNT, linkage=tuple(name_factors))
+#: Phase models of the presets: Markovian, and non-Markovian with tau = 1.
+_MARKOV = PhaseModel(regime=MARKOVIAN)
+_TAU_1 = PhaseModel(regime=NON_MARKOVIAN, tau=1.0)
+#: Phase linkages: phi_a with phi_b, phi1' alone, phi1' against phi2'.
+_PHI_AB = (("phi_a", 1.0), ("phi_b", 1.0))
+_PHI1 = (("phi1_prime", 1.0),)
+_PHI1_PHI2 = (("phi1_prime", 1.0), ("phi2_prime", -1.0))
+#: Panels of the giant isolation (figs 6, 8) and conversion (figs 7, 9) maps.
+_ISOLATION_PANELS = (("a", "main", "T_Ng"), ("b", "main", "T_M_rev"))
+_CONVERSION_PANELS = (
+    ("a", "ab", "T_Ng"), ("b", "ab", "T_Ns"), ("c", "cd", "T_Ng"), ("d", "cd", "T_Ns"),
+)
 
+#: The preset catalogue, by figure id: family, rates and phase model, then
+#: each sweep's phase linkage (None for a detuning-only spectrum) and the
+#: panels as (panel, sweep, column).
+_PRESETS = {
+    "fig2a": ("small_overlap", (1.0, 0.25, 1.0, 0.0), _MARKOV,
+              {"main": None}, (("", "main", "T_M_rev"),)),
+    "fig2b": ("small_overlap", (1.0, 1.0, 1.0, 0.0), _MARKOV,
+              {"main": None}, (("", "main", "T_M_rev"),)),
+    "fig3a": ("small_separated", (1.0, 0.25, 1.0, 0.0), _MARKOV,
+              {"main": _PHI_AB}, (("", "main", "T_Ng"),)),
+    "fig3b": ("small_separated", (1.0, 1.0, 1.0, 0.0), _MARKOV,
+              {"main": _PHI_AB}, (("", "main", "T_Ng"),)),
+    "fig4a": ("small_overlap", (0.32, 1.0, 1.0, 1.0), _MARKOV,
+              {"main": None}, (("", "main", "T_Ns"),)),
+    "fig4b": ("small_overlap", (0.25, 1.0, 1.0, 0.25), _MARKOV,
+              {"main": None}, (("", "main", "T_Ns"),)),
+    "fig6": ("giant", (1.0, 0.25, 1.0, 0.0), _MARKOV,
+             {"main": _PHI1}, _ISOLATION_PANELS),
+    "fig7": ("giant", (0.32, 1.0, 1.0, 1.0), _MARKOV,
+             {"ab": _PHI1, "cd": _PHI1_PHI2}, _CONVERSION_PANELS),
+    "fig8": ("giant", (1.0, 0.25, 1.0, 0.0), _TAU_1,
+             {"main": _PHI1}, _ISOLATION_PANELS),
+    "fig9": ("giant", (0.32, 1.0, 1.0, 1.0), _TAU_1,
+             {"ab": _PHI1, "cd": _PHI1_PHI2}, _CONVERSION_PANELS),
+    "fig10": ("semi_infinite", (0.32, 1.0, 1.0, 1.0), _MARKOV,
+              {"a": None, "b": (("phi3", 1.0),)}, (("a", "a", "T_Ns"), ("b", "b", "T_Ns"))),
+}
 
-def _delta_spectrum(family, gammas, pm) -> SweepSpec:
-    return SweepSpec(family, gammas, pm, DEFAULT_DELTA)
+FIGURE_IDS = tuple(_PRESETS)
 
 
 def figure_preset(figure_id: str) -> FigurePreset:
@@ -449,91 +483,20 @@ def figure_preset(figure_id: str) -> FigurePreset:
 
     Each preset fixes the decay rates, regime, axes and linkages for one
     catalogued figure; multi-panel figures carry one sweep per linkage
-    variant and one panel entry per exported table.
+    variant and one panel entry per exported table.  Every sweep spans
+    DEFAULT_DELTA and, if linked, DEFAULT_PHASE_COUNT phases over [0, 2pi].
     """
-    mk = PhaseModel(regime=MARKOVIAN)
     fid = figure_id.lower()
-    if fid == "fig2a":
-        spec = _delta_spectrum("small_overlap", (1.0, 0.25, 1.0, 0.0), mk)
-        return FigurePreset(fid, {"main": spec}, (FigurePanel("", "main", "T_M_rev"),))
-    if fid == "fig2b":
-        spec = _delta_spectrum("small_overlap", (1.0, 1.0, 1.0, 0.0), mk)
-        return FigurePreset(fid, {"main": spec}, (FigurePanel("", "main", "T_M_rev"),))
-    if fid in ("fig3a", "fig3b"):
-        gammas = (1.0, 0.25, 1.0, 0.0) if fid == "fig3a" else (1.0, 1.0, 1.0, 0.0)
-        spec = SweepSpec(
-            "small_separated",
-            gammas,
-            mk,
-            DEFAULT_DELTA,
-            _phase_sweep((("phi_a", 1.0), ("phi_b", 1.0))),
-        )
-        return FigurePreset(fid, {"main": spec}, (FigurePanel("", "main", "T_Ng"),))
-    if fid == "fig4a":
-        spec = _delta_spectrum("small_overlap", (0.32, 1.0, 1.0, 1.0), mk)
-        return FigurePreset(fid, {"main": spec}, (FigurePanel("", "main", "T_Ns"),))
-    if fid == "fig4b":
-        spec = _delta_spectrum("small_overlap", (0.25, 1.0, 1.0, 0.25), mk)
-        return FigurePreset(fid, {"main": spec}, (FigurePanel("", "main", "T_Ns"),))
-    if fid in ("fig6", "fig8"):
-        regime = mk if fid == "fig6" else PhaseModel(regime=NON_MARKOVIAN, tau=1.0)
-        spec = SweepSpec(
-            "giant",
-            (1.0, 0.25, 1.0, 0.0),
-            regime,
-            DEFAULT_DELTA,
-            _phase_sweep((("phi1_prime", 1.0),)),
-        )
-        return FigurePreset(
-            fid,
-            {"main": spec},
-            (FigurePanel("a", "main", "T_Ng"), FigurePanel("b", "main", "T_M_rev")),
-        )
-    if fid in ("fig7", "fig9"):
-        regime = mk if fid == "fig7" else PhaseModel(regime=NON_MARKOVIAN, tau=1.0)
-        gammas = (0.32, 1.0, 1.0, 1.0)
-        ab = SweepSpec(
-            "giant", gammas, regime, DEFAULT_DELTA, _phase_sweep((("phi1_prime", 1.0),))
-        )
-        cd = SweepSpec(
-            "giant",
-            gammas,
-            regime,
-            DEFAULT_DELTA,
-            _phase_sweep((("phi1_prime", 1.0), ("phi2_prime", -1.0))),
-        )
-        return FigurePreset(
-            fid,
-            {"ab": ab, "cd": cd},
-            (
-                FigurePanel("a", "ab", "T_Ng"),
-                FigurePanel("b", "ab", "T_Ns"),
-                FigurePanel("c", "cd", "T_Ng"),
-                FigurePanel("d", "cd", "T_Ns"),
-            ),
-        )
-    if fid == "fig10":
-        gammas = (0.32, 1.0, 1.0, 1.0)
-        spectrum = _delta_spectrum("semi_infinite", gammas, mk)
-        grid = SweepSpec(
-            "semi_infinite",
-            gammas,
-            mk,
-            DEFAULT_DELTA,
-            _phase_sweep((("phi3", 1.0),)),
-        )
-        return FigurePreset(
-            fid,
-            {"a": spectrum, "b": grid},
-            (FigurePanel("a", "a", "T_Ns"), FigurePanel("b", "b", "T_Ns")),
-        )
-    raise ConfigError(f"unknown figure id {figure_id!r}")
-
-
-FIGURE_IDS = (
-    "fig2a", "fig2b", "fig3a", "fig3b", "fig4a", "fig4b",
-    "fig6", "fig7", "fig8", "fig9", "fig10",
-)
+    if fid not in _PRESETS:
+        raise ConfigError(f"unknown figure id {figure_id!r}")
+    family, gammas, pm, linkages, panels = _PRESETS[fid]
+    sweeps = {}
+    for name, linkage in linkages.items():
+        axis = None
+        if linkage is not None:
+            axis = PhaseAxis(0.0, configs.TWO_PI, DEFAULT_PHASE_COUNT, linkage=linkage)
+        sweeps[name] = SweepSpec(family, gammas, pm, DEFAULT_DELTA, axis)
+    return FigurePreset(fid, sweeps, tuple(FigurePanel(*panel) for panel in panels))
 
 
 # ---------------------------------------------------------------------------

@@ -666,6 +666,12 @@ class TestDumpConfig:
         spec, _ = cli.parse_config(doc)
         assert spec == figure_preset("fig8").sweeps["main"]
 
+    @pytest.mark.parametrize("figure_id, key", [("fig7", "ab"), ("fig9", "ab"), ("fig10", "a")])
+    def test_multi_sweep_preset_dump_prints_first_sweep(self, capsys, figure_id, key):
+        assert cli.main(["dump-config", "--figure", figure_id]) == 0
+        spec, _ = cli.parse_config(json.loads(capsys.readouterr().out))
+        assert spec == figure_preset(figure_id).sweeps[key]
+
     def test_objective_round_trip(self, tmp_path, capsys):
         doc = base_config(
             objective={
@@ -755,6 +761,12 @@ def test_preset_panels_match_golden_digests(tmp_path, figure_id):
     assert cli.main(argv + ["--delta-count", "51", "--phase-count", "3"]) == 0
     panels = {p.name: sha256_of(p) for p in tmp_path.glob("*.csv")}
     assert panels == PRESET_DIGESTS[figure_id]
+
+
+def test_readme_lists_every_preset_id():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (line,) = [x for x in readme.read_text().splitlines() if x.startswith("Preset ids:")]
+    assert line == f"Preset ids: `{' '.join(FIGURE_IDS)}`."
 
 
 def giant_at_pi_config():

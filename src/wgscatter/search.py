@@ -3,18 +3,17 @@
 Objectives are evaluated from the closed forms at resonance (delta = 0),
 where the converted fraction depends only on rate ratios and the leg phases
 drop out of it.  The search is a coarse grid pass followed by coordinate-wise
-golden-section refinement around the best cell.  The grid pass evaluates its
-points as arrays, one broadcast `Family.closed_rates` call per chunk of
-GRID_CHUNK points, and then scans the values in grid order with the same
+golden-section refinement around the best cell.  One function scores both:
+the grid pass hands it GRID_CHUNK points at a time as arrays (one broadcast
+`Family.closed_rates` call) and scans the values in grid order with the
 record rule the refinement applies to each of its points, so it counts,
 traces and breaks ties exactly as evaluating point by point would.  The
-refinement evaluates one point at a time; a probe at a point it has already
-evaluated reuses that value, and is counted, traced and tie-broken as a fresh
-one.  The search never makes more evaluations than its budget.  The
-search is fully deterministic: ties are broken toward the lexicographically
-smallest parameter vector, so no randomness is involved.  Every reported
-optimum is re-verified against the boundary-matching solver before it is
-returned.
+refinement hands it one point at a time as 0-d values; a probe at a point
+it has already evaluated reuses that value, and is counted, traced and
+tie-broken as a fresh one.  The search never makes more evaluations than
+its budget.  It is fully deterministic: ties are broken toward the
+lexicographically smallest parameter vector.  Every reported optimum is
+re-verified against the boundary-matching solver before it is returned.
 """
 
 from __future__ import annotations
@@ -171,22 +170,14 @@ def rates_at_resonance(params: dict[str, float]) -> TransferRates:
     )
 
 
-def _objective_value(obj: Objective, rates: TransferRates) -> float:
-    if rates.t_m_rev < obj.min_reverse:
-        return -math.inf
-    if obj.kind == ISOLATION_CONTRAST:
-        return rates.t_m_rev - (rates.t_ng + rates.t_ns)
-    return rates.eta**obj.purity_weight * rates.t_ns**obj.rate_weight
-
-
 def _objective_values(obj: Objective, columns: dict[str, np.ndarray]) -> np.ndarray:
-    """`_objective_value` at many points: ``columns`` maps each free
-    parameter to its values; a singular point gets -inf."""
+    """The objective where ``columns`` maps each free parameter to its
+    values, of any shape (0-d for one point); a singular point or one below
+    ``min_reverse`` gets -inf."""
     params = obj.resolve(columns)
     gammas = tuple(params[f"gamma{i}"] for i in (1, 2, 3, 4))
     rates, singular, _ = GIANT.closed_rates(gammas, 0.0, params)
-    shape = np.shape(next(iter(columns.values())))
-    t_m_rev = np.broadcast_to(rates["T_M_rev"], shape)
+    t_m_rev = rates["T_M_rev"]
     if obj.kind == ISOLATION_CONTRAST:
         values = t_m_rev - (rates["T_Ng"] + rates["T_Ns"])
     else:
@@ -194,9 +185,7 @@ def _objective_values(obj: Objective, columns: dict[str, np.ndarray]) -> np.ndar
             np.float_power(rates["eta"], obj.purity_weight)
             * np.float_power(rates["T_Ns"], obj.rate_weight)
         )
-    values = np.array(np.broadcast_to(values, shape))
-    values[singular | (t_m_rev < obj.min_reverse)] = -math.inf
-    return values
+    return np.where(singular | (t_m_rev < obj.min_reverse), -math.inf, values)
 
 
 @dataclass
@@ -220,8 +209,8 @@ class _Tracker:
         self.trace: list[tuple[int, float, tuple[float, ...]]] = []
         self.ties = 0
         #: Objective value of each point `evaluate` has computed (-inf where
-        #: singular).  Grid values stay out: the broadcast path may differ
-        #: from the one-point path in the last bits.  0.0 and -0.0 share a
+        #: singular).  Grid values stay out: array arithmetic may differ
+        #: from 0-d arithmetic in the last bits.  0.0 and -0.0 share a
         #: key; the rates are the same at both.
         self.values: dict[tuple[float, ...], float] = {}
 
@@ -230,11 +219,7 @@ class _Tracker:
         still recorded, so it counts and ties as a fresh evaluation would."""
         value = self.values.get(point)
         if value is None:
-            params = self.obj.resolve(dict(zip(self.names, point)))
-            try:
-                value = _objective_value(self.obj, rates_at_resonance(params))
-            except SingularityError:
-                value = -math.inf
+            value = float(_objective_values(self.obj, dict(zip(self.names, point))))
             self.values[point] = value
         return self.record(point, value)
 

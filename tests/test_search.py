@@ -1,6 +1,7 @@
 """Derivative-free parameter search: anchors, plateau handling, properties,
-the broadcast grid stage against point-by-point evaluation, and the
-refinement's reuse of values at revisited probes."""
+the one objective at a point against a scalar reference and at arrays
+against its columns' shape, the broadcast grid stage against point-by-point
+evaluation, and the refinement's reuse of values at revisited probes."""
 
 import math
 import random
@@ -11,6 +12,9 @@ import pytest
 from wgscatter import search
 from wgscatter.core import NoFeasiblePointError, SingularityError
 from wgscatter.search import (
+    CONVERSION_MERIT,
+    ISOLATION_CONTRAST,
+    PARAM_NAMES,
     Bounds,
     Fixed,
     Linked,
@@ -135,17 +139,20 @@ class TestProperties:
         assert a.best_params == b.best_params
         assert a.trace == b.trace
 
+    # The closed forms give T_Ns = 0 and eta_undefined when gamma3 = 0, the
+    # solver T_Ns = 2.4e-35 and eta = 1, so the re-verification fails.
+    @pytest.mark.xfail(strict=True, raises=RuntimeError, reason="solver eta where T_N = 0")
+    @pytest.mark.parametrize("kind", [ISOLATION_CONTRAST, CONVERSION_MERIT])
+    def test_gamma3_zero_optimum_verifies(self, kind):
+        obj = conversion_objective(0.0, gamma3=Fixed(0.0))
+        obj = Objective(kind=kind, parameters=obj.parameters)
+        report = grid_refine_search(obj, budget=100)
+        assert report.solver_discrepancy <= 1e-10
+
 
 # ---------------------------------------------------------------------------
-# The broadcast grid stage against a point-by-point reference
+# Objectives shared by the sections below
 # ---------------------------------------------------------------------------
-
-
-def per_point_scan(self, grids):
-    """The grid stage as one `_Tracker.evaluate` per point, in row-major order."""
-    mesh = np.meshgrid(*grids, indexing="ij")
-    for point in np.stack([m.ravel() for m in mesh], axis=-1):
-        self.evaluate(tuple(float(x) for x in point))
 
 
 def fixed_giant(**free) -> dict:
@@ -204,6 +211,108 @@ def random_objective(rng: random.Random) -> Objective:
         rate_weight=rng.uniform(0.5, 3.0),
         min_reverse=rng.uniform(0.0, 0.45),
     )
+
+
+# ---------------------------------------------------------------------------
+# One objective: a scalar reference at a point, its columns' shape at arrays
+# ---------------------------------------------------------------------------
+
+
+def scalar_objective(obj: Objective, point: tuple[float, ...]) -> float:
+    """The objective at one point from `rates_at_resonance`."""
+    try:
+        rates = rates_at_resonance(obj.resolve(dict(zip(obj.free_names(), point))))
+    except SingularityError:
+        return -math.inf
+    if rates.t_m_rev < obj.min_reverse:
+        return -math.inf
+    if obj.kind == ISOLATION_CONTRAST:
+        return rates.t_m_rev - (rates.t_ng + rates.t_ns)
+    return rates.eta**obj.purity_weight * rates.t_ns**obj.rate_weight
+
+
+def point_objective(kind: str, free: dict, **options) -> Objective:
+    """`fixed_giant` with ``free`` set and gamma3 fixed unless it is free."""
+    return Objective(kind=kind, parameters=fixed_giant(**{"gamma3": Fixed(0.9), **free}), **options)
+
+
+#: (free parameters, points, objective options): each names what its points hold.
+SCALAR_CASES = {
+    "singular": ({"phi1_prime": Bounds(0.0, 4.0)}, [(math.pi,)], {}),
+    "below_min_reverse": (
+        {"gamma1": Bounds(0.001, 3.0), "gamma3": Fixed(1.0)}, [(0.01,), (1.0,)],
+        {"min_reverse": 0.4},
+    ),
+    "gamma3_zero": ({"gamma3": Bounds(0.0, 2.0)}, [(0.0,)], {}),
+    "gamma4_zero": ({"gamma4": Bounds(0.0, 2.0)}, [(0.0,)], {}),
+    "phi2_pi": ({"phi2_prime": Bounds(0.0, 4.0)}, [(math.pi,)], {}),
+    **{
+        f"weights_{pw}_{rw}": (
+            {"gamma1": Bounds(0.01, 3.0), "phi2_prime": Bounds(0.0, 4.0)},
+            [(0.05, 0.0), (0.32, 1.2), (1.0, 2.5), (2.9, 3.9)],
+            {"purity_weight": pw, "rate_weight": rw},
+        )
+        for pw, rw in [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0), (0.5, 2.0), (1.37, 0.618), (2.718, 1.414)]
+    },
+}
+
+
+class TestObjective:
+    @pytest.mark.parametrize("kind", [ISOLATION_CONTRAST, CONVERSION_MERIT])
+    @pytest.mark.parametrize("case", sorted(SCALAR_CASES))
+    def test_evaluate_equals_scalar_reference(self, case, kind):
+        free, points, options = SCALAR_CASES[case]
+        obj = point_objective(kind, free, **options)
+        for point in points:
+            assert _Tracker(obj).evaluate(point) == scalar_objective(obj, point)
+
+    def test_scalar_cases_hold_what_they_are_named_for(self):
+        def rates(case, index=0):
+            free, points, options = SCALAR_CASES[case]
+            obj = point_objective(CONVERSION_MERIT, free, **options)
+            return obj, rates_at_resonance(obj.resolve(dict(zip(obj.free_names(), points[index]))))
+
+        with pytest.raises(SingularityError):
+            rates("singular")
+        obj, below = rates("below_min_reverse")
+        assert below.t_m_rev < obj.min_reverse < rates("below_min_reverse", 1)[1].t_m_rev
+        assert "eta_undefined" in rates("gamma3_zero")[1].flags
+        assert rates("gamma4_zero")[1].t_m_rev > 0.0
+        # phi2_prime = pi is a dark point of guide N: T_N is tiny, not 0.
+        dark = rates("phi2_pi")[1]
+        assert 0.0 < dark.t_ng + dark.t_ns < 1e-30 and not dark.flags
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_points_equal_scalar_reference(self, seed):
+        rng = random.Random(seed)
+        obj = random_objective(rng)
+        bounds = [obj.parameters[n] for n in obj.free_names()]
+        tracker = _Tracker(obj)
+        for _ in range(50):
+            point = tuple(rng.choice([b.lo, b.hi, math.pi, rng.uniform(b.lo, b.hi)]) for b in bounds)
+            assert tracker.evaluate(point) == scalar_objective(obj, point)
+
+    @pytest.mark.parametrize("kind", [ISOLATION_CONTRAST, CONVERSION_MERIT])
+    @pytest.mark.parametrize("name", PARAM_NAMES[:6])
+    def test_values_take_the_shape_of_their_columns(self, name, kind):
+        obj = point_objective(kind, {name: Bounds(0.0, 4.0)})
+        # The column reaches pi, where phi1_prime is singular.
+        column = np.linspace(0.0, math.pi, 12)
+        assert _objective_values(obj, {name: column}).shape == (12,)
+        assert _objective_values(obj, {name: column.reshape(3, 4)}).shape == (3, 4)
+        assert np.ndim(_objective_values(obj, {name: 1.2})) == 0
+
+
+# ---------------------------------------------------------------------------
+# The broadcast grid stage against a point-by-point reference
+# ---------------------------------------------------------------------------
+
+
+def per_point_scan(self, grids):
+    """The grid stage as one `_Tracker.evaluate` per point, in row-major order."""
+    mesh = np.meshgrid(*grids, indexing="ij")
+    for point in np.stack([m.ravel() for m in mesh], axis=-1):
+        self.evaluate(tuple(float(x) for x in point))
 
 
 def assert_same_search(obj: Objective, budget: int, monkeypatch) -> None:
@@ -276,27 +385,20 @@ class TestBroadcastGrid:
 
 def fresh_evaluate(self, point):
     """`_Tracker.evaluate` computing every probe afresh, revisits included."""
-    params = self.obj.resolve(dict(zip(self.names, point)))
-    try:
-        value = search._objective_value(self.obj, search.rates_at_resonance(params))
-    except SingularityError:
-        value = -math.inf
+    value = float(_objective_values(self.obj, dict(zip(self.names, point))))
     return self.record(point, value)
 
 
 def counted_search(obj: Objective, budget: int, monkeypatch):
-    """The search, its `rates_at_resonance` calls and how many of them
-    raised, and each refinement probe's point and value, in order."""
-    calls, raised, probes = [], [], []
-    rates, evaluate = search.rates_at_resonance, _Tracker.evaluate
+    """The search, the points at which it computed a one-point objective
+    value, and each refinement probe's point and value, in order."""
+    computed, probes = [], []
+    values, evaluate = search._objective_values, _Tracker.evaluate
 
-    def counting_rates(params):
-        calls.append(params)
-        try:
-            return rates(params)
-        except SingularityError:
-            raised.append(params)
-            raise
+    def counting_values(obj, columns):
+        if all(np.ndim(c) == 0 for c in columns.values()):
+            computed.append(tuple(columns.values()))
+        return values(obj, columns)
 
     def logging_evaluate(self, point):
         value = evaluate(self, point)
@@ -304,10 +406,10 @@ def counted_search(obj: Objective, budget: int, monkeypatch):
         return value
 
     with monkeypatch.context() as patch:
-        patch.setattr(search, "rates_at_resonance", counting_rates)
+        patch.setattr(search, "_objective_values", counting_values)
         patch.setattr(_Tracker, "evaluate", logging_evaluate)
         report = grid_refine_search(obj, budget=budget)
-    return report, len(calls), len(raised), probes
+    return report, computed, probes
 
 
 #: (objective, budget): the edge grids, the anchor, and seeded objectives.
@@ -328,22 +430,26 @@ class TestRevisitedProbes:
     @pytest.mark.parametrize("case", sorted(REVISIT_CASES))
     def test_one_rates_call_per_distinct_probe(self, case, monkeypatch):
         obj, budget = REVISIT_CASES[case]
-        report, calls, _, probes = counted_search(obj, budget, monkeypatch)
-        # One call per distinct probe, plus one for the reported rates.
-        assert calls == len({point for point, _ in probes}) + 1
+        report, computed, probes = counted_search(obj, budget, monkeypatch)
+        # One one-point computation per distinct probe, and none for the grid.
+        assert len(computed) == len(set(computed)) == len({point for point, _ in probes})
         with monkeypatch.context() as patch:
             patch.setattr(_Tracker, "evaluate", fresh_evaluate)
             assert grid_refine_search(obj, budget=budget) == report
 
     def test_anchor_revisits_most_probes(self, monkeypatch):
         obj, budget = REVISIT_CASES["anchor"]
-        report, calls, _, probes = counted_search(obj, budget, monkeypatch)
+        report, computed, probes = counted_search(obj, budget, monkeypatch)
         assert len(probes) == report.evaluations - 1000
-        assert calls - 1 < len(probes) / 2
+        assert 0 < len(computed) < len(probes) / 2
 
     def test_singular_probe_revisited(self, monkeypatch):
         obj, budget = REVISIT_CASES["singular_refinement"]
-        report, _, raised, probes = counted_search(obj, budget, monkeypatch)
+        report, computed, probes = counted_search(obj, budget, monkeypatch)
         singular = [point for point, value in probes if value == -math.inf]
-        assert len(singular) == 46 and len(set(singular)) == raised == 3
+        computed_singular = [p for p in computed if p in set(singular)]
+        assert len(singular) == 46 and len(set(singular)) == len(computed_singular) == 3
+        for point in set(singular):
+            with pytest.raises(SingularityError):
+                rates_at_resonance(obj.resolve(dict(zip(obj.free_names(), point))))
         assert report.evaluations == 450

@@ -401,7 +401,10 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
     one by one and only those that fail are marked singular.  A cell whose
     solution is not finite is marked singular too, as `solve` raises on it.
     ``check_conditioning=False`` skips the condition check, whose stacked
-    inverse holds as much memory again as the block's matrices.
+    inverse holds as much memory again as the block's matrices, and leaves
+    ``ill_conditioned`` None.  Only the `solver` engine of a sweep checks;
+    `validate`, the `both` engine and `search`'s re-verification read no
+    flag and skip it.
     """
     if np.ndim(cfg.energy) != 1:
         raise ValueError("solve_batch needs a 1-D block of cells")

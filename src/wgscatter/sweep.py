@@ -7,6 +7,10 @@ engines are available: "closed" evaluates the analytical amplitudes
 (vectorized across the detuning axis), "solver" runs the boundary-matching
 solver on blocks of SOLVER_BLOCK detunings per phase row (one stacked solve
 per block), and "both" runs the two and records their maximum disagreement.
+Only the "solver" engine runs the solver's condition screen and writes its
+``ill_conditioned`` flags: "both" writes the closed engine's flags, so its
+solver pass skips the screen, as do `validate` and `search`'s
+re-verification, which read no solver flag either.
 
 FAMILIES is the one table of configuration families: for each incidence
 direction it names the closed-form kernel, the solver config builder and
@@ -146,24 +150,32 @@ class Family:
             self.reverse.fields(gammas, delta, phases),
         )
 
-    def solver_rates(self, gammas, delta: np.ndarray, phases: Mapping):
+    def solver_rates(
+        self, gammas, delta: np.ndarray, phases: Mapping, *, check_conditioning: bool = True
+    ):
         """Forward+reverse solver rates over a 1-D block of detunings.
 
         Phases broadcast with ``delta``.  Returns the RATE_FIELDS values,
         the singular mask and each cell's flag code; singular cells get 0.
+        ``check_conditioning=False`` skips `solve_batch`'s condition screen
+        for callers that drop the flags: the codes then carry only
+        ETA_UNDEFINED, and the rates and singular mask are unchanged.
         """
-        fwd = solver.solve_batch(self.forward.config(gammas, delta, phases))
-        rev = solver.solve_batch(self.reverse.config(gammas, delta, phases))
+        fwd = solver.solve_batch(
+            self.forward.config(gammas, delta, phases), check_conditioning=check_conditioning
+        )
+        rev = solver.solve_batch(
+            self.reverse.config(gammas, delta, phases), check_conditioning=check_conditioning
+        )
         rows, eta_undefined = rates_from_outgoing(fwd.outgoing, self.forward.port)
         rev_rows, _ = rates_from_outgoing(rev.outgoing, self.reverse.port)
         rows[2] = rev_rows[2]
         rows[6] = np.maximum(rows[6], rev_rows[6])
         singular = fwd.singular | rev.singular
-        codes = (
-            fwd.ill_conditioned * ILL_FORWARD
-            | eta_undefined * ETA_UNDEFINED
-            | rev.ill_conditioned * ILL_REVERSE
-        ) * ~singular
+        codes = eta_undefined * ETA_UNDEFINED
+        if check_conditioning:
+            codes = codes | fwd.ill_conditioned * ILL_FORWARD | rev.ill_conditioned * ILL_REVERSE
+        codes = codes * ~singular
         return dict(zip(RATE_FIELDS, rows)), singular, codes
 
 
@@ -380,8 +392,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                     )
                     codes[i, block] = (eta_undefined & ~singular[i, block]) * ETA_UNDEFINED
                 else:
+                    # "both" writes the closed codes, so only "solver" screens.
                     rates, singular[i, block], codes[i, block] = family.solver_rates(
-                        spec.gammas, d, _resolved(pm, family, d)
+                        spec.gammas,
+                        d,
+                        _resolved(pm, family, d),
+                        check_conditioning=spec.engine == "solver",
                     )
                 for name in RATE_FIELDS:
                     grids[name][i, block] = rates[name]

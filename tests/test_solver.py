@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wgscatter import configs, solver
+from wgscatter.search import Bounds, Fixed, Objective, grid_refine_search
 from wgscatter.core import (
     AtomSpec,
     ConfigError,
@@ -19,6 +20,7 @@ from wgscatter.core import (
     rates_from_amplitudes,
 )
 from wgscatter.sweep import (
+    ETA_UNDEFINED,
     FAMILIES,
     ILL_FORWARD,
     ILL_REVERSE,
@@ -449,3 +451,84 @@ class TestIllConditionedScreen:
         assert flagged >= 1
         assert codes[2, 2] & ILL_FORWARD
         assert flagged <= sum(cond_cells) < codes.size
+
+
+#: The giant spec of `test_ill_conditioned_cells_still_reach_svd`: phases
+#: 3, pi - 0.07 and pi, where the cell at pi and resonance is flagged.
+FLAGGED_GAMMAS = (1.0, 0.25, 1.0, 0.0)
+FLAGGED_PHASES = PhaseAxis(3.0, math.pi, 3, linkage=(("phi1_prime", 1.0),))
+
+
+def flagged_spec(engine: str, n_delta: int = 5) -> SweepSpec:
+    return SweepSpec(
+        "giant", FLAGGED_GAMMAS, PhaseModel(), Axis(-1.0, 1.0, n_delta), FLAGGED_PHASES, engine
+    )
+
+
+@pytest.fixture
+def screen_calls(monkeypatch):
+    """Number of matrices each `solver._ill_conditioned` call receives."""
+    calls: list[int] = []
+    original = solver._ill_conditioned
+
+    def counting_screen(matrix):
+        calls.append(math.prod(np.shape(matrix)[:-2]))
+        return original(matrix)
+
+    monkeypatch.setattr(solver, "_ill_conditioned", counting_screen)
+    return calls
+
+
+class TestConditionScreenCallers:
+    """Only `solver`-engine sweeps write the `ill_conditioned` flag, so only
+    they run the condition screen; `both` and the search re-verification
+    drop the solver's flags and skip it."""
+
+    def test_solver_sweep_screens_each_block_and_direction(self, screen_calls):
+        codes = run_sweep(flagged_spec("solver", SOLVER_BLOCK + 1)).codes
+        assert codes.any()
+        # Three phase rows of two blocks (SOLVER_BLOCK cells and one cell),
+        # each solved forward and reverse.
+        assert screen_calls == [SOLVER_BLOCK, SOLVER_BLOCK, 1, 1] * 3
+
+    def test_both_sweep_runs_no_screen(self, screen_calls):
+        both = run_sweep(flagged_spec("both"))
+        assert screen_calls == []
+        closed = run_sweep(flagged_spec("closed"))
+        solved = run_sweep(flagged_spec("solver"))
+        assert both.codes.tobytes() == closed.codes.tobytes()
+        assert both.engine_discrepancy == max(
+            float(np.abs(closed.rates[name] - solved.rates[name]).max())
+            for name in closed.rates
+        )
+
+    def test_search_verification_runs_no_screen(self, screen_calls):
+        obj = Objective(
+            kind="conversion_merit",
+            parameters={
+                "gamma1": Bounds(0.01, 3.0),
+                "gamma2": Fixed(1.0),
+                "gamma3": Fixed(1.0),
+                "gamma4": Fixed(1.0),
+            },
+        )
+        report = grid_refine_search(obj, budget=100)
+        assert report.solver_discrepancy <= 1e-10
+        assert screen_calls == []
+
+    def test_unchecked_rates_match_checked(self):
+        """Skipping the screen drops only the ill_conditioned bits."""
+        n_delta = 5
+        delta = np.tile(np.linspace(-1.0, 1.0, n_delta), FLAGGED_PHASES.count)
+        phases = {
+            "phi1_prime": np.repeat(FLAGGED_PHASES.values(), n_delta),
+            "phi2_prime": np.zeros(delta.size),
+        }
+        giant = FAMILIES["giant"]
+        rates, singular, codes = giant.solver_rates(FLAGGED_GAMMAS, delta, phases)
+        assert (codes & (ILL_FORWARD | ILL_REVERSE)).any() and (codes & ETA_UNDEFINED).any()
+        unchecked = giant.solver_rates(FLAGGED_GAMMAS, delta, phases, check_conditioning=False)
+        for name, values in rates.items():
+            assert unchecked[0][name].tobytes() == values.tobytes()
+        assert unchecked[1].tobytes() == singular.tobytes()
+        assert unchecked[2].tolist() == (codes & ~(ILL_FORWARD | ILL_REVERSE)).tolist()

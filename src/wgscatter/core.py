@@ -420,31 +420,30 @@ def abs2(z):
     return np.float_power(np.hypot(z.real, z.imag), 2.0)
 
 
-def rates_from_outgoing(outgoing: np.ndarray, incident_port: int):
-    """`rates_from_amplitudes` over a block of outgoing amplitude sets.
+def rates_from_outgoing(forward: np.ndarray, reverse: np.ndarray):
+    """`combine_directions` of `rates_from_amplitudes` over a block: the
+    solver's twin of `sweep.rates_from_fields`.
 
-    ``outgoing`` has one row per cell in `ScatterAmplitudes.outgoing` order.
+    ``forward`` and ``reverse`` hold the port-1 and port-4 outgoing
+    amplitude sets, one row per cell in `ScatterAmplitudes.outgoing` order.
     Returns the `TransferRates.as_row` values as a (7, cells) array and the
-    mask of cells where eta is undefined (forward incidence only).  Each
-    value is bit-identical to the scalar function's: `abs2` gives its
-    probabilities, and they are summed in the same order.
+    mask of cells where eta is undefined.  Each value is bit-identical to
+    the scalar functions': `abs2` gives their probabilities, and they are
+    summed in the same order.
     """
-    probs = [abs2(z) for z in outgoing.T]
-    p_m_left, p_m_right, p_nl_k, p_nr_k, p_nl_q, p_nr_q = probs
-    rows = np.zeros((7, len(outgoing)))
-    rows[6] = np.abs(sum(probs) - 1.0)
-    eta_undefined = np.zeros(len(outgoing), dtype=bool)
-    if incident_port in (1, 2):
-        forward = incident_port == 1
-        rows[0] = p_nl_k + p_nr_k
-        rows[1] = p_nl_q + p_nr_q
-        rows[3] = p_m_left if forward else p_m_right
-        rows[4] = p_m_right if forward else p_m_left
-        total_n = rows[0] + rows[1]
-        eta_undefined = total_n == 0.0
-        np.divide(rows[1], total_n, out=rows[5], where=~eta_undefined)
-    else:
-        rows[2] = p_m_left + p_m_right
+    fwd = [abs2(z) for z in forward.T]
+    rev = [abs2(z) for z in reverse.T]
+    p_m_left, p_m_right, p_nl_k, p_nr_k, p_nl_q, p_nr_q = fwd
+    rows = np.zeros((7, len(forward)))
+    rows[0] = p_nl_k + p_nr_k
+    rows[1] = p_nl_q + p_nr_q
+    rows[2] = rev[0] + rev[1]
+    rows[3] = p_m_left
+    rows[4] = p_m_right
+    total_n = rows[0] + rows[1]
+    eta_undefined = total_n == 0.0
+    np.divide(rows[1], total_n, out=rows[5], where=~eta_undefined)
+    rows[6] = np.maximum(np.abs(sum(fwd) - 1.0), np.abs(sum(rev) - 1.0))
     return rows, eta_undefined
 
 

@@ -5,7 +5,7 @@ where the converted fraction depends only on rate ratios and the leg phases
 drop out of it.  The search is a coarse grid pass followed by coordinate-wise
 golden-section refinement around the best cell.  One function scores both:
 the grid pass hands it GRID_CHUNK points at a time as arrays (one broadcast
-`Family.closed_rates` call) and scans the values in grid order with the
+call of each closed-form kernel) and scans the values in grid order with the
 record rule the refinement applies to each of its points, so it counts,
 traces and breaks ties exactly as evaluating point by point would.  The
 refinement hands it one point at a time as 0-d values; a probe at a point
@@ -30,7 +30,7 @@ from .core import (
     SingularityError,
     TransferRates,
 )
-from .sweep import FAMILIES, MAX_CELLS, RATE_FIELDS
+from .sweep import FAMILIES, FLAG_NAMES, MAX_CELLS, RATE_FIELDS, rates_from_fields
 
 #: Search evaluates the giant-atom layout only.
 FAMILY = "giant"
@@ -161,13 +161,10 @@ class Objective:
 def rates_at_resonance(params: dict[str, float]) -> TransferRates:
     """Forward+reverse closed-form rates at delta = 0 for one parameter set."""
     gammas = tuple(params[f"gamma{i}"] for i in (1, 2, 3, 4))
-    rates, singular, eta_undefined = GIANT.closed_rates(gammas, 0.0, params)
+    rates, singular, code = GIANT.closed_rates(gammas, 0.0, params)
     if singular:
         raise SingularityError(f"singular resonance point at {params!r}")
-    return TransferRates(
-        *(float(rates[name]) for name in RATE_FIELDS),
-        flags=("eta_undefined",) if eta_undefined else (),
-    )
+    return TransferRates(*(float(rates[name]) for name in RATE_FIELDS), flags=FLAG_NAMES[code])
 
 
 def _objective_values(obj: Objective, columns: dict[str, np.ndarray]) -> np.ndarray:
@@ -176,7 +173,11 @@ def _objective_values(obj: Objective, columns: dict[str, np.ndarray]) -> np.ndar
     ``min_reverse`` gets -inf."""
     params = obj.resolve(columns)
     gammas = tuple(params[f"gamma{i}"] for i in (1, 2, 3, 4))
-    rates, singular, _ = GIANT.closed_rates(gammas, 0.0, params)
+    # `Family.closed_rates` less its flag codes, which no objective reads and
+    # whose numpy scalar arithmetic is a measurable share of a 0-d probe.
+    rates, singular, _ = rates_from_fields(
+        GIANT.forward.fields(gammas, 0.0, params), GIANT.reverse.fields(gammas, 0.0, params)
+    )
     t_m_rev = rates["T_M_rev"]
     if obj.kind == ISOLATION_CONTRAST:
         values = t_m_rev - (rates["T_Ng"] + rates["T_Ns"])

@@ -246,9 +246,9 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> LinearSystem:
     n = idx.size
     cells = getattr(energy, "shape", ())
     stack = np.zeros(cells + (n, n), dtype=complex)
-    # matrix[r, c] is one entry, or that entry over all cells through a view
-    # of the contiguous stack; a single cell keeps plain 2-D indexing cost.
-    matrix = np.moveaxis(stack, (-2, -1), (0, 1)) if cells else stack
+    # matrix[r, c] is that entry over all cells, through a view of the
+    # contiguous stack (the stack itself for a single cell).
+    matrix = np.moveaxis(stack, (-2, -1), (0, 1))
     rhs = np.zeros(n, dtype=complex)
     inc = cfg.incident
     row = 0

@@ -17,7 +17,10 @@ direction it names the closed-form kernel, the solver config builder and
 the phase constants they take.  Sweeps, search and validation all dispatch
 through it, and `Route.amplitudes` gives one direction's full closed-form
 amplitude set at a scalar point, from the kernel's named components
-(`closed_form.components`).
+(`closed_form.components`).  Each engine reduces a block through one
+`Family` method, `closed_rates` (over `rates_from_fields`) or
+`solver_rates` (over `core.rates_from_outgoing`), and both return the same
+record: the RATE_FIELDS values, the singular mask and each cell's flag code.
 
 Grid cells whose denominators fall below the singularity floor are not
 errors: they carry the value of the nearest previously valid cell along the
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Mapping
 
 import numpy as np
@@ -144,11 +147,15 @@ class Family:
         return tuple(dict.fromkeys(self.forward.phases + self.reverse.phases))
 
     def closed_rates(self, gammas, delta, phases: Mapping):
-        """`rates_from_fields` of both kernels; delta and phases broadcast."""
-        return rates_from_fields(
+        """`rates_from_fields` of both kernels as `solver_rates` returns them
+        (rates, singular mask, flag codes): the code is ETA_UNDEFINED where
+        nothing reaches guide N and the cell is not singular.  Delta and
+        phases broadcast."""
+        rates, singular, eta_undefined = rates_from_fields(
             self.forward.fields(gammas, delta, phases),
             self.reverse.fields(gammas, delta, phases),
         )
+        return rates, singular, (eta_undefined & ~singular) * ETA_UNDEFINED
 
     def solver_rates(
         self, gammas, delta: np.ndarray, phases: Mapping, *, check_conditioning: bool = True
@@ -167,10 +174,7 @@ class Family:
         rev = solver.solve_batch(
             self.reverse.config(gammas, delta, phases), check_conditioning=check_conditioning
         )
-        rows, eta_undefined = rates_from_outgoing(fwd.outgoing, self.forward.port)
-        rev_rows, _ = rates_from_outgoing(rev.outgoing, self.reverse.port)
-        rows[2] = rev_rows[2]
-        rows[6] = np.maximum(rows[6], rev_rows[6])
+        rows, eta_undefined = rates_from_outgoing(fwd.outgoing, rev.outgoing)
         singular = fwd.singular | rev.singular
         codes = eta_undefined * ETA_UNDEFINED
         if check_conditioning:
@@ -380,25 +384,20 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         grids = {name: np.zeros((n_phi, n_delta)) for name in RATE_FIELDS}
         codes = np.zeros((n_phi, n_delta), dtype=np.uint8)
         singular = np.zeros((n_phi, n_delta), dtype=bool)
-        step = n_delta if engine == "closed" else SOLVER_BLOCK
+        if engine == "closed":
+            step, block_rates = n_delta, family.closed_rates
+        else:
+            # "both" writes the closed codes, so only "solver" screens.
+            step = SOLVER_BLOCK
+            block_rates = partial(family.solver_rates, check_conditioning=spec.engine == "solver")
         for i, value in enumerate(phi):
             pm = _phase_constants(spec.phases, spec.phase_axis, float(value))
             for start in range(0, n_delta, step):
                 block = slice(start, start + step)
                 d = delta[block]
-                if engine == "closed":
-                    rates, singular[i, block], eta_undefined = family.closed_rates(
-                        spec.gammas, d, _resolved(pm, family, d)
-                    )
-                    codes[i, block] = (eta_undefined & ~singular[i, block]) * ETA_UNDEFINED
-                else:
-                    # "both" writes the closed codes, so only "solver" screens.
-                    rates, singular[i, block], codes[i, block] = family.solver_rates(
-                        spec.gammas,
-                        d,
-                        _resolved(pm, family, d),
-                        check_conditioning=spec.engine == "solver",
-                    )
+                rates, singular[i, block], codes[i, block] = block_rates(
+                    spec.gammas, d, _resolved(pm, family, d)
+                )
                 for name in RATE_FIELDS:
                     grids[name][i, block] = rates[name]
         _fill_singular(grids, codes, singular)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -763,10 +764,18 @@ def test_preset_panels_match_golden_digests(tmp_path, figure_id):
     assert panels == PRESET_DIGESTS[figure_id]
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_lists_every_preset_id():
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    (line,) = [x for x in readme.read_text().splitlines() if x.startswith("Preset ids:")]
+    (line,) = [x for x in README.read_text().splitlines() if x.startswith("Preset ids:")]
     assert line == f"Preset ids: `{' '.join(FIGURE_IDS)}`."
+
+
+def test_readme_library_example_runs():
+    """The documented library example runs against the current API."""
+    (example,) = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    exec(compile(example, str(README), "exec"), {})
 
 
 def giant_at_pi_config():

@@ -24,6 +24,7 @@ from wgscatter.core import (
     rates_from_amplitudes,
 )
 from wgscatter.sweep import (
+    ETA_UNDEFINED,
     FAMILIES,
     FLAG_NAMES,
     MAX_CELLS,
@@ -381,8 +382,8 @@ def test_rates_from_fields_matches_amplitude_rates(family):
     delta = np.linspace(-4.0, 4.0, 9)
     entry = FAMILIES[family]
     phases = {name: rng.uniform(0.0, 2 * math.pi, 9) for name in entry.phases}
-    row, singular, eta_undefined = entry.closed_rates(gammas, delta, phases)
-    assert not singular.any() and not eta_undefined.any()
+    row, singular, codes = entry.closed_rates(gammas, delta, phases)
+    assert not singular.any() and not codes.any()
     for j, d in enumerate(delta.tolist()):
         cell_phases = {name: float(values[j]) for name, values in phases.items()}
         rates, _, _ = entry.closed_rates(gammas, d, cell_phases)
@@ -438,10 +439,10 @@ def test_singular_cells_raise_no_overflow_warning():
 
 def test_rates_from_fields_sets_eta_to_zero_without_guide_n_output():
     # gamma3 = gamma4 = 0: nothing reaches guide N, so eta is undefined.
-    row, singular, eta_undefined = FAMILIES["small_overlap"].closed_rates(
+    row, singular, codes = FAMILIES["small_overlap"].closed_rates(
         (1.0, 0.25, 0.0, 0.0), np.array([-1.0, 0.5]), {}
     )
-    assert eta_undefined.all() and not singular.any()
+    assert (codes == ETA_UNDEFINED).all() and not singular.any()
     assert np.array_equal(row["eta"], [0.0, 0.0])
 
 

@@ -267,8 +267,22 @@ CSV_HEADER = ",".join(("delta", "phi", *sweep_mod.RATE_FIELDS, "flags"))
 CSV_CHUNK_ROWS = 1024
 
 #: One data row: "%.17g" gives the same text as f"{x:.17g}" (nan, inf and
-#: -0 included).  delta, phi and the flag text arrive as strings.
-_ROW_FORMAT = "%s,%s," + "%.17g," * len(sweep_mod.RATE_FIELDS) + "%s\n"
+#: -0 included).  delta, phi, the residual and the flag text arrive as
+#: strings.  The residual slot is "%.99s" rather than "%s" so that the format
+#: keeps the length of "%.17g": CPython sizes the output buffer of
+#: ``str % tuple`` from the format's length, and a shorter format moves the
+#: chunk texts on glibc's heap, which then stops trimming.  After 30
+#: ``figure fig9 --phase-count 16`` commands in one process (glibc
+#: ``mallinfo2``), "%s" leaves a 9.4 MB arena with 4.8 MB of it free;
+#: "%.99s" leaves 5.6 MB, against 5.5-5.7 MB for the writer that formatted
+#: the residual with "%.17g".  No 17-digit text is longer than 24
+#: characters, so the precision never cuts one.
+_ROW_FORMAT = (
+    "%s,%s,"
+    + "".join("%.99s," if name == "residual" else "%.17g," for name in sweep_mod.RATE_FIELDS)
+    + "%s\n"
+)
+_RESIDUAL_COLUMN = 2 + sweep_mod.RATE_FIELDS.index("residual")
 
 
 def _csv_head(result: sweep_mod.SweepResult, extra: dict | None) -> str:
@@ -279,13 +293,19 @@ def write_csv(result: sweep_mod.SweepResult, stream, extra: dict | None = None) 
     """Emit the grid in detuning-major row order with metadata up front.
 
     Rows are formatted CSV_CHUNK_ROWS at a time with one %-format over a
-    chunk's values, so memory stays bounded whatever the grid size.
+    chunk's values, so memory stays bounded whatever the grid size.  The
+    residual column holds few distinct values (18 or 19 in each 32,016-cell
+    sweep of fig9 at 16 phases), so each chunk formats each distinct bit
+    pattern of it once and indexes the texts; -0.0 and 0.0, and NaNs of
+    any sign or payload, stay apart by their bits and print as "%.17g"
+    prints them.
     """
     stream.write(_csv_head(result, extra))
     n_phi = result.phi.size
     n_rows = n_phi * result.delta.size
     delta_text = np.array([_fmt(x) for x in result.delta], dtype=object)
     phi_text = np.array([_fmt(x) for x in result.phi], dtype=object)
+    residual = result.rates["residual"]
     for start in range(0, n_rows, CSV_CHUNK_ROWS):
         stop = min(start + CSV_CHUNK_ROWS, n_rows)
         j, i = np.divmod(np.arange(start, stop), n_phi)
@@ -293,16 +313,21 @@ def write_csv(result: sweep_mod.SweepResult, stream, extra: dict | None = None) 
         block[:, 0] = delta_text[j]
         block[:, 1] = phi_text[i]
         for col, name in enumerate(sweep_mod.RATE_FIELDS, start=2):
-            block[:, col] = result.rates[name][i, j]
+            if col != _RESIDUAL_COLUMN:
+                block[:, col] = result.rates[name][i, j]
+        bits, index = np.unique(residual[i, j].view(np.uint64), return_inverse=True)
+        text = np.array([_fmt(x) for x in bits.view(np.float64)], dtype=object)
+        block[:, _RESIDUAL_COLUMN] = text[index]
         block[:, -1] = sweep_mod.FLAG_TEXT[result.codes[i, j]]
         stream.write(_ROW_FORMAT * (stop - start) % tuple(block.ravel().tolist()))
 
 
-def _copy_data_rows(source: Path, head_lines: int, head: str, path: Path) -> None:
-    """Write ``head`` to ``path``, then the data rows of the CSV at ``source``."""
+def _copy_data_rows(source: Path, head: str, path: Path) -> None:
+    """Write ``head`` to ``path``, then the data rows of the CSV at ``source``
+    (the lines after its '#' metadata and its column header)."""
     with open(source, "rb") as src, _create(path) as dst:
-        for _ in range(head_lines):
-            src.readline()
+        while src.readline().startswith(b"#"):
+            pass
         dst.write(head)
         dst.flush()
         shutil.copyfileobj(src, dst.buffer)
@@ -392,26 +417,35 @@ def _cmd_figure(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write {out_dir}: {exc}") from exc
-    results = {}
+    # Every spec is built (and so validated) before any sweep runs or any
+    # file is written.
+    specs = {}
     for key, spec in preset.sweeps.items():
         if args.delta_count:
             spec = replace(spec, delta_axis=replace(spec.delta_axis, count=args.delta_count))
         if args.phase_count and spec.phase_axis is not None:
             spec = replace(spec, phase_axis=replace(spec.phase_axis, count=args.phase_count))
-        results[key] = sweep_mod.run_sweep(spec)
-    # Panels of one sweep share their data rows: the first panel formats
-    # them and each later one copies them after its own metadata.
-    first_panels: dict[str, tuple[Path, int]] = {}
-    for panel in preset.panels:
+        specs[key] = spec
+    last_panel = {panel.sweep: n for n, panel in enumerate(preset.panels)}
+    # A sweep runs when its first panel is due and is dropped after its last
+    # one, so only one sweep's grids are held at a time.  Panels of one sweep
+    # share their data rows: the first panel formats them and each later one
+    # copies them after its own metadata.
+    results: dict[str, sweep_mod.SweepResult] = {}
+    first_panels: dict[str, Path] = {}
+    for n, panel in enumerate(preset.panels):
+        if panel.sweep not in results:
+            results[panel.sweep] = sweep_mod.run_sweep(specs[panel.sweep])
+        result = results.pop(panel.sweep) if last_panel[panel.sweep] == n else results[panel.sweep]
         path = out_dir / f"{preset.figure}{panel.panel}.csv"
-        result = results[panel.sweep]
         extra = {"figure": preset.figure, "panel": panel.panel, "column": panel.column}
         if panel.sweep in first_panels:
-            _copy_data_rows(*first_panels[panel.sweep], _csv_head(result, extra), path)
+            _copy_data_rows(first_panels[panel.sweep], _csv_head(result, extra), path)
         else:
             with _create(path) as stream:
                 write_csv(result, stream, extra=extra)
-            first_panels[panel.sweep] = (path, _csv_head(result, extra).count("\n"))
+            first_panels[panel.sweep] = path
+        del result
         print(path)
     return 0
 

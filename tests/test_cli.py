@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -323,6 +324,33 @@ class TestFigure:
         assert names == ["fig9a.csv", "fig9b.csv", "fig9c.csv", "fig9d.csv"]
         # Panels b and d reuse the rows formatted for a and c.
         assert formatted == ["a", "c"]
+
+    def test_figure_holds_one_sweep_at_a_time(self, tmp_path, monkeypatch, capsys):
+        swept = []
+        run_one = cli.sweep_mod.run_sweep
+
+        def tracked_run_sweep(spec):
+            assert all(ref() is None for ref in swept), "an earlier sweep is still held"
+            result = run_one(spec)
+            swept.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(cli.sweep_mod, "run_sweep", tracked_run_sweep)
+        argv = ["figure", "fig9", "--out-dir", str(tmp_path), "--delta-count", "9"]
+        assert cli.main(argv + ["--phase-count", "7"]) == 0
+        assert len(swept) == 2
+        assert all(ref() is None for ref in swept)
+        panels = figure_preset("fig9").panels
+        expected = [str(tmp_path / f"fig9{panel.panel}.csv") for panel in panels]
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_oversized_second_sweep_writes_no_panel(self, tmp_path, capsys, no_axis_values):
+        """fig10's first sweep has no phase axis: only its second sweep is
+        oversized, and still no file is written."""
+        argv = ["figure", "fig10", "--out-dir", str(tmp_path), "--phase-count", str(10**12)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not list(tmp_path.iterdir())
 
     def test_fig10_quarter_phase_rows_have_zero_conversion(self, tmp_path):
         cli.main(
@@ -764,6 +792,18 @@ def test_preset_panels_match_golden_digests(tmp_path, figure_id):
     assert panels == PRESET_DIGESTS[figure_id]
 
 
+#: The benchmark's fig9 digests: 16 x 2001 cells per sweep, many chunks.
+BENCH_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+
+
+def test_multi_chunk_fig9_matches_benchmark_digests(tmp_path):
+    argv = ["figure", "fig9", "--out-dir", str(tmp_path), "--phase-count", "16"]
+    assert cli.main(argv) == 0
+    panels = {p.name: sha256_of(p) for p in tmp_path.glob("*.csv")}
+    digests = json.loads(BENCH_DIGESTS.read_text())
+    assert panels == digests["fig9 phase_count=16 delta_count=2001"]
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -1183,6 +1223,56 @@ def test_writer_matches_per_cell_formatting(n_phi, n_delta, with_phase_axis):
 def test_writer_property_random_float_grids(grids_and_codes):
     grids, codes = grids_and_codes
     result = synthetic_result(dict(zip(RATE_FIELDS, grids)), codes)
+    stream = io.StringIO()
+    cli.write_csv(result, stream)
+    assert stream.getvalue() == reference_csv(result)
+
+
+#: NaNs by their bits: quiet and signalling, either sign, other payloads.
+NAN_PATTERNS = np.array(
+    [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+     0xFFF4000000000000],
+    dtype=np.uint64,
+).view(np.float64)
+
+#: Residual value sets with few distinct members, as preset sweeps have.
+FEW_RESIDUALS = {
+    "signed-zeros": (-0.0, 0.0),
+    "nan-payloads": tuple(NAN_PATTERNS) + (0.0,),
+    "subnormals-and-24-chars": (
+        5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072014e-308,
+        -1.2345678901234567e-300, 0.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("values", FEW_RESIDUALS.values(), ids=FEW_RESIDUALS.keys())
+@pytest.mark.parametrize(
+    "n_phi, n_delta, with_phase_axis",
+    [
+        (1, cli.CSV_CHUNK_ROWS - 1, False),
+        (1, cli.CSV_CHUNK_ROWS + 1, False),
+        (31, 67, True),  # three chunks, phase rows across chunk bounds
+    ],
+)
+def test_writer_formats_few_distinct_residuals(n_phi, n_delta, with_phase_axis, values):
+    rng = np.random.default_rng(n_phi * 1000 + n_delta)
+    result = random_result(rng, n_phi, n_delta, with_phase_axis)
+    residual = result.rates["residual"]
+    residual[...] = np.asarray(values)[rng.integers(0, len(values), residual.shape)]
+    # The first chunk holds every value of the set, each bit pattern apart.
+    residual.T.flat[: len(values)] = values
+    stream = io.StringIO()
+    cli.write_csv(result, stream)
+    assert stream.getvalue() == reference_csv(result)
+
+
+def test_writer_formats_all_distinct_residuals():
+    rng = np.random.default_rng(5)
+    result = random_result(rng, 3, cli.CSV_CHUNK_ROWS, True)
+    residual = result.rates["residual"]
+    residual[...] = np.linspace(-1.0, 1.0, residual.size).reshape(residual.shape) * math.pi
+    assert np.unique(residual).size == residual.size
     stream = io.StringIO()
     cli.write_csv(result, stream)
     assert stream.getvalue() == reference_csv(result)

@@ -508,6 +508,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_dump_config(args) -> int:
+    if args.figure and args.config:
+        raise ConfigError("dump-config takes a config path or --figure, not both")
     if args.figure:
         preset = sweep_mod.figure_preset(args.figure)
         key = sorted(preset.sweeps)[0]

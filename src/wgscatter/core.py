@@ -236,11 +236,6 @@ def named_components(outgoing, interior: Mapping, excited) -> dict:
     return items
 
 
-def region_label(channel: str, index: int) -> str:
-    """Label of one piecewise region, e.g. ``"M_k:1"``."""
-    return f"{channel}:{index}"
-
-
 @dataclass(frozen=True, eq=True)
 class ScatterAmplitudes:
     """Complete amplitude set for one scattering solution.

@@ -22,22 +22,26 @@ Conventions (matching the closed forms):
   couplings this puts maximal coupling at k L = 0 and decoupling at
   k L = pi/2, matching the terminated-guide spectra.
 
-A block of cells that share one layout is solved at once: `solve_batch`
-takes a configuration whose energy, each atom's omega_1 and omega_s, and
-each leg's gamma may be arrays over the block, and assembles and solves the
-whole block with one stacked numpy call each.  The cells must share one
-active-leg pattern (which legs have gamma > 0), since that fixes the
-layout.  A cell is marked singular exactly where `solve` of that cell alone
-raises DegenerateConfigError.  Every other cell's matrix and solution are
-bit-identical to that `solve`, and so is its ``ill_conditioned`` flag: one
-stacked Frobenius condition number bounds every cell's 2-norm one from
-above, and the exact SVD runs only on the cells that bound cannot clear
-(see `_ill_conditioned`).
+`build_layout` fixes the unknowns once: each channel's regions, their
+right- and left-mover columns and each active atom's column, all read from
+the `ChannelLayout`.  A block of cells that share one layout is solved at
+once: `solve_batch` takes a configuration whose energy, each atom's omega_1
+and omega_s, and each leg's gamma may be arrays over the block, and
+assembles and solves the whole block with one stacked numpy call each.  The
+cells must share one active-leg pattern (which legs have gamma > 0), since
+that fixes the layout.  `solve` is the block of one cell: it raises
+DegenerateConfigError where `solve_batch` marks that cell singular.  Every
+cell's matrix is bit-identical to the one its own configuration assembles,
+and its solution to a plain `np.linalg.solve` of that matrix, whatever the
+block around it; so is its ``ill_conditioned`` flag: one stacked Frobenius
+condition number bounds every cell's 2-norm one from above, and the exact
+SVD runs only on the cells that bound cannot clear (see `_ill_conditioned`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -54,7 +58,6 @@ from .core import (
     SystemConfig,
     _holds,
     named_components,
-    region_label,
 )
 
 #: Condition number (2-norm, exact SVD) above which a solution is flagged.
@@ -88,19 +91,39 @@ class Channel:
 
 @dataclass(frozen=True)
 class ChannelLayout:
-    """Region structure shared by all channels of a configuration.
+    """Region structure and column map shared by all channels of a configuration.
 
     ``breakpoints`` is the sorted set of distinct active coupling positions,
     plus the wall position when guide M is terminated.  Every channel is
     split into regions at every breakpoint (couplings absent from a channel
     contribute null jumps); a terminated channel has no region beyond the
     wall.
+
+    The unknowns are each channel's region coefficients, channel by channel
+    from column ``offsets[name]`` with a region's right mover before its
+    left one (`right`, `left`), then one excited amplitude per active atom,
+    in the column ``atom_columns[atom]``.  ``labels`` names every column
+    (such as ``"M_k:1:R"`` or ``"u_e2"``), ``interior`` names the regions
+    that `ScatterAmplitudes.interior` reports, and ``atoms`` is the
+    configuration's atom count, active or not.
     """
 
     channels: tuple[Channel, ...]
     breakpoints: tuple[float, ...]
     wall: float | None
-    active_atoms: tuple[int, ...]
+    labels: tuple[str, ...]
+    interior: tuple[str, ...]
+    offsets: Mapping[str, int]
+    atom_columns: Mapping[int, int]
+    atoms: int
+
+    def right(self, channel: str, r: int) -> int:
+        """Column of the right mover of ``channel``'s region ``r``."""
+        return self.offsets[channel] + 2 * r
+
+    def left(self, channel: str, r: int) -> int:
+        """Column of the left mover of ``channel``'s region ``r``."""
+        return self.offsets[channel] + 2 * r + 1
 
 
 @dataclass(frozen=True)
@@ -108,14 +131,12 @@ class LinearSystem:
     """Dense square system A x = b with one label per unknown.
 
     A block of cells stacks its matrices as ``(*cells, n, n)``; the
-    right-hand side is shared.  ``_index`` is the column map `assemble`
-    built, kept so that a solve need not build it again.
+    right-hand side is shared.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
     labels: tuple[str, ...]
-    _index: _Index | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -124,23 +145,38 @@ class BlockSolution:
 
     ``outgoing`` has one row per cell in `ScatterAmplitudes.outgoing` order,
     zero where the port does not exist.  ``x`` is the full solution, one
-    row per cell with one column per unknown named by ``labels`` (such as
-    ``"M_k:1:R"`` or ``"u_e2"``), and ``interior`` names the regions that
-    `ScatterAmplitudes.interior` reports.  A ``singular`` cell has no
-    solution and zero rows; its ``ill_conditioned`` entry is meaningless.
-    ``ill_conditioned`` is None when the solve was not asked to check.
+    row per cell with its columns as ``layout`` maps them.  A ``singular``
+    cell has no solution and zero rows; its ``ill_conditioned`` entry is
+    meaningless.  ``ill_conditioned`` is None when the solve was not asked
+    to check.
     """
 
     outgoing: np.ndarray
     singular: np.ndarray
     ill_conditioned: np.ndarray | None
     x: np.ndarray
-    labels: tuple[str, ...]
-    interior: tuple[str, ...]
+    layout: ChannelLayout
+
+    def components(self) -> dict:
+        """The solution by component name (see `core.named_components`),
+        one value per cell.  An atom with no active leg gets 0."""
+        column = {label: k for k, label in enumerate(self.layout.labels)}
+        pairs = {
+            label: (self.x[:, column[f"{label}:R"]], self.x[:, column[f"{label}:L"]])
+            for label in self.layout.interior
+        }
+        inactive = np.zeros(len(self.x), dtype=complex)
+        excited = [
+            self.x[:, self.layout.atom_columns[atom]]
+            if atom in self.layout.atom_columns
+            else inactive
+            for atom in range(self.layout.atoms)
+        ]
+        return named_components(np.moveaxis(self.outgoing, -1, 0), pairs, excited)
 
 
 def build_layout(cfg: SystemConfig) -> ChannelLayout:
-    """Derive the channel/region structure of a configuration.
+    """Derive the channel/region structure and column map of a configuration.
 
     Zero-strength legs are dropped: a channel that nothing couples to would
     otherwise contribute spurious singular blocks, and its amplitudes are
@@ -174,8 +210,25 @@ def build_layout(cfg: SystemConfig) -> ChannelLayout:
                 Channel(q_name, waveguide, "q", se_legs, terminated, n_regions)
             )
 
-    active_atoms = tuple(sorted({l.atom for l in active}))
-    return ChannelLayout(tuple(channels), breakpoints, cfg.wall, active_atoms)
+    labels: list[str] = []
+    offsets = {}
+    for ch in channels:
+        offsets[ch.name] = len(labels)
+        labels += [f"{ch.name}:{r}:{mover}" for r in range(ch.n_regions) for mover in "RL"]
+    atom_columns = {}
+    for atom in sorted({l.atom for l in active}):
+        atom_columns[atom] = len(labels)
+        labels.append(f"u_e{atom + 1}")
+    # Regions between coupling points, and before the wall, by channel.
+    interior = tuple(
+        f"{ch.name}:{r}"
+        for ch in channels
+        for r in range(1, ch.n_regions if ch.terminated else ch.n_regions - 1)
+    )
+    return ChannelLayout(
+        tuple(channels), breakpoints, cfg.wall, tuple(labels), interior,
+        offsets, atom_columns, len(cfg.atoms),
+    )
 
 
 def _active(gamma) -> bool:
@@ -186,43 +239,6 @@ def _active(gamma) -> bool:
     if np.any(positive):
         raise ValueError("the cells of a block must share one active-leg pattern")
     return False
-
-
-def _interior(layout: ChannelLayout) -> tuple[str, ...]:
-    """Regions between coupling points, and before the wall, by channel."""
-    return tuple(
-        region_label(ch.name, r)
-        for ch in layout.channels
-        for r in range(1, ch.n_regions if ch.terminated else ch.n_regions - 1)
-    )
-
-
-class _Index:
-    """Column bookkeeping: (channel, region, mover) and atom unknowns."""
-
-    def __init__(self, layout: ChannelLayout) -> None:
-        self.offsets: dict[str, int] = {}
-        labels: list[str] = []
-        col = 0
-        for ch in layout.channels:
-            self.offsets[ch.name] = col
-            for r in range(ch.n_regions):
-                labels.append(f"{region_label(ch.name, r)}:R")
-                labels.append(f"{region_label(ch.name, r)}:L")
-            col += 2 * ch.n_regions
-        self.atom_cols: dict[int, int] = {}
-        for atom in layout.active_atoms:
-            self.atom_cols[atom] = col
-            labels.append(f"u_e{atom + 1}")
-            col += 1
-        self.size = col
-        self.labels = tuple(labels)
-
-    def right(self, channel: str, r: int) -> int:
-        return self.offsets[channel] + 2 * r
-
-    def left(self, channel: str, r: int) -> int:
-        return self.offsets[channel] + 2 * r + 1
 
 
 def _wavevector(cfg: SystemConfig, energy: float, kind: str) -> float:
@@ -242,8 +258,7 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> LinearSystem:
     ``energy`` may be an array of cells, with which each atom's omega_1 and
     omega_s broadcast; the matrix then has shape ``(*cells, n, n)``.
     """
-    idx = _Index(layout)
-    n = idx.size
+    n = len(layout.labels)
     cells = getattr(energy, "shape", ())
     stack = np.zeros(cells + (n, n), dtype=complex)
     # matrix[r, c] is that entry over all cells, through a view of the
@@ -259,17 +274,17 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> LinearSystem:
         last = ch.n_regions - 1
 
         # Incoming-coefficient boundary rows.
-        matrix[row, idx.right(ch.name, 0)] = 1.0
+        matrix[row, layout.right(ch.name, 0)] = 1.0
         if incident_here and inc.from_left:
             rhs[row] = inc.amplitude
         row += 1
         if ch.terminated:
             wall = layout.wall
-            matrix[row, idx.right(ch.name, last)] = np.exp(1j * kappa * wall)
-            matrix[row, idx.left(ch.name, last)] = -np.exp(-1j * kappa * wall)
+            matrix[row, layout.right(ch.name, last)] = np.exp(1j * kappa * wall)
+            matrix[row, layout.left(ch.name, last)] = -np.exp(-1j * kappa * wall)
             row += 1
         else:
-            matrix[row, idx.left(ch.name, last)] = 1.0
+            matrix[row, layout.left(ch.name, last)] = 1.0
             if incident_here and not inc.from_left:
                 rhs[row] = inc.amplitude
             row += 1
@@ -280,20 +295,20 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> LinearSystem:
             x_c = layout.breakpoints[j]
             phase = np.exp(1j * kappa * x_c)
             couplings = [leg for leg in ch.legs if leg.position == x_c]
-            matrix[row, idx.right(ch.name, j + 1)] = -1j * phase
-            matrix[row, idx.right(ch.name, j)] = 1j * phase
+            matrix[row, layout.right(ch.name, j + 1)] = -1j * phase
+            matrix[row, layout.right(ch.name, j)] = 1j * phase
             for leg in couplings:
-                matrix[row, idx.atom_cols[leg.atom]] += leg.coupling
+                matrix[row, layout.atom_columns[leg.atom]] += leg.coupling
             row += 1
-            matrix[row, idx.left(ch.name, j + 1)] = 1j / phase
-            matrix[row, idx.left(ch.name, j)] = -1j / phase
+            matrix[row, layout.left(ch.name, j + 1)] = 1j / phase
+            matrix[row, layout.left(ch.name, j)] = -1j / phase
             for leg in couplings:
-                matrix[row, idx.atom_cols[leg.atom]] += leg.coupling
+                matrix[row, layout.atom_columns[leg.atom]] += leg.coupling
             row += 1
 
     # Atomic rows: (E - omega_1) u = sum_legs g * average field at the leg.
-    for atom in layout.active_atoms:
-        matrix[row, idx.atom_cols[atom]] = energy - cfg.atoms[atom].omega_1
+    for atom, column in layout.atom_columns.items():
+        matrix[row, column] = energy - cfg.atoms[atom].omega_1
         for ch in layout.channels:
             kappa = _wavevector(cfg, energy, ch.kind)
             for leg in ch.legs:
@@ -302,17 +317,17 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> LinearSystem:
                 j = layout.breakpoints.index(leg.position)
                 phase = np.exp(1j * kappa * leg.position)
                 half_g = 0.5 * leg.coupling
-                matrix[row, idx.right(ch.name, j)] += -half_g * phase
-                matrix[row, idx.right(ch.name, j + 1)] += -half_g * phase
-                matrix[row, idx.left(ch.name, j)] += -half_g / phase
-                matrix[row, idx.left(ch.name, j + 1)] += -half_g / phase
+                matrix[row, layout.right(ch.name, j)] += -half_g * phase
+                matrix[row, layout.right(ch.name, j + 1)] += -half_g * phase
+                matrix[row, layout.left(ch.name, j)] += -half_g / phase
+                matrix[row, layout.left(ch.name, j + 1)] += -half_g / phase
         row += 1
 
     assert row == n, "system must be square"
-    return LinearSystem(stack, rhs, idx.labels, idx)
+    return LinearSystem(stack, rhs, layout.labels)
 
 
-def _outgoing(layout: ChannelLayout, idx: _Index, x: np.ndarray) -> np.ndarray:
+def _outgoing(layout: ChannelLayout, x: np.ndarray) -> np.ndarray:
     """Port values of one solution or a block, in `ScatterAmplitudes.outgoing`
     order on the last axis.
 
@@ -323,31 +338,10 @@ def _outgoing(layout: ChannelLayout, idx: _Index, x: np.ndarray) -> np.ndarray:
         ch = next((c for c in layout.channels if c.name == name), None)
         if ch is None:
             continue
-        outgoing[..., 2 * pair] = x[..., idx.left(name, 0)]
+        outgoing[..., 2 * pair] = x[..., layout.left(name, 0)]
         if not ch.terminated:
-            outgoing[..., 2 * pair + 1] = x[..., idx.right(name, ch.n_regions - 1)]
+            outgoing[..., 2 * pair + 1] = x[..., layout.right(name, ch.n_regions - 1)]
     return outgoing
-
-
-def components(x, labels, interior, outgoing, atoms: int) -> dict:
-    """A solution by component name (see `core.named_components`).
-
-    ``x`` is one cell's solution or a block's, one unknown per last-axis
-    column named by ``labels``; ``interior`` names the reported regions,
-    ``outgoing`` holds the port values on its last axis and ``atoms`` is
-    the configuration's atom count.  An atom with no active leg gets 0.
-    """
-    column = {label: k for k, label in enumerate(labels)}
-    pairs = {
-        label: (x[..., column[f"{label}:R"]], x[..., column[f"{label}:L"]])
-        for label in interior
-    }
-    inactive = np.zeros(x.shape[:-1], dtype=complex)
-    excited = [
-        x[..., column[f"u_e{atom}"]] if f"u_e{atom}" in column else inactive
-        for atom in range(1, atoms + 1)
-    ]
-    return named_components(np.moveaxis(outgoing, -1, 0), pairs, excited)
 
 
 def _ill_conditioned(matrix: np.ndarray) -> np.ndarray:
@@ -370,24 +364,21 @@ def _ill_conditioned(matrix: np.ndarray) -> np.ndarray:
 def solve(cfg: SystemConfig) -> ScatterAmplitudes:
     """Solve one configuration and return the full amplitude set.
 
-    Raises DegenerateConfigError when the system is exactly singular or its
-    solution is not finite (an underflowed pivot, as with a subnormal decay
-    rate at resonance); an ill-conditioned (but solvable) system is returned
-    with an ``"ill_conditioned"`` flag attached.
+    The configuration is solved as a `solve_batch` block of one cell.
+    Raises DegenerateConfigError where that block marks the cell singular:
+    the system is exactly singular or its solution is not finite (an
+    underflowed pivot, as with a subnormal decay rate at resonance).  An
+    ill-conditioned (but solvable) system is returned with an
+    ``"ill_conditioned"`` flag attached.
     """
-    layout = build_layout(cfg)
-    system = assemble(layout, cfg, cfg.energy)
-    try:
-        x = np.linalg.solve(system.matrix, system.rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateConfigError(f"singular scattering system: {exc}") from exc
-    if not np.isfinite(x).all():
-        raise DegenerateConfigError("singular scattering system: non-finite solution")
-    flags: tuple[str, ...] = ()
-    if _ill_conditioned(system.matrix):
-        flags = ("ill_conditioned",)
-    outgoing = _outgoing(layout, system._index, x)
-    items = components(x, system.labels, _interior(layout), outgoing, len(cfg.atoms))
+    cell = replace(cfg, incident=replace(cfg.incident, delta=np.array([cfg.incident.delta])))
+    sol = solve_batch(cell)
+    if sol.singular[0]:
+        raise DegenerateConfigError(
+            "singular scattering system: exactly singular or a non-finite solution"
+        )
+    flags = ("ill_conditioned",) if sol.ill_conditioned[0] else ()
+    items = {key: value[0] for key, value in sol.components().items()}
     return ScatterAmplitudes.from_components(cfg.incident.port, items, flags)
 
 
@@ -399,7 +390,7 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
     make them from array rates, detunings and phases).  One stacked solve
     covers the block; if any cell is exactly singular, the cells are solved
     one by one and only those that fail are marked singular.  A cell whose
-    solution is not finite is marked singular too, as `solve` raises on it.
+    solution is not finite is marked singular too.
     ``check_conditioning=False`` skips the condition check, whose stacked
     inverse holds as much memory again as the block's matrices, and leaves
     ``ill_conditioned`` None.  Only the `solver` engine of a sweep checks;
@@ -431,7 +422,4 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
         singular |= unresolved
         x[unresolved] = 0.0
     ill_conditioned = _ill_conditioned(matrix) if check_conditioning else None
-    outgoing = _outgoing(layout, system._index, x)
-    return BlockSolution(
-        outgoing, singular, ill_conditioned, x, system.labels, _interior(layout)
-    )
+    return BlockSolution(_outgoing(layout, x), singular, ill_conditioned, x, layout)

@@ -7,7 +7,7 @@ amplitudes and the solver amplitudes are computed at the same physical
 parameters and compared componentwise (ports, interior regions and atomic
 amplitudes), and both routes are checked for probability conservation.
 Each engine names its output once, `closed_form.components` for kernel
-output and `solver.components` for a solved block, with the keys of
+output and `BlockSolution.components` for a solved block, with the keys of
 `ScatterAmplitudes.components`; components are matched by those names.
 
 Draws run in rounds of ``len(FAMILY_NAMES) * SOLVER_BLOCK``, so memory does
@@ -217,9 +217,7 @@ def _check_route(label, route, gammas, delta, phases, draw, case, errors):
             errors, draw[group], sol.singular, (0, case, 1),
             lambda d: DegenerateConfigError(f"singular scattering system at {point!r}, draw {d}"),
         )
-        numeric = solver.components(
-            sol.x, sol.labels, sol.interior, sol.outgoing, len(cfg.atoms)
-        )
+        numeric = sol.components()
         if set(closed) != set(numeric):
             missing = set(closed) ^ set(numeric)
             _first_error(

@@ -701,6 +701,13 @@ class TestDumpConfig:
         spec, _ = cli.parse_config(json.loads(capsys.readouterr().out))
         assert spec == figure_preset(figure_id).sweeps[key]
 
+    def test_config_and_figure_together_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        assert cli.main(["dump-config", cfg, "--figure", "fig8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and "not both" in captured.err
+        assert captured.out == ""
+
     def test_objective_round_trip(self, tmp_path, capsys):
         doc = base_config(
             objective={

@@ -15,11 +15,12 @@ from .core import (
     SingularityError,
     SystemConfig,
     TransferRates,
+    VerificationError,
     combine_directions,
     rates_from_amplitudes,
 )
 from .search import Bounds, Fixed, Linked, Objective, SearchReport, grid_refine_search
-from .solver import ChannelLayout, LinearSystem, assemble, build_layout, solve
+from .solver import ChannelLayout, assemble, build_layout, solve
 from .sweep import (
     FAMILIES,
     Axis,
@@ -48,7 +49,6 @@ __all__ = [
     "Fixed",
     "IncidentWave",
     "InvalidAmplitudeError",
-    "LinearSystem",
     "Linked",
     "NoFeasiblePointError",
     "Objective",
@@ -62,6 +62,7 @@ __all__ = [
     "SystemConfig",
     "TransferRates",
     "ValidationReport",
+    "VerificationError",
     "assemble",
     "build_layout",
     "combine_directions",

@@ -72,6 +72,10 @@ class NoFeasiblePointError(RuntimeError):
     """A parameter search found no point satisfying the constraints."""
 
 
+class VerificationError(RuntimeError):
+    """A search optimum's solver rates differ from its closed-form rates."""
+
+
 @dataclass(frozen=True)
 class AtomSpec:
     """One bridge atom.

@@ -13,7 +13,8 @@ it has already evaluated reuses that value, and is counted, traced and
 tie-broken as a fresh one.  The search never makes more evaluations than
 its budget.  It is fully deterministic: ties are broken toward the
 lexicographically smallest parameter vector.  Every reported optimum is
-re-verified against the boundary-matching solver before it is returned.
+re-verified against the boundary-matching solver before it is returned;
+an optimum the solver's rates disagree with raises VerificationError.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .core import (
     NoFeasiblePointError,
     SingularityError,
     TransferRates,
+    VerificationError,
 )
 from .sweep import FAMILIES, FLAG_NAMES, MAX_CELLS, RATE_FIELDS, rates_from_fields
 
@@ -339,7 +341,7 @@ def _verify_with_solver(params: dict[str, float], closed: TransferRates) -> floa
         for a, name in zip(closed.as_row()[:6], RATE_FIELDS[:6])
     )
     if discrepancy > VERIFY_TOL:
-        raise RuntimeError(
+        raise VerificationError(
             f"optimum failed solver re-verification: discrepancy {discrepancy:.3e}"
         )
     return discrepancy

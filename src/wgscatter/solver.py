@@ -22,13 +22,16 @@ Conventions (matching the closed forms):
   couplings this puts maximal coupling at k L = 0 and decoupling at
   k L = pi/2, matching the terminated-guide spectra.
 
-`build_layout` fixes the unknowns once: each channel's regions, their
-right- and left-mover columns and each active atom's column, all read from
-the `ChannelLayout`.  A block of cells that share one layout is solved at
-once: `solve_batch` takes a configuration whose energy, each atom's omega_1
-and omega_s, and each leg's gamma may be arrays over the block, and
-assembles and solves the whole block with one stacked numpy call each.  The
-cells must share one active-leg pattern (which legs have gamma > 0), since
+`build_layout` fixes the unknowns once, from the geometry: each channel's
+regions, their right- and left-mover columns, each active atom's column,
+and the one map from component names to columns that `_outgoing` and
+`BlockSolution.components` read, all in the `ChannelLayout`.  Every leg's
+position is a breakpoint whatever its rate, so both engines name the same
+components at any pattern of zero rates.  A block of cells that share one
+layout is solved at once: `solve_batch` takes a configuration whose energy,
+each atom's omega_1 and omega_s, and each leg's gamma may be arrays over the
+block, and assembles and solves the whole block with one stacked numpy call
+each.  The cells must share one active-leg pattern (which legs have gamma > 0), since
 that fixes the layout.  `solve` is the block of one cell: it raises
 DegenerateConfigError where `solve_batch` marks that cell singular.  Every
 cell's matrix is bit-identical to the one its own configuration assembles,
@@ -51,8 +54,10 @@ from .core import (
     CH_N_K,
     CH_N_Q,
     GE,
+    PORTS,
     SE,
     WAVEGUIDE_M,
+    WAVEGUIDE_N,
     DegenerateConfigError,
     ScatterAmplitudes,
     SystemConfig,
@@ -93,29 +98,32 @@ class Channel:
 class ChannelLayout:
     """Region structure and column map shared by all channels of a configuration.
 
-    ``breakpoints`` is the sorted set of distinct active coupling positions,
-    plus the wall position when guide M is terminated.  Every channel is
-    split into regions at every breakpoint (couplings absent from a channel
-    contribute null jumps); a terminated channel has no region beyond the
-    wall.
+    ``breakpoints`` is the sorted set of distinct coupling positions, whatever
+    the legs' rates, plus the wall position when guide M is terminated.
+    Every channel is split into regions at every breakpoint (couplings absent
+    from a channel contribute null jumps); a terminated channel has no region
+    beyond the wall.
 
     The unknowns are each channel's region coefficients, channel by channel
     from column ``offsets[name]`` with a region's right mover before its
     left one (`right`, `left`), then one excited amplitude per active atom,
     in the column ``atom_columns[atom]``.  ``labels`` names every column
-    (such as ``"M_k:1:R"`` or ``"u_e2"``), ``interior`` names the regions
-    that `ScatterAmplitudes.interior` reports, and ``atoms`` is the
-    configuration's atom count, active or not.
+    (such as ``"M_k:1:R"`` or ``"u_e2"``).  ``components`` maps each
+    `core.named_components` name of the geometry to its column: the six
+    ports, the interior regions of every channel the legs define, and every
+    atom's excited amplitude.  It maps to None an amplitude that is 0 by
+    construction: a port with no channel or beyond the wall, and the
+    amplitudes of a q channel or an atom with no active leg, which get no
+    columns.
     """
 
     channels: tuple[Channel, ...]
     breakpoints: tuple[float, ...]
     wall: float | None
     labels: tuple[str, ...]
-    interior: tuple[str, ...]
     offsets: Mapping[str, int]
     atom_columns: Mapping[int, int]
-    atoms: int
+    components: Mapping[str, int | None]
 
     def right(self, channel: str, r: int) -> int:
         """Column of the right mover of ``channel``'s region ``r``."""
@@ -124,19 +132,6 @@ class ChannelLayout:
     def left(self, channel: str, r: int) -> int:
         """Column of the left mover of ``channel``'s region ``r``."""
         return self.offsets[channel] + 2 * r + 1
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """Dense square system A x = b with one label per unknown.
-
-    A block of cells stacks its matrices as ``(*cells, n, n)``; the
-    right-hand side is shared.
-    """
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-    labels: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -159,56 +154,45 @@ class BlockSolution:
 
     def components(self) -> dict:
         """The solution by component name (see `core.named_components`),
-        one value per cell.  An atom with no active leg gets 0."""
-        column = {label: k for k, label in enumerate(self.layout.labels)}
-        pairs = {
-            label: (self.x[:, column[f"{label}:R"]], self.x[:, column[f"{label}:L"]])
-            for label in self.layout.interior
+        one value per cell.  Any component the rates uncouple gets 0."""
+        zero = np.zeros(len(self.x), dtype=complex)
+        return {
+            name: zero if column is None else self.x[:, column]
+            for name, column in self.layout.components.items()
         }
-        inactive = np.zeros(len(self.x), dtype=complex)
-        excited = [
-            self.x[:, self.layout.atom_columns[atom]]
-            if atom in self.layout.atom_columns
-            else inactive
-            for atom in range(self.layout.atoms)
-        ]
-        return named_components(np.moveaxis(self.outgoing, -1, 0), pairs, excited)
 
 
 def build_layout(cfg: SystemConfig) -> ChannelLayout:
     """Derive the channel/region structure and column map of a configuration.
 
-    Zero-strength legs are dropped: a channel that nothing couples to would
+    The geometry fixes the breakpoints and the component names: every leg's
+    position is a breakpoint and every leg's channel has its regions named,
+    whatever the leg's rate.  Zero-strength legs couple nothing, and a q
+    channel or an atom with no active leg gets no columns: it would
     otherwise contribute spurious singular blocks, and its amplitudes are
     exactly zero by inspection.  A leg with an array rate must be active in
     every cell of the block or in none.
     """
     active = [l for l in cfg.legs if _active(l.gamma)]
-    positions = sorted({l.position for l in active})
+    positions = sorted({l.position for l in cfg.legs})
     if cfg.wall is not None:
         positions.append(cfg.wall)
     breakpoints = tuple(positions)
 
-    def legs_for(waveguide: str, transition: str) -> tuple[LegRef, ...]:
-        return tuple(
-            LegRef(l.position, l.coupling, l.atom)
-            for l in active
-            if l.waveguide == waveguide and l.transition == transition
-        )
-
-    channels = []
-    for waveguide in ("M", "N"):
+    # Both k channels, and a guide's q channel where it has an s-e leg.
+    geometry = []
+    for waveguide, names in ((WAVEGUIDE_M, (CH_M_K, CH_M_Q)), (WAVEGUIDE_N, (CH_N_K, CH_N_Q))):
         terminated = cfg.wall is not None and waveguide == WAVEGUIDE_M
         n_regions = len(breakpoints) if terminated else len(breakpoints) + 1
-        ge_legs = legs_for(waveguide, GE)
-        se_legs = legs_for(waveguide, SE)
-        k_name = CH_M_K if waveguide == WAVEGUIDE_M else CH_N_K
-        channels.append(Channel(k_name, waveguide, "k", ge_legs, terminated, n_regions))
-        if se_legs:
-            q_name = CH_M_Q if waveguide == WAVEGUIDE_M else CH_N_Q
-            channels.append(
-                Channel(q_name, waveguide, "q", se_legs, terminated, n_regions)
-            )
+        for kind, transition, name in zip("kq", (GE, SE), names):
+            if kind == "q" and not any(
+                l.waveguide == waveguide and l.transition == SE for l in cfg.legs
+            ):
+                continue
+            on = [l for l in active if (l.waveguide, l.transition) == (waveguide, transition)]
+            legs = tuple(LegRef(l.position, l.coupling, l.atom) for l in on)
+            geometry.append(Channel(name, waveguide, kind, legs, terminated, n_regions))
+    channels = tuple(ch for ch in geometry if ch.kind == "k" or ch.legs)
 
     labels: list[str] = []
     offsets = {}
@@ -219,15 +203,25 @@ def build_layout(cfg: SystemConfig) -> ChannelLayout:
     for atom in sorted({l.atom for l in active}):
         atom_columns[atom] = len(labels)
         labels.append(f"u_e{atom + 1}")
-    # Regions between coupling points, and before the wall, by channel.
-    interior = tuple(
-        f"{ch.name}:{r}"
-        for ch in channels
-        for r in range(1, ch.n_regions if ch.terminated else ch.n_regions - 1)
-    )
+
+    def pair(ch: Channel, r: int) -> tuple[int | None, int | None]:
+        """(right, left) columns of a region; None past the wall or for a
+        channel without columns."""
+        if ch.name in offsets and r < ch.n_regions:
+            return offsets[ch.name] + 2 * r, offsets[ch.name] + 2 * r + 1
+        return None, None
+
+    # Region `outer` is the outermost one of a channel without a wall; the
+    # regions between it and region 0 lie between coupling points, or
+    # before the wall.
+    outer = len(breakpoints)
+    ends = {ch.name: (pair(ch, 0)[1], pair(ch, outer)[0]) for ch in geometry}
+    ports = [c for name in (CH_M_K, CH_N_K, CH_N_Q) for c in ends.get(name, (None, None))]
+    interior = {f"{ch.name}:{r}": pair(ch, r) for ch in geometry for r in range(1, outer)}
+    excited = [atom_columns.get(atom) for atom in range(len(cfg.atoms))]
     return ChannelLayout(
-        tuple(channels), breakpoints, cfg.wall, tuple(labels), interior,
-        offsets, atom_columns, len(cfg.atoms),
+        channels, breakpoints, cfg.wall, tuple(labels), offsets, atom_columns,
+        named_components(ports, interior, excited),
     )
 
 
@@ -247,8 +241,8 @@ def _wavevector(cfg: SystemConfig, energy: float, kind: str) -> float:
     return energy - cfg.omega_s
 
 
-def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> LinearSystem:
-    """Build the dense linear system at eigenstate energy E.
+def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> tuple[np.ndarray, np.ndarray]:
+    """Build the dense linear system A x = b at eigenstate energy E.
 
     Rows: two jump conditions per channel per breakpoint, one mirror row per
     terminated channel, one row per atomic amplitude, and the boundary rows
@@ -256,7 +250,8 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> LinearSystem:
     amplitude on the entry side, zero elsewhere).
 
     ``energy`` may be an array of cells, with which each atom's omega_1 and
-    omega_s broadcast; the matrix then has shape ``(*cells, n, n)``.
+    omega_s broadcast; the matrix then has shape ``(*cells, n, n)`` and the
+    right-hand side, shape ``(n,)``, is shared.  Returns ``(matrix, rhs)``.
     """
     n = len(layout.labels)
     cells = getattr(energy, "shape", ())
@@ -266,8 +261,14 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> LinearSystem:
     matrix = np.moveaxis(stack, (-2, -1), (0, 1))
     rhs = np.zeros(n, dtype=complex)
     inc = cfg.incident
-    row = 0
 
+    # Atomic rows: (E - omega_1) u = sum_legs g * average field at the leg.
+    # The channel rows fill the columns before the atoms', so each atom's
+    # row is its own column; the legs' terms are added below.
+    for atom, column in layout.atom_columns.items():
+        matrix[column, column] = energy - cfg.atoms[atom].omega_1
+
+    row = 0
     for ch in layout.channels:
         kappa = _wavevector(cfg, energy, ch.kind)
         incident_here = ch.kind == "k" and ch.waveguide == inc.waveguide
@@ -289,59 +290,43 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> LinearSystem:
                 rhs[row] = inc.amplitude
             row += 1
 
-        # Jump rows at each breakpoint interior to the channel.
-        n_jumps = ch.n_regions - 1
-        for j in range(n_jumps):
-            x_c = layout.breakpoints[j]
+        # Jump rows at each breakpoint interior to the channel, and each
+        # leg's terms in its atom's row.
+        for j, x_c in enumerate(layout.breakpoints[:last]):
             phase = np.exp(1j * kappa * x_c)
-            couplings = [leg for leg in ch.legs if leg.position == x_c]
-            matrix[row, layout.right(ch.name, j + 1)] = -1j * phase
-            matrix[row, layout.right(ch.name, j)] = 1j * phase
-            for leg in couplings:
-                matrix[row, layout.atom_columns[leg.atom]] += leg.coupling
-            row += 1
-            matrix[row, layout.left(ch.name, j + 1)] = 1j / phase
-            matrix[row, layout.left(ch.name, j)] = -1j / phase
-            for leg in couplings:
-                matrix[row, layout.atom_columns[leg.atom]] += leg.coupling
-            row += 1
-
-    # Atomic rows: (E - omega_1) u = sum_legs g * average field at the leg.
-    for atom, column in layout.atom_columns.items():
-        matrix[row, column] = energy - cfg.atoms[atom].omega_1
-        for ch in layout.channels:
-            kappa = _wavevector(cfg, energy, ch.kind)
+            # Region j's columns; region j + 1's are the two after them.
+            right, left = layout.right(ch.name, j), layout.left(ch.name, j)
+            matrix[row, right + 2] = -1j * phase
+            matrix[row, right] = 1j * phase
+            matrix[row + 1, left + 2] = 1j / phase
+            matrix[row + 1, left] = -1j / phase
             for leg in ch.legs:
-                if leg.atom != atom:
+                if leg.position != x_c:
                     continue
-                j = layout.breakpoints.index(leg.position)
-                phase = np.exp(1j * kappa * leg.position)
+                u = layout.atom_columns[leg.atom]
+                matrix[row, u] += leg.coupling
+                matrix[row + 1, u] += leg.coupling
                 half_g = 0.5 * leg.coupling
-                matrix[row, layout.right(ch.name, j)] += -half_g * phase
-                matrix[row, layout.right(ch.name, j + 1)] += -half_g * phase
-                matrix[row, layout.left(ch.name, j)] += -half_g / phase
-                matrix[row, layout.left(ch.name, j + 1)] += -half_g / phase
-        row += 1
+                matrix[u, right] += -half_g * phase
+                matrix[u, right + 2] += -half_g * phase
+                matrix[u, left] += -half_g / phase
+                matrix[u, left + 2] += -half_g / phase
+            row += 2
 
-    assert row == n, "system must be square"
-    return LinearSystem(stack, rhs, layout.labels)
+    assert row + len(layout.atom_columns) == n, "system must be square"
+    return stack, rhs
 
 
 def _outgoing(layout: ChannelLayout, x: np.ndarray) -> np.ndarray:
     """Port values of one solution or a block, in `ScatterAmplitudes.outgoing`
     order on the last axis.
 
-    A port with no channel, or the right end of a terminated one, is 0.
+    A port the layout maps to no column (no channel, or the right end of a
+    terminated one) is 0.
     """
-    outgoing = np.zeros(x.shape[:-1] + (6,), dtype=complex)
-    for pair, name in enumerate((CH_M_K, CH_N_K, CH_N_Q)):
-        ch = next((c for c in layout.channels if c.name == name), None)
-        if ch is None:
-            continue
-        outgoing[..., 2 * pair] = x[..., layout.left(name, 0)]
-        if not ch.terminated:
-            outgoing[..., 2 * pair + 1] = x[..., layout.right(name, ch.n_regions - 1)]
-    return outgoing
+    zero = np.zeros(x.shape[:-1], dtype=complex)
+    columns = (layout.components[name] for name in PORTS)
+    return np.stack([zero if c is None else x[..., c] for c in columns], axis=-1)
 
 
 def _ill_conditioned(matrix: np.ndarray) -> np.ndarray:
@@ -400,19 +385,18 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
     if np.ndim(cfg.energy) != 1:
         raise ValueError("solve_batch needs a 1-D block of cells")
     layout = build_layout(cfg)
-    system = assemble(layout, cfg, cfg.energy)
-    matrix = system.matrix
+    matrix, b = assemble(layout, cfg, cfg.energy)
     singular = np.zeros(len(matrix), dtype=bool)
     # A 3-D right-hand side is a stack of one-column matrices under every
     # numpy version; a 1-D one means a vector only from numpy 2.0 on.
-    rhs = np.broadcast_to(system.rhs[:, None], matrix.shape[:-1] + (1,))
+    rhs = np.broadcast_to(b[:, None], matrix.shape[:-1] + (1,))
     try:
         x = np.linalg.solve(matrix, rhs)[..., 0]
     except np.linalg.LinAlgError:
         x = np.zeros(matrix.shape[:2], dtype=complex)
         for k, cell in enumerate(matrix):
             try:
-                x[k] = np.linalg.solve(cell, system.rhs)
+                x[k] = np.linalg.solve(cell, b)
             except np.linalg.LinAlgError:
                 singular[k] = True
     # A solution that is not finite (an underflowed pivot, as with a

@@ -275,14 +275,21 @@ def test_singular_solver_draw_raises_as_reference():
         round_report(rows)
 
 
-def test_component_mismatch_raises_as_reference():
-    # Two-legged forward with gamma4 = 0: the solver has no N_q channel, so
-    # it has no N_q:1 region to compare with the closed one.
+def test_component_mismatch_raises_as_reference(monkeypatch):
+    # A two-legged forward kernel that reports one interior region more than
+    # the solver's layout has: neither check may compare the two sets.
+    kernel = cf.giant_forward_fields
+
+    def extra_region(*args):
+        fields = kernel(*args)
+        fields.interior["N_k:2"] = fields.interior["N_k:1"]
+        return fields
+
+    monkeypatch.setattr(cf, "giant_forward_fields", extra_region)
     rows = reference_draws(10, 5)
-    rows[8][3] = 0.0
-    with pytest.raises(AssertionError, match="N_q:1"):
+    with pytest.raises(AssertionError, match="N_k:2"):
         reference(rows)
-    with pytest.raises(AssertionError, match="N_q:1"):
+    with pytest.raises(AssertionError, match="N_k:2"):
         round_report(rows)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from wgscatter import search
-from wgscatter.core import NoFeasiblePointError, SingularityError
+from wgscatter.core import NoFeasiblePointError, SingularityError, VerificationError
 from wgscatter.search import (
     CONVERSION_MERIT,
     ISOLATION_CONTRAST,
@@ -138,6 +138,12 @@ class TestProperties:
         b = grid_refine_search(conversion_objective(floor), budget=600)
         assert a.best_params == b.best_params
         assert a.trace == b.trace
+
+    def test_failed_reverification_raises_verification_error(self, monkeypatch):
+        monkeypatch.setattr(search, "VERIFY_TOL", -1.0)
+        with pytest.raises(VerificationError, match="re-verification"):
+            grid_refine_search(conversion_objective(0.0), budget=100)
+        assert issubclass(VerificationError, RuntimeError)
 
     # The closed forms give T_Ns = 0 and eta_undefined when gamma3 = 0, the
     # solver T_Ns = 2.4e-35 and eta = 1, so the re-verification fails.

@@ -1,5 +1,6 @@
 """Boundary-matching solver: layout, assembly, textbook cases, properties."""
 
+import itertools
 import math
 
 import numpy as np
@@ -113,12 +114,12 @@ class TestLayout:
     def test_expected_unknowns_present(self):
         cfg = configs.small_separated((1.0, 1.0, 1.0, 1.0), 0.0, 1.0, 0.5)
         layout = solver.build_layout(cfg)
-        system = solver.assemble(layout, cfg, cfg.energy)
-        n = system.matrix.shape[0]
-        assert system.matrix.shape == (n, n)
-        assert len(system.rhs) == n == len(system.labels)
-        assert {"u_e1", "u_e2"} <= set(system.labels)
-        assert {"M_k:1:R", "M_k:1:L"} <= set(system.labels)
+        matrix, rhs = solver.assemble(layout, cfg, cfg.energy)
+        n = matrix.shape[0]
+        assert matrix.shape == (n, n)
+        assert len(rhs) == n == len(layout.labels)
+        assert {"u_e1", "u_e2"} <= set(layout.labels)
+        assert {"M_k:1:R", "M_k:1:L"} <= set(layout.labels)
 
 
 class TestSolutions:
@@ -179,13 +180,13 @@ class TestStructuralProperties:
         # Solving a row/column-permuted system recovers the same amplitudes.
         cfg = configs.small_separated((1.2, 0.7, 0.5, 1.9), 1.3, 2.0, 1.1)
         layout = solver.build_layout(cfg)
-        system = solver.assemble(layout, cfg, cfg.energy)
-        x_direct = np.linalg.solve(system.matrix, system.rhs)
+        matrix, rhs = solver.assemble(layout, cfg, cfg.energy)
+        x_direct = np.linalg.solve(matrix, rhs)
         rng = np.random.default_rng(3)
-        n = len(system.rhs)
+        n = len(rhs)
         rows, cols = rng.permutation(n), rng.permutation(n)
-        permuted = system.matrix[np.ix_(rows, cols)]
-        x_perm = np.linalg.solve(permuted, system.rhs[rows])
+        permuted = matrix[np.ix_(rows, cols)]
+        x_perm = np.linalg.solve(permuted, rhs[rows])
         restored = np.empty_like(x_perm)
         restored[cols] = x_perm
         assert np.allclose(restored, x_direct, atol=1e-12)
@@ -235,17 +236,17 @@ class TestBlockSolve:
         delta = np.linspace(-4.0, 4.0, 9)
         shifted = [p + 0.6 * delta for p in phases]
         block = build(*rates, delta, *shifted)
-        system = solver.assemble(solver.build_layout(block), block, block.energy)
+        matrix, _ = solver.assemble(solver.build_layout(block), block, block.energy)
         result = solver.solve_batch(block)
         assert not result.singular.any()
         for j, d in enumerate(delta.tolist()):
             cell = build(*rates, d, *(float(p[j]) for p in shifted))
             layout = solver.build_layout(cell)
-            cell_system = solver.assemble(layout, cell, cell.energy)
-            assert system.matrix[j].tobytes() == cell_system.matrix.tobytes()
+            cell_matrix, cell_rhs = solver.assemble(layout, cell, cell.energy)
+            assert matrix[j].tobytes() == cell_matrix.tobytes()
             # A reference that never runs `solve_batch`: the cell's own
             # scalar system through a 2-D solve.
-            x = np.linalg.solve(cell_system.matrix, cell_system.rhs)
+            x = np.linalg.solve(cell_matrix, cell_rhs)
             assert result.x[j].tobytes() == x.tobytes()
             assert result.outgoing[j].tobytes() == solver._outgoing(layout, x).tobytes()
             amps = solver.solve(cell)
@@ -263,7 +264,7 @@ class TestBlockSolve:
         phases = {name: rng.uniform(0.0, 2 * np.pi, 60) for name in r.phases}
         result = solver.solve_batch(r.config(gammas, delta, phases))
         assert not result.singular.any()
-        column = {label: k for k, label in enumerate(result.layout.labels)}
+        items = result.components()
         for j in range(60):
             cell = r.config(
                 tuple(float(g[j]) for g in gammas),
@@ -272,15 +273,11 @@ class TestBlockSolve:
             )
             amps = solver.solve(cell)
             assert result.outgoing[j].tobytes() == np.array(amps.outgoing()).tobytes()
-            system = solver.assemble(solver.build_layout(cell), cell, cell.energy)
-            x = np.linalg.solve(system.matrix, system.rhs)
-            assert result.layout.labels == system.labels
+            layout = solver.build_layout(cell)
+            x = np.linalg.solve(*solver.assemble(layout, cell, cell.energy))
+            assert result.layout.labels == layout.labels
             assert result.x[j].tobytes() == x.tobytes()
-            assert set(result.layout.interior) == set(amps.interior)
-            for label, pair in amps.interior.items():
-                right = result.x[j, column[f"{label}:R"]]
-                left = result.x[j, column[f"{label}:L"]]
-                assert (right, left) == pair
+            assert amps.components() == {name: value[j] for name, value in items.items()}
 
     def test_condition_check_can_be_skipped(self):
         block = configs.giant((0.5, 1.0, 1.5, 0.7), np.linspace(-1.0, 1.0, 5), 0.4, 1.1)
@@ -322,22 +319,7 @@ class TestBlockSolve:
         solver.solve(configs.giant((1.0, 1.0, 1.0, 1.0), 0.3, 0.1, 0.2))
         assert len(built) == 1
 
-    @pytest.mark.parametrize(
-        "family",
-        [
-            pytest.param(
-                name,
-                marks=pytest.mark.xfail(
-                    reason="the layout drops the breakpoint of atom 1's legs, and "
-                    "with it the closed engine's interior regions between the atoms",
-                    raises=AssertionError,
-                ),
-            )
-            if name == "small_separated"
-            else name
-            for name in sorted(FAMILIES)
-        ],
-    )
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_inactive_atom_components(self, family):
         """With gamma1 = gamma3 = 0 atom 1 has no active leg: its excited
         amplitude is 0 in every cell, and the component names are the
@@ -352,6 +334,45 @@ class TestBlockSolve:
         assert items["u_e1"].tolist() == [0.0] * 5
         closed = cf.components(route.port, route.fields(gammas, delta, phases))
         assert set(items) == set(closed)
+
+    @pytest.mark.parametrize(
+        "zeros",
+        list(itertools.product((False, True), repeat=4)),
+        ids=lambda zeros: "".join("0" if zero else "g" for zero in zeros),
+    )
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_zero_rate_components_match_closed(self, route, zeros):
+        """At every pattern of zero rates the solver names the closed
+        engine's components, agrees with each to 1e-10, and gives exactly 0
+        for each component the rates uncouple."""
+        r = ROUTES[route]
+        delta = np.array([-1.3, 0.6, 2.2])
+        gammas = tuple(
+            np.full(3, 0.0 if zero else g) for zero, g in zip(zeros, (0.7, 1.1, 1.3, 0.4))
+        )
+        phases = {name: np.full(3, 0.9 + k) for k, name in enumerate(r.phases)}
+        sol = solver.solve_batch(r.config(gammas, delta, phases))
+        fields = r.fields(gammas, delta, phases)
+        closed = cf.components(r.port, fields)
+        items = sol.components()
+        assert list(items) == list(closed)
+        solved = ~(sol.singular | np.broadcast_to(fields.singular, delta.shape))
+        assert solved.any()
+        for name, value in items.items():
+            want = np.broadcast_to(closed[name], delta.shape)
+            assert np.abs(value - want)[solved].max() <= 1e-10, name
+        g1, g2, g3, g4 = (not zero for zero in zeros)
+        uncoupled = set()
+        if not (g1 or g3):
+            uncoupled.add("u_e1")
+        if r.port == 1 and not (g2 or g4):
+            uncoupled.add("u_e2")
+        if r.port == 4 or not g4:
+            uncoupled |= {name for name in items if name.endswith("_q") or name.startswith("N_q:")}
+        for name in uncoupled:
+            assert sol.layout.components[name] is None, name
+            want = np.broadcast_to(closed[name], delta.shape)
+            assert not items[name].any() and not want[solved].any(), name
 
     def test_stacked_rhs_is_version_independent(self, monkeypatch):
         """numpy < 2.0 reads a 1-D right-hand side against a stack of
@@ -386,10 +407,6 @@ class TestBlockSolve:
         with pytest.raises(DegenerateConfigError, match="non-finite"):
             solver.solve(configs.semi_infinite((0.0, 5e-324, 0.0, 0.0), 0.0, 0.0))
         assert solver.solve(configs.semi_infinite((0.0, 5e-324, 0.0, 0.0), 2.0, 0.0)).flags == ()
-
-    def test_linear_system_takes_labels(self):
-        system = solver.LinearSystem(np.eye(2), np.ones(2), ("a", "b"))
-        assert system.labels == ("a", "b")
 
 
 def conditioned_stack(rng, kappas, n: int) -> np.ndarray:
@@ -456,7 +473,7 @@ class TestIllConditionedScreen:
 
     def test_block_whose_stacked_solve_raised(self):
         block = twin_atoms(np.linspace(-1.0, 1.0, 5))
-        matrix = solver.assemble(solver.build_layout(block), block, block.energy).matrix
+        matrix, _ = solver.assemble(solver.build_layout(block), block, block.energy)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(matrix)
         expected = exact_flags(matrix)

@@ -555,9 +555,9 @@ def twin_atoms(gammas, delta):
 def test_block_solver_marks_only_the_singular_cell(monkeypatch):
     monkeypatch.setattr(configs, "small_overlap", twin_atoms)
     block = twin_atoms(None, np.linspace(-1.0, 1.0, 5))
-    system = solver.assemble(solver.build_layout(block), block, block.energy)
+    matrix, rhs = solver.assemble(solver.build_layout(block), block, block.energy)
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(system.matrix, system.rhs)
+        np.linalg.solve(matrix, rhs)
     spec = small_spec(delta_axis=Axis(-1.0, 1.0, 5), engine="solver")
     result = assert_matches_per_cell(spec)
     assert [("singular" in cell) for cell in result.flags[0]] == [False, False, True, False, False]

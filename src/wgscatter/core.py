@@ -15,8 +15,9 @@ Unit conventions used throughout the package:
 * the detuning ``delta`` is measured from the shared e-level, delta = E - omega_1.
 
 Port numbering: 1 = guide M left end, 2 = guide M right end, 3 = guide N
-left end, 4 = guide N right end.  "Forward" scattering injects at port 1,
-"reverse" at port 4.
+left end, 4 = guide N right end.  A unit-amplitude photon enters at port 1
+("forward" scattering) or at port 4 ("reverse"); ports 2 and 3 are outputs
+only.  Conversion legs (s-e transition) couple to guide N only.
 
 Every type in this module is an immutable value and every operation is a
 pure function, so everything here is safe to use from concurrent workers.
@@ -43,7 +44,6 @@ GE = "ge"  # ground <-> excited transition (elastic, wavevector class k)
 SE = "se"  # second ground <-> excited transition (inelastic, class q)
 
 CH_M_K = "M_k"
-CH_M_Q = "M_q"
 CH_N_K = "N_k"
 CH_N_Q = "N_q"
 
@@ -93,8 +93,10 @@ class AtomSpec:
     def __post_init__(self) -> None:
         if self.kind not in (TWO_LEVEL, LAMBDA):
             raise ConfigError(f"unknown atom kind {self.kind!r}")
-        if not _holds(self.omega_s >= 0):
-            raise ConfigError("omega_s must be non-negative")
+        if not _finite(self.omega_1):
+            raise ConfigError("omega_1 must be finite")
+        if not (_holds(self.omega_s >= 0) and _finite(self.omega_s)):
+            raise ConfigError("omega_s must be finite and non-negative")
         if self.kind == TWO_LEVEL and not _holds(self.omega_s == 0.0):
             raise ConfigError("a two-level atom has no s level; omega_s must be 0")
 
@@ -107,6 +109,11 @@ def _holds(condition) -> bool:
     if condition is True or condition is False:
         return condition
     return bool(np.all(condition))
+
+
+def _finite(value) -> bool:
+    """True when a scalar or every element of an array is finite."""
+    return _holds(abs(value) < math.inf)
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,8 @@ class CouplingLeg:
             raise ConfigError(f"unknown waveguide {self.waveguide!r}")
         if self.transition not in (GE, SE):
             raise ConfigError(f"unknown transition {self.transition!r}")
+        if not math.isfinite(self.position):
+            raise ConfigError("leg position must be finite")
         if not _holds(self.gamma >= 0):
             raise ConfigError("leg decay rate must be non-negative")
 
@@ -144,23 +153,20 @@ class CouplingLeg:
 
 @dataclass(frozen=True)
 class IncidentWave:
-    """Incident single photon: entry port, detuning from the e-level, amplitude."""
+    """Incident single photon of unit amplitude: entry port 1 (guide M, from
+    the left) or 4 (guide N, from the right) and detuning from the e-level.
+
+    ``delta`` may be an array, one value per cell of a solver block.
+    """
 
     port: int
     delta: float = 0.0
-    amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
-        if self.port not in (1, 2, 3, 4):
-            raise ConfigError(f"incident port must be 1..4, got {self.port}")
-
-    @property
-    def waveguide(self) -> str:
-        return WAVEGUIDE_M if self.port in (1, 2) else WAVEGUIDE_N
-
-    @property
-    def from_left(self) -> bool:
-        return self.port in (1, 3)
+        if self.port not in (1, 4):
+            raise ConfigError(f"incident port must be 1 or 4, got {self.port}")
+        if not _finite(self.delta):
+            raise ConfigError("detuning must be finite")
 
 
 @dataclass(frozen=True)
@@ -186,6 +192,8 @@ class SystemConfig:
                 raise ConfigError(f"leg references unknown atom index {leg.atom}")
             if leg.transition == SE and self.atoms[leg.atom].kind != LAMBDA:
                 raise ConfigError("s-e legs are only valid for lambda atoms")
+            if leg.transition == SE and leg.waveguide != WAVEGUIDE_N:
+                raise ConfigError("s-e legs couple to guide N only")
             key = (leg.atom, leg.transition, leg.waveguide, leg.position)
             if key in seen:
                 raise ConfigError(
@@ -200,11 +208,11 @@ class SystemConfig:
         if sum(1 for a in self.atoms if a.kind == LAMBDA) > 1:
             raise ConfigError("at most one lambda atom is supported")
         if self.wall is not None:
+            if not math.isfinite(self.wall):
+                raise ConfigError("the wall position must be finite")
             m_positions = [l.position for l in self.legs if l.waveguide == WAVEGUIDE_M]
             if m_positions and self.wall <= max(m_positions):
                 raise ConfigError("the wall must sit strictly beyond all guide-M legs")
-            if self.incident.port == 2:
-                raise ConfigError("port 2 does not exist on a terminated guide M")
 
     @property
     def omega_s(self) -> float:
@@ -376,18 +384,16 @@ def _check_finite(amps: ScatterAmplitudes) -> None:
 def rates_from_amplitudes(amps: ScatterAmplitudes) -> TransferRates:
     """Derive transfer rates from one amplitude set.
 
-    Forward (guide-M) incidence fills t_ng, t_ns, r_m, t2 and eta; reverse
-    (guide-N) incidence fills t_m_rev.  The conservation residual is
-    |sum of outgoing probabilities - |incident|^2| for the given set.
+    Forward (port-1) incidence fills t_ng, t_ns, r_m, t2 and eta; reverse
+    (port-4) incidence fills t_m_rev.  The conservation residual is
+    |sum of outgoing probabilities - 1|, the unit incident flux.
     """
     _check_finite(amps)
     probs = [abs(z) ** 2 for z in amps.outgoing()]
     p_m_left, p_m_right, p_nl_k, p_nr_k, p_nl_q, p_nr_q = probs
     residual = abs(sum(probs) - 1.0)
     flags = tuple(amps.flags)
-    if amps.incident_port in (1, 2):
-        r_m = p_m_left if amps.incident_port == 1 else p_m_right
-        t2 = p_m_right if amps.incident_port == 1 else p_m_left
+    if amps.incident_port == 1:
         t_ng = p_nl_k + p_nr_k
         t_ns = p_nl_q + p_nr_q
         total_n = t_ng + t_ns
@@ -400,8 +406,8 @@ def rates_from_amplitudes(amps: ScatterAmplitudes) -> TransferRates:
             t_ng=t_ng,
             t_ns=t_ns,
             t_m_rev=0.0,
-            r_m=r_m,
-            t2=t2,
+            r_m=p_m_left,
+            t2=p_m_right,
             eta=eta,
             conservation_residual=residual,
             flags=flags,
@@ -419,21 +425,21 @@ def abs2(z):
     return np.float_power(np.hypot(z.real, z.imag), 2.0)
 
 
-def rates_from_outgoing(forward: np.ndarray, reverse: np.ndarray):
+def rates_from_outgoing(forward: Mapping, reverse: Mapping):
     """`combine_directions` of `rates_from_amplitudes` over a block: the
     solver's twin of `sweep.rates_from_fields`.
 
-    ``forward`` and ``reverse`` hold the port-1 and port-4 outgoing
-    amplitude sets, one row per cell in `ScatterAmplitudes.outgoing` order.
-    Returns the `TransferRates.as_row` values as a (7, cells) array and the
-    mask of cells where eta is undefined.  Each value is bit-identical to
-    the scalar functions': `abs2` gives their probabilities, and they are
-    summed in the same order.
+    ``forward`` and ``reverse`` are the port-1 and port-4 component maps
+    (see `named_components`), each value an array with one entry per cell;
+    only the `PORTS` are read.  Returns the `TransferRates.as_row` values
+    as a (7, cells) array and the mask of cells where eta is undefined.
+    Each value is bit-identical to the scalar functions': `abs2` gives
+    their probabilities, and they are summed in the same order.
     """
-    fwd = [abs2(z) for z in forward.T]
-    rev = [abs2(z) for z in reverse.T]
+    fwd = [abs2(forward[name]) for name in PORTS]
+    rev = [abs2(reverse[name]) for name in PORTS]
     p_m_left, p_m_right, p_nl_k, p_nr_k, p_nl_q, p_nr_q = fwd
-    rows = np.zeros((7, len(forward)))
+    rows = np.zeros((7, len(p_m_left)))
     rows[0] = p_nl_k + p_nr_k
     rows[1] = p_nl_q + p_nr_q
     rows[2] = rev[0] + rev[1]

@@ -2,9 +2,10 @@
 
 Independent numerical route to the scattering amplitudes: substitute
 piecewise plane waves into the stationary single-excitation equations and
-solve the resulting dense complex linear system.  Works for arbitrary leg
-layouts on the two guides and for an infinite or mirror-terminated guide M,
-so it serves as the oracle against which the closed forms are checked.
+solve the resulting dense complex linear system.  It takes every layout
+`SystemConfig` accepts (g-e legs on either guide, s-e legs on guide N, an
+infinite or mirror-terminated guide M, incidence at port 1 or 4), so it
+serves as the oracle against which the closed forms are checked.
 
 Conventions (matching the closed forms):
 
@@ -22,17 +23,19 @@ Conventions (matching the closed forms):
   couplings this puts maximal coupling at k L = 0 and decoupling at
   k L = pi/2, matching the terminated-guide spectra.
 
-`build_layout` fixes the unknowns once, from the geometry: each channel's
-regions, their right- and left-mover columns, each active atom's column,
-and the one map from component names to columns that `_outgoing` and
-`BlockSolution.components` read, all in the `ChannelLayout`.  Every leg's
-position is a breakpoint whatever its rate, so both engines name the same
-components at any pattern of zero rates.  A block of cells that share one
-layout is solved at once: `solve_batch` takes a configuration whose energy,
-each atom's omega_1 and omega_s, and each leg's gamma may be arrays over the
-block, and assembles and solves the whole block with one stacked numpy call
-each.  The cells must share one active-leg pattern (which legs have gamma > 0), since
-that fixes the layout.  `solve` is the block of one cell: it raises
+`build_layout` fixes the unknowns once, from the geometry: the channels
+(M_k, N_k, and N_q where there is an s-e leg), each one's regions, their
+right- and left-mover columns, each active atom's column, and the one map
+from component names to columns, all in the `ChannelLayout`.  Ports,
+interior regions and atoms are all read through that map, by
+`BlockSolution.components`.  Every leg's position is a breakpoint whatever
+its rate, so both engines name the same components at any pattern of zero
+rates.  A block of cells that share one layout is solved at once:
+`solve_batch` takes a configuration whose energy, each atom's omega_1 and
+omega_s, and each leg's gamma may be arrays over the block, and assembles
+and solves the whole block with one stacked numpy call each.  The cells
+must share one active-leg pattern (which legs have gamma > 0), since that
+fixes the layout.  `solve` is the block of one cell: it raises
 DegenerateConfigError where `solve_batch` marks that cell singular.  Every
 cell's matrix is bit-identical to the one its own configuration assembles,
 and its solution to a plain `np.linalg.solve` of that matrix, whatever the
@@ -50,11 +53,9 @@ import numpy as np
 
 from .core import (
     CH_M_K,
-    CH_M_Q,
     CH_N_K,
     CH_N_Q,
     GE,
-    PORTS,
     SE,
     WAVEGUIDE_M,
     WAVEGUIDE_N,
@@ -84,10 +85,9 @@ class LegRef:
 
 @dataclass(frozen=True)
 class Channel:
-    """One (waveguide, wavevector-class) photon channel."""
+    """One photon channel: `CH_M_K`, `CH_N_K` or `CH_N_Q`."""
 
     name: str
-    waveguide: str
     kind: str  # "k" or "q"
     legs: tuple[LegRef, ...]
     terminated: bool
@@ -138,15 +138,13 @@ class ChannelLayout:
 class BlockSolution:
     """Solution and flags of a block of cells.
 
-    ``outgoing`` has one row per cell in `ScatterAmplitudes.outgoing` order,
-    zero where the port does not exist.  ``x`` is the full solution, one
-    row per cell with its columns as ``layout`` maps them.  A ``singular``
-    cell has no solution and zero rows; its ``ill_conditioned`` entry is
+    ``x`` is the full solution, one row per cell with its columns as
+    ``layout`` maps them; `components` reads it by name.  A ``singular``
+    cell has no solution and a zero row; its ``ill_conditioned`` entry is
     meaningless.  ``ill_conditioned`` is None when the solve was not asked
     to check.
     """
 
-    outgoing: np.ndarray
     singular: np.ndarray
     ill_conditioned: np.ndarray | None
     x: np.ndarray
@@ -179,19 +177,22 @@ def build_layout(cfg: SystemConfig) -> ChannelLayout:
         positions.append(cfg.wall)
     breakpoints = tuple(positions)
 
-    # Both k channels, and a guide's q channel where it has an s-e leg.
-    geometry = []
-    for waveguide, names in ((WAVEGUIDE_M, (CH_M_K, CH_M_Q)), (WAVEGUIDE_N, (CH_N_K, CH_N_Q))):
-        terminated = cfg.wall is not None and waveguide == WAVEGUIDE_M
-        n_regions = len(breakpoints) if terminated else len(breakpoints) + 1
-        for kind, transition, name in zip("kq", (GE, SE), names):
-            if kind == "q" and not any(
-                l.waveguide == waveguide and l.transition == SE for l in cfg.legs
-            ):
-                continue
-            on = [l for l in active if (l.waveguide, l.transition) == (waveguide, transition)]
-            legs = tuple(LegRef(l.position, l.coupling, l.atom) for l in on)
-            geometry.append(Channel(name, waveguide, kind, legs, terminated, n_regions))
+    def legs(waveguide: str, transition: str) -> tuple[LegRef, ...]:
+        on = (l for l in active if (l.waveguide, l.transition) == (waveguide, transition))
+        return tuple(LegRef(l.position, l.coupling, l.atom) for l in on)
+
+    # Both k channels, and guide N's q channel where there is an s-e leg
+    # (`SystemConfig` allows s-e legs on guide N only).  Region `outer` is
+    # the outermost one of a channel without a wall; a wall on guide M
+    # leaves it no region beyond.
+    outer = len(breakpoints)
+    terminated = cfg.wall is not None
+    geometry = [
+        Channel(CH_M_K, "k", legs(WAVEGUIDE_M, GE), terminated, outer if terminated else outer + 1),
+        Channel(CH_N_K, "k", legs(WAVEGUIDE_N, GE), False, outer + 1),
+    ]
+    if any(l.transition == SE for l in cfg.legs):
+        geometry.append(Channel(CH_N_Q, "q", legs(WAVEGUIDE_N, SE), False, outer + 1))
     channels = tuple(ch for ch in geometry if ch.kind == "k" or ch.legs)
 
     labels: list[str] = []
@@ -211,10 +212,8 @@ def build_layout(cfg: SystemConfig) -> ChannelLayout:
             return offsets[ch.name] + 2 * r, offsets[ch.name] + 2 * r + 1
         return None, None
 
-    # Region `outer` is the outermost one of a channel without a wall; the
-    # regions between it and region 0 lie between coupling points, or
-    # before the wall.
-    outer = len(breakpoints)
+    # The regions between region 0 and region `outer` lie between coupling
+    # points, or before the wall.
     ends = {ch.name: (pair(ch, 0)[1], pair(ch, outer)[0]) for ch in geometry}
     ports = [c for name in (CH_M_K, CH_N_K, CH_N_Q) for c in ends.get(name, (None, None))]
     interior = {f"{ch.name}:{r}": pair(ch, r) for ch in geometry for r in range(1, outer)}
@@ -246,8 +245,9 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> tuple[np.ndarr
 
     Rows: two jump conditions per channel per breakpoint, one mirror row per
     terminated channel, one row per atomic amplitude, and the boundary rows
-    fixing the incoming coefficient of every channel end (the incident
-    amplitude on the entry side, zero elsewhere).
+    fixing the incoming coefficient of every channel end: 1 at the entry
+    port (M_k's right mover at its left end for port 1, N_k's left mover at
+    its right end for port 4) and 0 elsewhere.
 
     ``energy`` may be an array of cells, with which each atom's omega_1 and
     omega_s broadcast; the matrix then has shape ``(*cells, n, n)`` and the
@@ -260,7 +260,7 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> tuple[np.ndarr
     # contiguous stack (the stack itself for a single cell).
     matrix = np.moveaxis(stack, (-2, -1), (0, 1))
     rhs = np.zeros(n, dtype=complex)
-    inc = cfg.incident
+    port = cfg.incident.port
 
     # Atomic rows: (E - omega_1) u = sum_legs g * average field at the leg.
     # The channel rows fill the columns before the atoms', so each atom's
@@ -271,13 +271,12 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> tuple[np.ndarr
     row = 0
     for ch in layout.channels:
         kappa = _wavevector(cfg, energy, ch.kind)
-        incident_here = ch.kind == "k" and ch.waveguide == inc.waveguide
         last = ch.n_regions - 1
 
         # Incoming-coefficient boundary rows.
         matrix[row, layout.right(ch.name, 0)] = 1.0
-        if incident_here and inc.from_left:
-            rhs[row] = inc.amplitude
+        if port == 1 and ch.name == CH_M_K:
+            rhs[row] = 1.0
         row += 1
         if ch.terminated:
             wall = layout.wall
@@ -286,8 +285,8 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> tuple[np.ndarr
             row += 1
         else:
             matrix[row, layout.left(ch.name, last)] = 1.0
-            if incident_here and not inc.from_left:
-                rhs[row] = inc.amplitude
+            if port == 4 and ch.name == CH_N_K:
+                rhs[row] = 1.0
             row += 1
 
         # Jump rows at each breakpoint interior to the channel, and each
@@ -315,18 +314,6 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> tuple[np.ndarr
 
     assert row + len(layout.atom_columns) == n, "system must be square"
     return stack, rhs
-
-
-def _outgoing(layout: ChannelLayout, x: np.ndarray) -> np.ndarray:
-    """Port values of one solution or a block, in `ScatterAmplitudes.outgoing`
-    order on the last axis.
-
-    A port the layout maps to no column (no channel, or the right end of a
-    terminated one) is 0.
-    """
-    zero = np.zeros(x.shape[:-1], dtype=complex)
-    columns = (layout.components[name] for name in PORTS)
-    return np.stack([zero if c is None else x[..., c] for c in columns], axis=-1)
 
 
 def _ill_conditioned(matrix: np.ndarray) -> np.ndarray:
@@ -406,4 +393,4 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
         singular |= unresolved
         x[unresolved] = 0.0
     ill_conditioned = _ill_conditioned(matrix) if check_conditioning else None
-    return BlockSolution(_outgoing(layout, x), singular, ill_conditioned, x, layout)
+    return BlockSolution(singular, ill_conditioned, x, layout)

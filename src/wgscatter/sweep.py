@@ -174,7 +174,7 @@ class Family:
         rev = solver.solve_batch(
             self.reverse.config(gammas, delta, phases), check_conditioning=check_conditioning
         )
-        rows, eta_undefined = rates_from_outgoing(fwd.outgoing, rev.outgoing)
+        rows, eta_undefined = rates_from_outgoing(fwd.components(), rev.components())
         singular = fwd.singular | rev.singular
         codes = eta_undefined * ETA_UNDEFINED
         if check_conditioning:

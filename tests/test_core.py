@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from wgscatter.core import (
     MARKOVIAN,
     NON_MARKOVIAN,
+    PORTS,
     AtomSpec,
     ConfigError,
     CouplingLeg,
@@ -182,6 +183,19 @@ class TestEffectivePhases:
         assert phi_b == pytest.approx(1.4, abs=1e-15)
 
 
+def _one_atom(position=0.0, wall=None, omega_1=0.0, omega_s=0.0, delta=0.0) -> SystemConfig:
+    return SystemConfig(
+        (AtomSpec("lambda", omega_1=omega_1, omega_s=omega_s),),
+        (CouplingLeg(0, "M", "ge", position, 1.0),),
+        IncidentWave(1, delta),
+        wall,
+    )
+
+
+#: The inputs that a solver block may make arrays, one value per cell.
+BLOCK_INPUTS = ("omega_1", "omega_s", "delta")
+
+
 class TestConfigValidation:
     def test_atom_invariants(self):
         with pytest.raises(ConfigError):
@@ -210,11 +224,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SystemConfig(atoms, legs, IncidentWave(1), wall=0.0)
 
-    def test_port2_invalid_when_terminated(self):
-        atoms = (AtomSpec("two_level"),)
-        legs = (CouplingLeg(0, "M", "ge", 0.0, 1.0),)
-        with pytest.raises(ConfigError):
-            SystemConfig(atoms, legs, IncidentWave(2), wall=1.0)
+    def test_ports_2_and_3_rejected(self):
+        for port in (2, 3):
+            with pytest.raises(ConfigError, match="port must be 1 or 4"):
+                IncidentWave(port)
 
     def test_atom_without_leg_rejected(self):
         atoms = (AtomSpec("two_level"), AtomSpec("lambda"))
@@ -222,19 +235,32 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SystemConfig(atoms, legs, IncidentWave(1))
 
-    def test_bus_side_conversion_leg_allowed(self):
+    def test_bus_side_conversion_leg_rejected(self):
         atoms = (AtomSpec("lambda", omega_s=0.2),)
         legs = (
             CouplingLeg(0, "M", "se", 0.0, 1.0),
             CouplingLeg(0, "N", "ge", 0.0, 1.0),
         )
-        SystemConfig(atoms, legs, IncidentWave(1))
+        with pytest.raises(ConfigError, match="guide N only"):
+            SystemConfig(atoms, legs, IncidentWave(1))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["position", "wall", *BLOCK_INPUTS])
+    def test_non_finite_input_rejected(self, name, value):
+        """Each input is checked as a scalar and, where a block may make it
+        an array, with one bad cell among finite ones."""
+        values = [value]
+        if name in BLOCK_INPUTS:
+            values.append(np.array([0.0, value, 1.0]))
+        for v in values:
+            with pytest.raises(ConfigError, match="finite"):
+                _one_atom(**{name: v})
 
 
 @pytest.mark.parametrize("port", [1, 4])
 def test_block_reduction_is_bitwise_scalar(port):
     """rates_from_outgoing gives the bits of combine_directions over
-    rates_from_amplitudes on paired port-1 and port-4 amplitude sets with
+    rates_from_amplitudes on paired port-1 and port-4 component maps with
     magnitudes across 1e-13..1e13, exact zeros included.  The ``port``
     block sends nothing into guide N in its first ten cells, which leaves
     eta undefined only for port-1 incidence."""
@@ -250,7 +276,9 @@ def test_block_reduction_is_bitwise_scalar(port):
 
     forward, reverse = outgoing(), outgoing()
     (forward if port == 1 else reverse)[:10, 2:] = 0.0  # no output into guide N
-    rows, eta_undefined = rates_from_outgoing(forward, reverse)
+    rows, eta_undefined = rates_from_outgoing(
+        dict(zip(PORTS, forward.T)), dict(zip(PORTS, reverse.T))
+    )
     for k in range(n):
         expected = combine_directions(
             rates_from_amplitudes(ScatterAmplitudes(1, *forward[k].tolist())),

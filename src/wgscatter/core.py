@@ -136,8 +136,8 @@ class CouplingLeg:
             raise ConfigError(f"unknown transition {self.transition!r}")
         if not math.isfinite(self.position):
             raise ConfigError("leg position must be finite")
-        if not _holds(self.gamma >= 0):
-            raise ConfigError("leg decay rate must be non-negative")
+        if not (_holds(self.gamma >= 0) and _finite(self.gamma)):
+            raise ConfigError("leg decay rate must be finite and non-negative")
 
     @property
     def coupling(self):

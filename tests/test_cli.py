@@ -275,6 +275,40 @@ def test_broken_pipe_exits_quietly(tmp_path):
     assert "Traceback" not in stderr
 
 
+#: Runs each argv list of sys.argv[1] through cli.main in this fresh
+#: interpreter, then writes the loaded numpy.random modules to sys.argv[2].
+_MODULE_PROBE = """
+import json, sys
+from wgscatter import cli
+for argv in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        sys.exit(f"{argv} failed")
+loaded = [name for name in sys.modules if name.split(".")[:2] == ["numpy", "random"]]
+open(sys.argv[2], "w").write(json.dumps(loaded))
+"""
+
+
+def test_commands_leave_numpy_random_unloaded(tmp_path):
+    """No command draws from numpy.random, whose import alone costs over
+    2 MB of resident memory."""
+    cfg = write_config(tmp_path, giant_at_pi_config())
+    commands = [
+        ["validate", "--draws", "20"],
+        ["spectrum", cfg, "--engine", "both", "--out", str(tmp_path / "out.csv")],
+        ["figure", "fig9", "--phase-count", "2", "--delta-count", "51", "--out-dir", str(tmp_path)],
+    ]
+    loaded = tmp_path / "loaded.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, json.dumps(commands), str(loaded)],
+        env=env,
+        check=True,
+        stdout=subprocess.DEVNULL,
+        timeout=120,
+    )
+    assert json.loads(loaded.read_text()) == []
+
+
 class TestFigure:
     def test_fig4a_values(self, tmp_path, capsys):
         assert (
@@ -408,6 +442,10 @@ class TestValidateCommand:
             cli_mod.validate_mod, "run_validation", lambda **kw: FakeReport()
         )
         assert cli.main(["validate", "--draws", "5"]) == 1
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert cli.main(["validate", "--draws", "5", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
 
 
 class TestSearchCommand:

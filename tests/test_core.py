@@ -256,6 +256,11 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match="finite"):
                 _one_atom(**{name: v})
 
+    @pytest.mark.parametrize("gamma", [math.inf, np.array([1.0, math.inf, 0.5])])
+    def test_infinite_leg_rate_rejected(self, gamma):
+        with pytest.raises(ConfigError, match="finite"):
+            CouplingLeg(0, "M", "ge", 0.0, gamma)
+
 
 @pytest.mark.parametrize("port", [1, 4])
 def test_block_reduction_is_bitwise_scalar(port):

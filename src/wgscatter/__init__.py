@@ -3,11 +3,9 @@ lambda-type atom: closed-form amplitudes, an independent boundary-matching
 solver, spectral sweeps, and parameter search."""
 
 from .core import (
-    AtomSpec,
     ConfigError,
     CouplingLeg,
     DegenerateConfigError,
-    IncidentWave,
     InvalidAmplitudeError,
     NoFeasiblePointError,
     PhaseModel,
@@ -37,7 +35,6 @@ from .validate import ValidationReport, run_validation
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomSpec",
     "Axis",
     "Bounds",
     "ChannelLayout",
@@ -47,7 +44,6 @@ __all__ = [
     "FAMILIES",
     "FigurePreset",
     "Fixed",
-    "IncidentWave",
     "InvalidAmplitudeError",
     "Linked",
     "NoFeasiblePointError",

@@ -425,11 +425,13 @@ def _cmd_figure(args) -> int:
     # file is written.
     specs = {}
     for key, spec in preset.sweeps.items():
-        if args.delta_count:
+        if args.delta_count is not None:
             spec = replace(spec, delta_axis=replace(spec.delta_axis, count=args.delta_count))
-        if args.phase_count and spec.phase_axis is not None:
+        if args.phase_count is not None and spec.phase_axis is not None:
             spec = replace(spec, phase_axis=replace(spec.phase_axis, count=args.phase_count))
         specs[key] = spec
+    if args.phase_count is not None and all(s.phase_axis is None for s in specs.values()):
+        raise ConfigError(f"{args.id} has no phase axis for --phase-count")
     last_panel = {panel.sweep: n for n, panel in enumerate(preset.panels)}
     # A sweep runs when its first panel is due and is dropped after its last
     # one, so only one sweep's grids are held at a time.  Panels of one sweep
@@ -545,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="emit the CSV set for a named preset")
     p.add_argument("id", choices=sweep_mod.FIGURE_IDS)
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--delta-count", type=int, default=0)
-    p.add_argument("--phase-count", type=int, default=0)
+    p.add_argument("--delta-count", type=int)
+    p.add_argument("--phase-count", type=int)
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("validate", help="random-draw conservation and oracle checks")

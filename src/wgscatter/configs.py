@@ -16,7 +16,8 @@ participate.
 The rates, the detuning and the phases may be arrays of one shape, one
 value per cell of a solver block: the builders are plain arithmetic on
 them, and the resulting omega_1, omega_s and leg rates are arrays over the
-block.
+block.  Both atoms share the one e-level omega_1 = k - delta, so the
+photon energy omega_1 + delta is the wavevector k up to rounding.
 """
 
 from __future__ import annotations
@@ -30,12 +31,8 @@ from .core import (
     TWO_LEVEL,
     WAVEGUIDE_M,
     WAVEGUIDE_N,
-    AtomSpec,
-    ConfigError,
     CouplingLeg,
-    IncidentWave,
     SystemConfig,
-    _holds,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -62,13 +59,6 @@ def _config(
     wall: float | None = None,
 ) -> SystemConfig:
     g1, g2, g3, g4 = gammas
-    if not all(_holds(g >= 0) for g in gammas):
-        raise ConfigError("decay rates must be non-negative")
-    omega_1 = k - delta
-    atoms = (
-        AtomSpec(TWO_LEVEL, omega_1=omega_1),
-        AtomSpec(LAMBDA, omega_1=omega_1, omega_s=omega_s),
-    )
     x1, x2 = positions
     points = (x1, x2) if double_legs else (x1,)
     lam_points = (x1, x2) if double_legs else (x2,)
@@ -80,10 +70,7 @@ def _config(
         legs.append(CouplingLeg(1, WAVEGUIDE_M, GE, x, g2))
         legs.append(CouplingLeg(1, WAVEGUIDE_N, SE, x, g4))
     return SystemConfig(
-        atoms=atoms,
-        legs=tuple(legs),
-        incident=IncidentWave(port=1, delta=delta),
-        wall=wall,
+        (TWO_LEVEL, LAMBDA), tuple(legs), 1, delta, k - delta, omega_s, wall
     )
 
 
@@ -151,12 +138,7 @@ def _spectator(
     for x in points:
         legs.append(CouplingLeg(0, WAVEGUIDE_M, GE, x, gamma1))
         legs.append(CouplingLeg(0, WAVEGUIDE_N, GE, x, gamma3))
-    return SystemConfig(
-        atoms=(AtomSpec(TWO_LEVEL, omega_1=k - delta),),
-        legs=tuple(legs),
-        incident=IncidentWave(port=4, delta=delta),
-        wall=wall,
-    )
+    return SystemConfig((TWO_LEVEL,), tuple(legs), 4, delta, k - delta, wall=wall)
 
 
 def reverse_small(gamma1: float, gamma3: float, delta: float) -> SystemConfig:

@@ -76,31 +76,6 @@ class VerificationError(RuntimeError):
     """A search optimum's solver rates differ from its closed-form rates."""
 
 
-@dataclass(frozen=True)
-class AtomSpec:
-    """One bridge atom.
-
-    ``omega_1`` is the e-level energy above the primary ground state and
-    ``omega_s`` the energy of the second ground state (zero for a two-level
-    atom, which has no such state).  Both may be arrays, one value per cell
-    of a block that the solver assembles and solves at once.
-    """
-
-    kind: str
-    omega_1: float = 0.0
-    omega_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in (TWO_LEVEL, LAMBDA):
-            raise ConfigError(f"unknown atom kind {self.kind!r}")
-        if not _finite(self.omega_1):
-            raise ConfigError("omega_1 must be finite")
-        if not (_holds(self.omega_s >= 0) and _finite(self.omega_s)):
-            raise ConfigError("omega_s must be finite and non-negative")
-        if self.kind == TWO_LEVEL and not _holds(self.omega_s == 0.0):
-            raise ConfigError("a two-level atom has no s level; omega_s must be 0")
-
-
 def _holds(condition) -> bool:
     """True when a comparison holds for every element.
 
@@ -152,45 +127,55 @@ class CouplingLeg:
 
 
 @dataclass(frozen=True)
-class IncidentWave:
-    """Incident single photon of unit amplitude: entry port 1 (guide M, from
-    the left) or 4 (guide N, from the right) and detuning from the e-level.
-
-    ``delta`` may be an array, one value per cell of a solver block.
-    """
-
-    port: int
-    delta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.port not in (1, 4):
-            raise ConfigError(f"incident port must be 1 or 4, got {self.port}")
-        if not _finite(self.delta):
-            raise ConfigError("detuning must be finite")
-
-
-@dataclass(frozen=True)
 class SystemConfig:
     """Full physical description of one scattering problem.
 
-    ``wall`` is the coordinate of a terminating mirror on guide M; ``None``
-    means both guides are infinite.
+    ``atoms`` lists each bridge atom's kind, `TWO_LEVEL` or `LAMBDA`, with
+    at most one lambda atom.  The atoms share one e-level, ``omega_1`` above
+    the primary ground state; ``omega_s`` is the energy of the lambda atom's
+    second ground state (0 when there is no lambda atom).  A unit-amplitude
+    photon enters at ``port`` 1 (guide M, from the left) or 4 (guide N,
+    from the right) with detuning ``delta`` from the e-level.  ``wall`` is
+    the coordinate of a terminating mirror on guide M; ``None`` means both
+    guides are infinite.
+
+    ``delta``, ``omega_1``, ``omega_s`` and each leg's gamma may be arrays,
+    one value per cell of a block that the solver assembles and solves at
+    once.
     """
 
-    atoms: tuple[AtomSpec, ...]
+    atoms: tuple[str, ...]
     legs: tuple[CouplingLeg, ...]
-    incident: IncidentWave
+    port: int
+    delta: float = 0.0
+    omega_1: float = 0.0
+    omega_s: float = 0.0
     wall: float | None = None
 
     def __post_init__(self) -> None:
         if not self.atoms:
             raise ConfigError("at least one atom is required")
+        for kind in self.atoms:
+            if kind not in (TWO_LEVEL, LAMBDA):
+                raise ConfigError(f"unknown atom kind {kind!r}")
+        if self.atoms.count(LAMBDA) > 1:
+            raise ConfigError("at most one lambda atom is supported")
+        if self.port not in (1, 4):
+            raise ConfigError(f"incident port must be 1 or 4, got {self.port}")
+        if not _finite(self.delta):
+            raise ConfigError("detuning must be finite")
+        if not _finite(self.omega_1):
+            raise ConfigError("omega_1 must be finite")
+        if not (_holds(self.omega_s >= 0) and _finite(self.omega_s)):
+            raise ConfigError("omega_s must be finite and non-negative")
+        if LAMBDA not in self.atoms and not _holds(self.omega_s == 0.0):
+            raise ConfigError("omega_s must be 0 without a lambda atom")
         referenced: set[int] = set()
         seen: set[tuple[int, str, str, float]] = set()
         for leg in self.legs:
             if not 0 <= leg.atom < len(self.atoms):
                 raise ConfigError(f"leg references unknown atom index {leg.atom}")
-            if leg.transition == SE and self.atoms[leg.atom].kind != LAMBDA:
+            if leg.transition == SE and self.atoms[leg.atom] != LAMBDA:
                 raise ConfigError("s-e legs are only valid for lambda atoms")
             if leg.transition == SE and leg.waveguide != WAVEGUIDE_N:
                 raise ConfigError("s-e legs couple to guide N only")
@@ -205,8 +190,6 @@ class SystemConfig:
         for idx in range(len(self.atoms)):
             if idx not in referenced:
                 raise ConfigError(f"atom {idx} has no coupling leg")
-        if sum(1 for a in self.atoms if a.kind == LAMBDA) > 1:
-            raise ConfigError("at most one lambda atom is supported")
         if self.wall is not None:
             if not math.isfinite(self.wall):
                 raise ConfigError("the wall position must be finite")
@@ -215,17 +198,9 @@ class SystemConfig:
                 raise ConfigError("the wall must sit strictly beyond all guide-M legs")
 
     @property
-    def omega_s(self) -> float:
-        """Energy of the lambda atom's second ground state (0 if no lambda atom)."""
-        for atom in self.atoms:
-            if atom.kind == LAMBDA:
-                return atom.omega_s
-        return 0.0
-
-    @property
     def energy(self) -> float:
         """Total eigenstate energy E = omega_1 + delta."""
-        return self.atoms[0].omega_1 + self.incident.delta
+        return self.omega_1 + self.delta
 
 
 #: Outgoing ports in `ScatterAmplitudes.outgoing` order, named as its fields.

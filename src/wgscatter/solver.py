@@ -31,9 +31,9 @@ interior regions and atoms are all read through that map, by
 `BlockSolution.components`.  Every leg's position is a breakpoint whatever
 its rate, so both engines name the same components at any pattern of zero
 rates.  A block of cells that share one layout is solved at once:
-`solve_batch` takes a configuration whose energy, each atom's omega_1 and
-omega_s, and each leg's gamma may be arrays over the block, and assembles
-and solves the whole block with one stacked numpy call each.  The cells
+`solve_batch` takes a configuration whose detuning, omega_1, omega_s and
+each leg's gamma may be arrays over the block, and assembles and solves
+the whole block with one stacked numpy call each.  The cells
 must share one active-leg pattern (which legs have gamma > 0), since that
 fixes the layout.  `solve` is the block of one cell: it raises
 DegenerateConfigError where `solve_batch` marks that cell singular.  Every
@@ -59,6 +59,7 @@ from .core import (
     SE,
     WAVEGUIDE_M,
     WAVEGUIDE_N,
+    CouplingLeg,
     DegenerateConfigError,
     ScatterAmplitudes,
     SystemConfig,
@@ -75,21 +76,12 @@ _SCREEN = ILL_CONDITIONED * 1e-2
 
 
 @dataclass(frozen=True)
-class LegRef:
-    """An active coupling point as seen by one channel."""
-
-    position: float
-    coupling: float
-    atom: int
-
-
-@dataclass(frozen=True)
 class Channel:
     """One photon channel: `CH_M_K`, `CH_N_K` or `CH_N_Q`."""
 
     name: str
     kind: str  # "k" or "q"
-    legs: tuple[LegRef, ...]
+    legs: tuple[CouplingLeg, ...]  # the channel's active legs
     terminated: bool
     n_regions: int
 
@@ -119,7 +111,6 @@ class ChannelLayout:
 
     channels: tuple[Channel, ...]
     breakpoints: tuple[float, ...]
-    wall: float | None
     labels: tuple[str, ...]
     offsets: Mapping[str, int]
     atom_columns: Mapping[int, int]
@@ -177,9 +168,8 @@ def build_layout(cfg: SystemConfig) -> ChannelLayout:
         positions.append(cfg.wall)
     breakpoints = tuple(positions)
 
-    def legs(waveguide: str, transition: str) -> tuple[LegRef, ...]:
-        on = (l for l in active if (l.waveguide, l.transition) == (waveguide, transition))
-        return tuple(LegRef(l.position, l.coupling, l.atom) for l in on)
+    def legs(waveguide: str, transition: str) -> tuple[CouplingLeg, ...]:
+        return tuple(l for l in active if (l.waveguide, l.transition) == (waveguide, transition))
 
     # Both k channels, and guide N's q channel where there is an s-e leg
     # (`SystemConfig` allows s-e legs on guide N only).  Region `outer` is
@@ -219,7 +209,7 @@ def build_layout(cfg: SystemConfig) -> ChannelLayout:
     interior = {f"{ch.name}:{r}": pair(ch, r) for ch in geometry for r in range(1, outer)}
     excited = [atom_columns.get(atom) for atom in range(len(cfg.atoms))]
     return ChannelLayout(
-        channels, breakpoints, cfg.wall, tuple(labels), offsets, atom_columns,
+        channels, breakpoints, tuple(labels), offsets, atom_columns,
         named_components(ports, interior, excited),
     )
 
@@ -249,8 +239,8 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> tuple[np.ndarr
     port (M_k's right mover at its left end for port 1, N_k's left mover at
     its right end for port 4) and 0 elsewhere.
 
-    ``energy`` may be an array of cells, with which each atom's omega_1 and
-    omega_s broadcast; the matrix then has shape ``(*cells, n, n)`` and the
+    ``energy`` may be an array of cells, with which omega_1 and omega_s
+    broadcast; the matrix then has shape ``(*cells, n, n)`` and the
     right-hand side, shape ``(n,)``, is shared.  Returns ``(matrix, rhs)``.
     """
     n = len(layout.labels)
@@ -260,13 +250,14 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> tuple[np.ndarr
     # contiguous stack (the stack itself for a single cell).
     matrix = np.moveaxis(stack, (-2, -1), (0, 1))
     rhs = np.zeros(n, dtype=complex)
-    port = cfg.incident.port
+    port = cfg.port
 
     # Atomic rows: (E - omega_1) u = sum_legs g * average field at the leg.
     # The channel rows fill the columns before the atoms', so each atom's
     # row is its own column; the legs' terms are added below.
-    for atom, column in layout.atom_columns.items():
-        matrix[column, column] = energy - cfg.atoms[atom].omega_1
+    detuning = energy - cfg.omega_1
+    for column in layout.atom_columns.values():
+        matrix[column, column] = detuning
 
     row = 0
     for ch in layout.channels:
@@ -279,9 +270,8 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> tuple[np.ndarr
             rhs[row] = 1.0
         row += 1
         if ch.terminated:
-            wall = layout.wall
-            matrix[row, layout.right(ch.name, last)] = np.exp(1j * kappa * wall)
-            matrix[row, layout.left(ch.name, last)] = -np.exp(-1j * kappa * wall)
+            matrix[row, layout.right(ch.name, last)] = np.exp(1j * kappa * cfg.wall)
+            matrix[row, layout.left(ch.name, last)] = -np.exp(-1j * kappa * cfg.wall)
             row += 1
         else:
             matrix[row, layout.left(ch.name, last)] = 1.0
@@ -303,9 +293,10 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> tuple[np.ndarr
                 if leg.position != x_c:
                     continue
                 u = layout.atom_columns[leg.atom]
-                matrix[row, u] += leg.coupling
-                matrix[row + 1, u] += leg.coupling
-                half_g = 0.5 * leg.coupling
+                g = leg.coupling
+                matrix[row, u] += g
+                matrix[row + 1, u] += g
+                half_g = 0.5 * g
                 matrix[u, right] += -half_g * phase
                 matrix[u, right + 2] += -half_g * phase
                 matrix[u, left] += -half_g / phase
@@ -343,7 +334,7 @@ def solve(cfg: SystemConfig) -> ScatterAmplitudes:
     ill-conditioned (but solvable) system is returned with an
     ``"ill_conditioned"`` flag attached.
     """
-    cell = replace(cfg, incident=replace(cfg.incident, delta=np.array([cfg.incident.delta])))
+    cell = replace(cfg, delta=np.array([cfg.delta]))
     sol = solve_batch(cell)
     if sol.singular[0]:
         raise DegenerateConfigError(
@@ -351,18 +342,18 @@ def solve(cfg: SystemConfig) -> ScatterAmplitudes:
         )
     flags = ("ill_conditioned",) if sol.ill_conditioned[0] else ()
     items = {key: value[0] for key, value in sol.components().items()}
-    return ScatterAmplitudes.from_components(cfg.incident.port, items, flags)
+    return ScatterAmplitudes.from_components(cfg.port, items, flags)
 
 
 def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockSolution:
     """Solve a 1-D block of cells that share one layout.
 
-    The detuning and each atom's omega_1 and omega_s in ``cfg`` are arrays
-    over the block, and so may be each leg's gamma (the `configs` builders
-    make them from array rates, detunings and phases).  One stacked solve
-    covers the block; if any cell is exactly singular, the cells are solved
-    one by one and only those that fail are marked singular.  A cell whose
-    solution is not finite is marked singular too.
+    The detuning, omega_1 and omega_s in ``cfg`` are arrays over the block,
+    and so may be each leg's gamma (the `configs` builders make them from
+    array rates, detunings and phases).  One stacked solve covers the
+    block; if any cell is exactly singular, the cells are solved one by one
+    and only those that fail are marked singular.  A cell whose solution is
+    not finite is marked singular too.
     ``check_conditioning=False`` skips the condition check, whose stacked
     inverse holds as much memory again as the block's matrices, and leaves
     ``ill_conditioned`` None.  Only the `solver` engine of a sweep checks;

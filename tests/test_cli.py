@@ -39,6 +39,10 @@ from wgscatter.sweep import (
 )
 
 
+def has_phase_axis(figure_id) -> bool:
+    return any(spec.phase_axis is not None for spec in figure_preset(figure_id).sweeps.values())
+
+
 def base_config(**overrides):
     doc = {
         "system": {
@@ -385,6 +389,26 @@ class TestFigure:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("option", ["--delta-count", "--phase-count"])
+    def test_zero_count_exits_2(self, tmp_path, capsys, no_axis_values, option):
+        """An explicit 0 is an empty axis, not the preset's default grid."""
+        argv = ["figure", "fig9", "--out-dir", str(tmp_path), option, "0"]
+        assert cli.main(argv) == 2
+        assert "axis count must be at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_phase_count_without_phase_axis_exits_2(self, tmp_path, capsys, no_axis_values):
+        """``--phase-count`` is a config error for a preset none of whose
+        sweeps has a phase axis; fig10's second sweep has one."""
+        no_phase = [f for f in FIGURE_IDS if not has_phase_axis(f)]
+        assert no_phase == ["fig2a", "fig2b", "fig4a", "fig4b"]
+        for figure_id in no_phase:
+            argv = ["figure", figure_id, "--out-dir", str(tmp_path), "--phase-count", "3"]
+            assert cli.main(argv) == 2
+            assert "has no phase axis" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert has_phase_axis("fig10")
 
     def test_fig10_quarter_phase_rows_have_zero_conversion(self, tmp_path):
         cli.main(
@@ -777,8 +801,9 @@ def test_parse_config_requires_object():
 # that formatted every value with f"{x:.17g}".  Any change of bytes fails.
 # ---------------------------------------------------------------------------
 
-#: Every panel of every preset at --delta-count 51 --phase-count 3.  The
-#: phase axis 0, pi, 2pi puts singular cells into the giant-atom presets.
+#: Every panel of every preset at --delta-count 51, with --phase-count 3
+#: where the preset has a phase axis.  The phase axis 0, pi, 2pi puts
+#: singular cells into the giant-atom presets.
 PRESET_DIGESTS = {
     "fig2a": {
         "fig2a.csv": "d4d521d8befe31ae025c00d3e38209d47bd2c0d597fcaeed75e1654308a16fb7",
@@ -831,8 +856,10 @@ def sha256_of(path) -> str:
 
 @pytest.mark.parametrize("figure_id", FIGURE_IDS)
 def test_preset_panels_match_golden_digests(tmp_path, figure_id):
-    argv = ["figure", figure_id, "--out-dir", str(tmp_path)]
-    assert cli.main(argv + ["--delta-count", "51", "--phase-count", "3"]) == 0
+    argv = ["figure", figure_id, "--out-dir", str(tmp_path), "--delta-count", "51"]
+    if has_phase_axis(figure_id):
+        argv += ["--phase-count", "3"]
+    assert cli.main(argv) == 0
     panels = {p.name: sha256_of(p) for p in tmp_path.glob("*.csv")}
     assert panels == PRESET_DIGESTS[figure_id]
 
@@ -861,6 +888,15 @@ def test_readme_library_example_runs():
     """The documented library example runs against the current API."""
     (example,) = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
     exec(compile(example, str(README), "exec"), {})
+
+
+def test_readme_json_config_round_trips():
+    """The documented config file parses, and `dump_config` round-trips it."""
+    (example,) = re.findall(r"^```json\n(.*?)^```$", README.read_text(), re.M | re.S)
+    spec, objective = cli.parse_config(json.loads(example))
+    dumped = cli.dump_config(spec, objective)
+    assert cli.parse_config(dumped) == (spec, objective)
+    assert cli.dump_config(*cli.parse_config(dumped)) == dumped
 
 
 def giant_at_pi_config():

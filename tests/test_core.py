@@ -11,10 +11,8 @@ from wgscatter.core import (
     MARKOVIAN,
     NON_MARKOVIAN,
     PORTS,
-    AtomSpec,
     ConfigError,
     CouplingLeg,
-    IncidentWave,
     InvalidAmplitudeError,
     PhaseModel,
     ScatterAmplitudes,
@@ -185,10 +183,7 @@ class TestEffectivePhases:
 
 def _one_atom(position=0.0, wall=None, omega_1=0.0, omega_s=0.0, delta=0.0) -> SystemConfig:
     return SystemConfig(
-        (AtomSpec("lambda", omega_1=omega_1, omega_s=omega_s),),
-        (CouplingLeg(0, "M", "ge", position, 1.0),),
-        IncidentWave(1, delta),
-        wall,
+        ("lambda",), (CouplingLeg(0, "M", "ge", position, 1.0),), 1, delta, omega_1, omega_s, wall
     )
 
 
@@ -198,51 +193,54 @@ BLOCK_INPUTS = ("omega_1", "omega_s", "delta")
 
 class TestConfigValidation:
     def test_atom_invariants(self):
-        with pytest.raises(ConfigError):
-            AtomSpec("two_level", omega_s=0.5)
-        with pytest.raises(ConfigError):
-            AtomSpec("qutrit")
+        legs = (CouplingLeg(0, "M", "ge", 0.0, 1.0),)
+        with pytest.raises(ConfigError, match="omega_s must be 0"):
+            SystemConfig(("two_level",), legs, 1, omega_s=0.5)
+        with pytest.raises(ConfigError, match="unknown atom kind"):
+            SystemConfig(("qutrit",), legs, 1)
+        with pytest.raises(ConfigError, match="at most one lambda atom"):
+            SystemConfig(("lambda", "lambda"), legs + (CouplingLeg(1, "M", "ge", 0.0, 1.0),), 1)
 
     def test_se_leg_requires_lambda(self):
-        atoms = (AtomSpec("two_level"),)
+        atoms = ("two_level",)
         legs = (CouplingLeg(0, "N", "se", 0.0, 1.0),)
         with pytest.raises(ConfigError):
-            SystemConfig(atoms, legs, IncidentWave(1))
+            SystemConfig(atoms, legs, 1)
 
     def test_duplicate_leg_rejected(self):
-        atoms = (AtomSpec("two_level"),)
+        atoms = ("two_level",)
         legs = (
             CouplingLeg(0, "M", "ge", 0.0, 1.0),
             CouplingLeg(0, "M", "ge", 0.0, 0.5),
         )
         with pytest.raises(ConfigError):
-            SystemConfig(atoms, legs, IncidentWave(1))
+            SystemConfig(atoms, legs, 1)
 
     def test_wall_must_clear_legs(self):
-        atoms = (AtomSpec("two_level"),)
+        atoms = ("two_level",)
         legs = (CouplingLeg(0, "M", "ge", 0.0, 1.0),)
         with pytest.raises(ConfigError):
-            SystemConfig(atoms, legs, IncidentWave(1), wall=0.0)
+            SystemConfig(atoms, legs, 1, wall=0.0)
 
     def test_ports_2_and_3_rejected(self):
+        legs = (CouplingLeg(0, "M", "ge", 0.0, 1.0),)
         for port in (2, 3):
             with pytest.raises(ConfigError, match="port must be 1 or 4"):
-                IncidentWave(port)
+                SystemConfig(("two_level",), legs, port)
 
     def test_atom_without_leg_rejected(self):
-        atoms = (AtomSpec("two_level"), AtomSpec("lambda"))
+        atoms = ("two_level", "lambda")
         legs = (CouplingLeg(0, "M", "ge", 0.0, 1.0),)
         with pytest.raises(ConfigError):
-            SystemConfig(atoms, legs, IncidentWave(1))
+            SystemConfig(atoms, legs, 1)
 
     def test_bus_side_conversion_leg_rejected(self):
-        atoms = (AtomSpec("lambda", omega_s=0.2),)
         legs = (
             CouplingLeg(0, "M", "se", 0.0, 1.0),
             CouplingLeg(0, "N", "ge", 0.0, 1.0),
         )
         with pytest.raises(ConfigError, match="guide N only"):
-            SystemConfig(atoms, legs, IncidentWave(1))
+            SystemConfig(("lambda",), legs, 1, omega_s=0.2)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["position", "wall", *BLOCK_INPUTS])

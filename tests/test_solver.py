@@ -12,11 +12,9 @@ from wgscatter import closed_form as cf
 from wgscatter import configs, solver, validate
 from wgscatter.search import Bounds, Fixed, Objective, grid_refine_search
 from wgscatter.core import (
-    AtomSpec,
     ConfigError,
     CouplingLeg,
     DegenerateConfigError,
-    IncidentWave,
     PhaseModel,
     SystemConfig,
     rates_from_amplitudes,
@@ -44,9 +42,11 @@ ROUTES = {
 
 def single_atom_config(gamma: float, delta: float) -> SystemConfig:
     return SystemConfig(
-        atoms=(AtomSpec("two_level", omega_1=1.0),),
+        atoms=("two_level",),
         legs=(CouplingLeg(0, "M", "ge", 0.0, gamma),),
-        incident=IncidentWave(port=1, delta=delta),
+        port=1,
+        delta=delta,
+        omega_1=1.0,
     )
 
 
@@ -62,9 +62,11 @@ class TestTextbookCases:
 
     def test_decoupled_passthrough(self):
         cfg = SystemConfig(
-            atoms=(AtomSpec("two_level", omega_1=1.0),),
+            atoms=("two_level",),
             legs=(CouplingLeg(0, "M", "ge", 0.0, 0.0),),
-            incident=IncidentWave(port=1, delta=0.3),
+            port=1,
+            delta=0.3,
+            omega_1=1.0,
         )
         a = solver.solve(cfg)
         assert a.m_right == 1.0
@@ -73,9 +75,11 @@ class TestTextbookCases:
 
     def test_bare_terminated_guide_reflects(self):
         cfg = SystemConfig(
-            atoms=(AtomSpec("two_level", omega_1=1.0),),
+            atoms=("two_level",),
             legs=(CouplingLeg(0, "M", "ge", 0.0, 0.0),),
-            incident=IncidentWave(port=1, delta=0.3),
+            port=1,
+            delta=0.3,
+            omega_1=1.0,
             wall=2.0,
         )
         a = solver.solve(cfg)
@@ -154,15 +158,13 @@ class TestSolutions:
     def test_degenerate_system_raises(self):
         # Two identical atoms at one point produce exactly duplicate columns.
         cfg = SystemConfig(
-            atoms=(
-                AtomSpec("two_level", omega_1=1.0),
-                AtomSpec("two_level", omega_1=1.0),
-            ),
+            atoms=("two_level", "two_level"),
             legs=(
                 CouplingLeg(0, "M", "ge", 0.0, 1.0),
                 CouplingLeg(1, "M", "ge", 0.0, 1.0),
             ),
-            incident=IncidentWave(port=1, delta=0.0),
+            port=1,
+            omega_1=1.0,
         )
         with pytest.raises(DegenerateConfigError):
             solver.solve(cfg)
@@ -177,18 +179,16 @@ class TestSolutions:
 
 @st.composite
 def small_layouts(draw):
-    """Arguments of a small `SystemConfig`: one or two atoms, at most one of
-    them a lambda atom, each with one or two legs at x in {0, 0.5, 1} on
-    random guides and transitions (s-e only for the lambda atom), rates in
-    [0.05, 3], an optional wall at 1.5, port 1 or 4."""
+    """Keyword arguments of a small `SystemConfig`: one or two atoms, at
+    most one of them a lambda atom, each with one or two legs at x in
+    {0, 0.5, 1} on random guides and transitions (s-e only for the lambda
+    atom), rates in [0.05, 3], port 1 or 4, a detuning in [-1, 1], omega_1
+    = 2, omega_s = 0.4 with a lambda atom and an optional wall at 1.5."""
     kinds = draw(
         st.sampled_from(
             [("two_level",), ("lambda",), ("two_level", "two_level"),
              ("two_level", "lambda"), ("lambda", "two_level")]
         )
-    )
-    atoms = tuple(
-        AtomSpec(kind, omega_1=2.0, omega_s=0.4 if kind == "lambda" else 0.0) for kind in kinds
     )
     legs = []
     for atom, kind in enumerate(kinds):
@@ -203,8 +203,15 @@ def small_layouts(draw):
                     draw(st.floats(0.05, 3.0)),
                 )
             )
-    incident = IncidentWave(draw(st.sampled_from((1, 4))), draw(st.floats(-1.0, 1.0)))
-    return atoms, tuple(legs), incident, draw(st.sampled_from((None, 1.5)))
+    return dict(
+        atoms=kinds,
+        legs=tuple(legs),
+        port=draw(st.sampled_from((1, 4))),
+        delta=draw(st.floats(-1.0, 1.0)),
+        omega_1=2.0,
+        omega_s=0.4 if "lambda" in kinds else 0.0,
+        wall=draw(st.sampled_from((None, 1.5))),
+    )
 
 
 class TestStructuralProperties:
@@ -215,7 +222,7 @@ class TestStructuralProperties:
         singular, flagged, or solved with the unit incident flux conserved:
         no outgoing channel goes unnamed."""
         try:
-            cfg = SystemConfig(*layout)
+            cfg = SystemConfig(**layout)
             amps = solver.solve(cfg)
         except (ConfigError, DegenerateConfigError):
             return
@@ -490,9 +497,11 @@ def cond_cells(monkeypatch):
 def twin_atoms(delta) -> SystemConfig:
     """Two identical atoms at one point: exactly singular at delta = 0."""
     return SystemConfig(
-        atoms=(AtomSpec("two_level", omega_1=1.0), AtomSpec("two_level", omega_1=1.0)),
+        atoms=("two_level", "two_level"),
         legs=(CouplingLeg(0, "M", "ge", 0.0, 1.0), CouplingLeg(1, "M", "ge", 0.0, 1.0)),
-        incident=IncidentWave(port=1, delta=delta),
+        port=1,
+        delta=delta,
+        omega_1=1.0,
     )
 
 

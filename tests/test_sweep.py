@@ -12,11 +12,9 @@ from wgscatter import closed_form, configs, solver
 from wgscatter.core import (
     MARKOVIAN,
     NON_MARKOVIAN,
-    AtomSpec,
     ConfigError,
     CouplingLeg,
     DegenerateConfigError,
-    IncidentWave,
     PhaseModel,
     SystemConfig,
     TransferRates,
@@ -546,9 +544,11 @@ def twin_atoms(gammas, delta):
     """Two identical two-level atoms at one point: at delta = 0 their columns
     coincide and the system is exactly singular."""
     return SystemConfig(
-        atoms=(AtomSpec("two_level", omega_1=1.0), AtomSpec("two_level", omega_1=1.0)),
+        atoms=("two_level", "two_level"),
         legs=(CouplingLeg(0, "M", "ge", 0.0, 1.0), CouplingLeg(1, "M", "ge", 0.0, 1.0)),
-        incident=IncidentWave(port=1, delta=delta),
+        port=1,
+        delta=delta,
+        omega_1=1.0,
     )
 
 

@@ -263,26 +263,175 @@ def _metadata_lines(result: sweep_mod.SweepResult, extra: dict | None = None) ->
 
 CSV_HEADER = ",".join(("delta", "phi", *sweep_mod.RATE_FIELDS, "flags"))
 
-#: Data rows formatted per string operation; bounds the writer's memory.
-CSV_CHUNK_ROWS = 1024
+#: Data rows per chunk of the writer, which bounds its memory.  On a
+#: 16-phase fig9, 256 rows wrote about 20% slower than 512, and 1024 about
+#: 10% faster but, in some process layouts, with 3 MB more peak RSS.
+CSV_CHUNK_ROWS = 512
 
-#: One data row: "%.17g" gives the same text as f"{x:.17g}" (nan, inf and
-#: -0 included).  delta, phi, the residual and the flag text arrive as
-#: strings.  The residual slot is "%.99s" rather than "%s" so that the format
-#: keeps the length of "%.17g": CPython sizes the output buffer of
-#: ``str % tuple`` from the format's length, and a shorter format moves the
-#: chunk texts on glibc's heap, which then stops trimming.  After 30
-#: ``figure fig9 --phase-count 16`` commands in one process (glibc
-#: ``mallinfo2``), "%s" leaves a 9.4 MB arena with 4.8 MB of it free;
-#: "%.99s" leaves 5.6 MB, against 5.5-5.7 MB for the writer that formatted
-#: the residual with "%.17g".  No 17-digit text is longer than 24
-#: characters, so the precision never cuts one.
-_ROW_FORMAT = (
-    "%s,%s,"
-    + "".join("%.99s," if name == "residual" else "%.17g," for name in sweep_mod.RATE_FIELDS)
-    + "%s\n"
-)
-_RESIDUAL_COLUMN = 2 + sweep_mod.RATE_FIELDS.index("residual")
+#: Exponents of the exact path.  A value x = m * 2**e of decimal exponent
+#: E has the 17 digits D = round(|x| * 10**k) with k = 16 - E, which is
+#: m * 5**k / 2**t with t = -(e + k).  For E in [-11, 15], 5**k < 2**63,
+#: and where t is in [1, 63] (about 1e-11 <= |x| < 2**51) D is computed
+#: exactly in uint64.
+_E_MIN, _E_MAX = -11, 15
+_POW5 = np.array([5**k for k in range(17 - _E_MIN)], dtype=np.uint64)
+_LOW32 = np.uint64(2**32 - 1)
+
+
+def _at_least(n: int) -> float:
+    """The least double at or above 10**n."""
+    x = float(f"1e{n}")
+    p, q = x.as_integer_ratio()
+    return math.nextafter(x, math.inf) if p * 10 ** max(-n, 0) < q * 10 ** max(n, 0) else x
+
+
+#: |x| >= _POW10[E - _E_MIN] exactly where |x| >= 10**E.
+_POW10 = np.array([_at_least(n) for n in range(_E_MIN, _E_MAX + 2)])
+#: The uint64 words of one value's text in a data row: the sign, "0.000",
+#: the first digit and a point slot; four groups of four digits, each
+#: followed by a point slot; "e-XX" and the comma.  Unused bytes are 0 and
+#: are dropped when the row is written.
+_WORDS = 6
+
+
+def _bytes_table(rows, width: int) -> np.ndarray:
+    """Byte strings as zero-padded rows of ``width`` bytes, viewed as words."""
+    table = np.array(rows, dtype=f"S{width}").view(np.uint8).reshape(len(rows), width)
+    return table.view(np.uint64)
+
+
+def _text_tables():
+    """The exact path's lookup tables.
+
+    By exponent E - _E_MIN: the digit after which the point goes (-1: in
+    the "0.000" prefix) and the last word.  The first word by (sign,
+    exponent, first digit, point after it).  Each 4-digit group's digits
+    and its count of trailing zeros.  The four group words' masks that keep
+    digits 1 to K, by K, and their point after digit p, by p + 1 (none for
+    p < 1).  The last three hold four words as one item.
+    """
+    exponents = range(_E_MIN, _E_MAX + 1)
+    point = np.array([-1 if -4 <= exp < 0 else max(exp, 0) for exp in exponents])
+    last = [(b"e-%02d," % -exp) if exp < -4 else b"," for exp in exponents]
+    prefix = [b"0.000"[: 1 - exp] if -4 <= exp < 0 else b"" for exp in exponents]
+    first = np.zeros((2, len(exponents), 10, 2, 8), np.uint8)
+    first[1, ..., 0] = ord("-")
+    first[..., 1:6] = _bytes_table(prefix, 8).view(np.uint8)[:, None, None, :5]
+    first[..., 6] = np.arange(ord("0"), ord("9") + 1)[:, None]
+    first[..., 1, 7] = ord(".")
+    # Group n = abcd sits at [a, b, c, d].
+    ascii = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    groups = np.zeros((10, 10, 10, 10, 8), np.uint8)
+    trailing = np.zeros((10, 10, 10, 10), np.uint8)
+    for j in range(4):
+        groups[..., 2 * j] = ascii[(slice(None),) + (None,) * (3 - j)]
+        trailing[(...,) + (0,) * (j + 1)] += 1
+    keep = [b"\xff\0" * n for n in range(17)]
+    dot = [b"", b""] + [b"\0" * (2 * p - 1) + b"." for p in range(1, 17)]
+    return (
+        point,
+        _bytes_table(last, 8).ravel(),
+        first.view(np.uint64).ravel(),
+        groups.view(np.uint64).ravel(),
+        trailing.ravel(),
+        _bytes_table(keep, 32).view("V32"),
+        _bytes_table(dot, 32).view("V32"),
+    )
+
+
+_POINT, _LAST, _FIRST, _GROUPS, _TRAILING, _KEEP, _DOT = _text_tables()
+
+
+def _digits(mantissa, exp2, exp10):
+    """The digits D = m * 5**k / 2**t of x = m * 2**exp2 at decimal
+    exponent exp10, with k = 16 - exp10 and t = -(exp2 + k), rounded half
+    to even, and where t is in [1, 63], the shifts they are exact for.
+    m * 5**k is formed in two uint64 words of 32-bit limbs."""
+    k = 16 - exp10
+    t = -(exp2 + k)
+    shift = np.minimum(np.maximum(t, 1), 63).astype(np.uint64)
+    pow5 = _POW5[k]
+    m_hi, m_lo = mantissa >> np.uint64(32), mantissa & _LOW32
+    p_hi, p_lo = pow5 >> np.uint64(32), pow5 & _LOW32
+    low = m_lo * p_lo
+    mid = m_hi * p_lo + m_lo * p_hi
+    lo = low + (mid << np.uint64(32))
+    hi = m_hi * p_hi + (mid >> np.uint64(32)) + (lo < low)
+    truncated = (hi << (np.uint64(64) - shift)) | (lo >> shift)
+    rest = lo & ((np.uint64(1) << shift) - np.uint64(1))
+    half = np.uint64(1) << (shift - np.uint64(1))
+    odd = (truncated & np.uint64(1)).astype(bool)
+    rounded = truncated + ((rest > half) | ((rest == half) & odd))
+    return rounded, (t >= 1) & (t <= 63)
+
+
+def _decimal(values):
+    """The 17 digits D and the decimal exponent E of each value, and where
+    they are exact.
+
+    E is floor(log10(2**(e + 52))) for x = m * 2**e, plus one where |x|
+    reaches 10**(E + 1), which makes it exact.  D is exact for E in
+    [_E_MIN, _E_MAX] where _digits says so, unless it rounds up to 10**17,
+    which no double in that range does.  D and E are 0 where not exact.
+    """
+    bits = values.view(np.uint64)
+    mantissa = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)
+    exp2 = (bits >> np.uint64(52)).astype(np.int64) % 2048 - 1075
+    exp10 = np.minimum(np.maximum((exp2 + 52) * 78913 >> 18, _E_MIN - 1), _E_MAX)
+    exp10 += np.abs(values) >= _POW10[exp10 + 1 - _E_MIN]
+    in_range = (exp10 >= _E_MIN) & (exp10 <= _E_MAX)
+    np.minimum(np.maximum(exp10, _E_MIN), _E_MAX, out=exp10)
+    digits, exact = _digits(mantissa, exp2, exp10)
+    exact &= in_range & (digits < 10**17)
+    digits[~exact] = 0
+    exp10[~exact] = 0
+    return digits, exp10, exact
+
+
+def _fill_words(values, words) -> None:
+    """Write the "%.17g" text and a comma of each value into its _WORDS
+    words.
+
+    Zeros and the values that _decimal gives exact digits for are laid out
+    from the lookup tables; a zero is D = 0 at exponent 0, "0" or "-0".  The
+    rest (subnormal, tiny, huge and non-finite values) are formatted with
+    "%", once per distinct bit pattern, so -0.0 and NaN payloads keep their
+    own text.  The patterns are sorted by Python: any numpy sort costs
+    0.2-0.6 MB of resident memory on its first call.
+    """
+    digits, exp10, exact = _decimal(values)
+    row = exp10 - _E_MIN
+    point = _POINT[row]
+    upper, lower = np.divmod(digits.astype(np.int64), 10**8)
+    first, upper = np.divmod(upper, 10**8)
+    groups = np.stack(np.divmod(upper, 10**4) + np.divmod(lower, 10**4), -1)
+    # The last digit kept is the last nonzero one or the last of the
+    # integer part; the point follows the integer part if a digit follows
+    # it.
+    zeros = _TRAILING[groups[..., 3]]
+    for col, run in ((2, 4), (1, 8), (0, 12)):
+        zeros += (zeros == run) * _TRAILING[groups[..., col]]
+    last = 16 - zeros.astype(np.int64)
+    dot = np.where(last > point, point, -1)
+    sign = np.signbit(values).astype(np.int64)
+    words[..., 0] = _FIRST[((sign * len(_POINT) + row) * 10 + first) * 2 + (dot == 0)]
+    body = _GROUPS[groups]
+    body &= _KEEP[np.maximum(last, point)].view(np.uint64)
+    body |= _DOT[dot + 1].view(np.uint64)
+    words[..., 1:5] = body
+    words[..., 5] = _LAST[row]
+    rest = ~exact & (values != 0)
+    if rest.any():
+        rest_bits = values.view(np.uint64)[rest]
+        distinct = np.array(sorted(set(rest_bits.tolist())), dtype=np.uint64)
+        texts = [_fmt(x).encode() + b"," for x in distinct.view(np.float64)]
+        words[rest] = _bytes_table(texts, 8 * _WORDS)[np.searchsorted(distinct, rest_bits)]
+
+
+def _text_words(texts, end: bytes) -> np.ndarray:
+    """Each text and ``end`` as one zero-padded row of words."""
+    rows = [text.encode() + end for text in texts]
+    return _bytes_table(rows, -(-max(map(len, rows)) // 8) * 8)
 
 
 def _csv_head(result: sweep_mod.SweepResult, extra: dict | None) -> str:
@@ -292,38 +441,40 @@ def _csv_head(result: sweep_mod.SweepResult, extra: dict | None) -> str:
 def write_csv(result: sweep_mod.SweepResult, stream, extra: dict | None = None) -> None:
     """Emit the grid in detuning-major row order with metadata up front.
 
-    Rows are formatted CSV_CHUNK_ROWS at a time with one %-format over a
-    chunk's values, so memory stays bounded whatever the grid size.  The
-    residual column holds few distinct values (18 or 19 in each 32,016-cell
-    sweep of fig9 at 16 phases), so each chunk formats each distinct bit
-    pattern of it once and indexes the texts; -0.0 and 0.0, and NaNs of
-    any sign or payload, stay apart by their bits and print as "%.17g"
-    prints them.  The distinct patterns are a Python set of the float64
-    bits as ints, sorted by Python, and np.searchsorted indexes them: any
-    numpy sort (np.unique among them) costs 0.2-0.6 MB of resident memory
-    on its first call, and a dict lookup per cell took three times as long.
+    Every number reads as "%.17g" prints it.  CSV_CHUNK_ROWS rows at a time
+    are built as one zero-padded matrix of uint64 words, a row per CSV row:
+    the delta and phi texts (formatted once per sweep), the rates
+    (_fill_words) and the flag text.  A chunk's text is the matrix's bytes
+    without the zeros, so memory stays bounded whatever the grid size.
     """
     stream.write(_csv_head(result, extra))
     n_phi = result.phi.size
     n_rows = n_phi * result.delta.size
-    delta_text = np.array([_fmt(x) for x in result.delta], dtype=object)
-    phi_text = np.array([_fmt(x) for x in result.phi], dtype=object)
-    residual = result.rates["residual"]
+    delta_text = _text_words([_fmt(x) for x in result.delta], b",")
+    phi_text = _text_words([_fmt(x) for x in result.phi], b",")
+    flag_text = _text_words(sweep_mod.FLAG_TEXT, b"\n")
+    n_rates = len(sweep_mod.RATE_FIELDS)
+    edges = np.cumsum(
+        [0, delta_text.shape[1], phi_text.shape[1], n_rates * _WORDS, flag_text.shape[1]]
+    )
+    # The matrix lives in a bytearray, whose zero bytes translate() drops
+    # without a copy of the matrix; rows past a short last chunk are zeroed.
+    text = bytearray(min(n_rows, CSV_CHUNK_ROWS) * edges[-1] * 8)
+    matrix = np.frombuffer(text, np.uint64).reshape(-1, edges[-1])
+    values = np.empty((matrix.shape[0], n_rates))
     for start in range(0, n_rows, CSV_CHUNK_ROWS):
         stop = min(start + CSV_CHUNK_ROWS, n_rows)
+        rows = matrix[: stop - start]
+        matrix[stop - start :] = 0
         j, i = np.divmod(np.arange(start, stop), n_phi)
-        block = np.empty((stop - start, len(sweep_mod.RATE_FIELDS) + 3), dtype=object)
-        block[:, 0] = delta_text[j]
-        block[:, 1] = phi_text[i]
-        for col, name in enumerate(sweep_mod.RATE_FIELDS, start=2):
-            if col != _RESIDUAL_COLUMN:
-                block[:, col] = result.rates[name][i, j]
-        bits = residual[i, j].view(np.uint64)
-        distinct = np.array(sorted(set(bits.tolist())), dtype=np.uint64)
-        text = np.array([_fmt(x) for x in distinct.view(np.float64)], dtype=object)
-        block[:, _RESIDUAL_COLUMN] = text[np.searchsorted(distinct, bits)]
-        block[:, -1] = sweep_mod.FLAG_TEXT[result.codes[i, j]]
-        stream.write(_ROW_FORMAT * (stop - start) % tuple(block.ravel().tolist()))
+        rows[:, edges[0] : edges[1]] = delta_text[j]
+        rows[:, edges[1] : edges[2]] = phi_text[i]
+        block = values[: stop - start]
+        for col, name in enumerate(sweep_mod.RATE_FIELDS):
+            block[:, col] = result.rates[name][i, j]
+        _fill_words(block, rows[:, edges[2] : edges[3]].reshape(-1, n_rates, _WORDS))
+        rows[:, edges[3] :] = flag_text[result.codes[i, j]]
+        stream.write(text.translate(None, b"\0").decode())
 
 
 def _copy_data_rows(source: Path, head: str, path: Path) -> None:
@@ -414,6 +565,16 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+def _recount(preset: sweep_mod.FigurePreset, axis, option: str, count: int):
+    """A preset's axis with ``count`` points from the command line."""
+    if count == 1 and axis.start != axis.stop:
+        raise ConfigError(
+            f"{option} 1: the {preset.figure} preset's axis from {_fmt(axis.start)} "
+            f"to {_fmt(axis.stop)} needs at least 2 points"
+        )
+    return replace(axis, count=count)
+
+
 def _cmd_figure(args) -> int:
     preset = sweep_mod.figure_preset(args.id)
     out_dir = Path(args.out_dir)
@@ -426,9 +587,11 @@ def _cmd_figure(args) -> int:
     specs = {}
     for key, spec in preset.sweeps.items():
         if args.delta_count is not None:
-            spec = replace(spec, delta_axis=replace(spec.delta_axis, count=args.delta_count))
+            axis = _recount(preset, spec.delta_axis, "--delta-count", args.delta_count)
+            spec = replace(spec, delta_axis=axis)
         if args.phase_count is not None and spec.phase_axis is not None:
-            spec = replace(spec, phase_axis=replace(spec.phase_axis, count=args.phase_count))
+            axis = _recount(preset, spec.phase_axis, "--phase-count", args.phase_count)
+            spec = replace(spec, phase_axis=axis)
         specs[key] = spec
     if args.phase_count is not None and all(s.phase_axis is None for s in specs.values()):
         raise ConfigError(f"{args.id} has no phase axis for --phase-count")

@@ -398,6 +398,17 @@ class TestFigure:
         assert "axis count must be at least 1" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("option", ["--delta-count", "--phase-count"])
+    def test_single_point_count_exits_2(self, tmp_path, capsys, no_axis_values, option):
+        """A preset's axis spans a range, so one point is a config error
+        that names the option."""
+        argv = ["figure", "fig9", "--out-dir", str(tmp_path), option, "1"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {option} 1: the fig9 preset's axis from ")
+        assert err.rstrip().endswith("needs at least 2 points")
+        assert not list(tmp_path.iterdir())
+
     def test_phase_count_without_phase_axis_exits_2(self, tmp_path, capsys, no_axis_values):
         """``--phase-count`` is a config error for a preset none of whose
         sweeps has a phase axis; fig10's second sweep has one."""
@@ -1278,6 +1289,8 @@ def random_result(rng, n_phi, n_delta, with_phase_axis=True) -> SweepResult:
         (16, 201, True),  # 3216 rows: not a multiple of the chunk
         (cli.CSV_CHUNK_ROWS + 37, 3, True),  # a phase row longer than a chunk
         (cli.CSV_CHUNK_ROWS, 2, True),  # chunk boundaries on delta boundaries
+        (2 * cli.CSV_CHUNK_ROWS + 37, 3, True),  # ... longer than two chunks
+        (2 * cli.CSV_CHUNK_ROWS, 2, True),
     ],
 )
 def test_writer_matches_per_cell_formatting(n_phi, n_delta, with_phase_axis):
@@ -1333,6 +1346,8 @@ FEW_RESIDUALS = {
     [
         (1, cli.CSV_CHUNK_ROWS - 1, False),
         (1, cli.CSV_CHUNK_ROWS + 1, False),
+        (1, 2 * cli.CSV_CHUNK_ROWS - 1, False),  # a short last chunk after a full one
+        (1, 2 * cli.CSV_CHUNK_ROWS + 1, False),
         (31, 67, True),  # three chunks, phase rows across chunk bounds
     ],
 )
@@ -1370,6 +1385,56 @@ def test_writer_keeps_reverse_ill_conditioning_after_eta():
     assert [row.rsplit(",", 1)[1] for row in rows] == ["", "eta_undefined;ill_conditioned"]
     payload = cli.result_as_json(result)
     assert payload["flags"] == [["", "eta_undefined;ill_conditioned"]]
+
+
+# ---------------------------------------------------------------------------
+# The writer's 17-digit text of single values against "%.17g"
+# ---------------------------------------------------------------------------
+
+
+def writer_texts(values) -> list[str]:
+    """The text and comma the writer gives each value."""
+    values = np.asarray(values, np.float64).reshape(-1, 1)
+    words = np.zeros((values.shape[0], 1, cli._WORDS), np.uint64)
+    cli._fill_words(values, words)
+    return [row.tobytes().translate(None, b"\0").decode() for row in words]
+
+
+def percent_texts(values) -> list[str]:
+    return ["%.17g," % x for x in np.asarray(values, np.float64).ravel()]
+
+
+def edge_values() -> np.ndarray:
+    """Each 10**k for k in [-12, 17], the ends of the exact range, integers
+    around 2**53, ties rounded half to even, and powers of ten whose double
+    lies just below them, so that the 17 digits round up to 10**17; each
+    with both float neighbours and both signs."""
+    values = [float(f"1e{k}") for k in range(-12, 18)]
+    values += [1e-11, 2.0**51, 1e16, 2.0**53 - 1, 2.0**53, 2.0**53 + 2]
+    values += [1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125, 1e14 + 0.375]
+    values += [9.99999999999999999e-5, 1e-14, 1e-79, 1e98]
+    grid = np.array(values)
+    grid = np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid, np.inf)])
+    return np.concatenate([grid, -grid, [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan]])
+
+
+def test_writer_text_at_edges():
+    values = edge_values()
+    assert writer_texts(values) == percent_texts(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=64))
+def test_writer_text_of_any_float(values):
+    assert writer_texts(values) == percent_texts(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_writer_text_of_any_bit_pattern(patterns):
+    """Every exponent, subnormals, NaN payloads, both zeros and infinities."""
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert writer_texts(values) == percent_texts(values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Canonical SystemConfig builders for the standard configuration families.
 
 Each builder realizes a requested set of interference phases with an explicit
-geometry: positions are fixed (unit separation), the guide wavevector is
-chosen so that k * separation reproduces the requested phase, and the lambda
-atom's level splitting is chosen so that q = k - omega_s reproduces the
-second phase.  The solver therefore never receives a phase directly, which
-keeps it an independent check on the closed forms.
+geometry: positions are fixed at unit separation, so the photon's wavevector
+k and the converted wavevector q are the two requested phases themselves,
+passed through unchanged.  The solver computes every e^{i kappa x} and all
+the boundary matching from that geometry, which keeps it an independent
+check on the closed forms, and both engines model the same phases bit for
+bit.
 
 Reverse-incidence builders implement the model's reverse scattering rule:
 a photon entering guide N cannot be absorbed by the lambda atom (its s-e
@@ -14,15 +15,11 @@ atom stays a ground-state spectator and only the two-level atom's legs
 participate.
 
 The rates, the detuning and the phases may be arrays of one shape, one
-value per cell of a solver block: the builders are plain arithmetic on
-them, and the resulting omega_1, omega_s and leg rates are arrays over the
-block.  Both atoms share the one e-level omega_1 = k - delta, so the
-photon energy omega_1 + delta is the wavevector k up to rounding.
+value per cell of a solver block; the configuration's delta, k, q and leg
+rates are then those arrays.
 """
 
 from __future__ import annotations
-
-import math
 
 from .core import (
     GE,
@@ -35,25 +32,12 @@ from .core import (
     SystemConfig,
 )
 
-TWO_PI = 2.0 * math.pi
-
-
-def _split(phi_k: float, phi_q: float) -> tuple[float, float]:
-    """(wavevector k, level splitting omega_s) realizing the two phases.
-
-    omega_s is wrapped into [0, 2*pi) so it stays non-negative; the wrap
-    shifts q by a multiple of 2*pi, which leaves every amplitude of the
-    discrete-breakpoint problem (unit separation) unchanged.
-    """
-    return phi_k, (phi_k - phi_q) % TWO_PI
-
-
 def _config(
     gammas: tuple[float, float, float, float],
     delta: float,
     *,
     k: float,
-    omega_s: float,
+    q: float,
     positions: tuple[float, float],
     double_legs: bool,
     wall: float | None = None,
@@ -70,7 +54,7 @@ def _config(
         legs.append(CouplingLeg(1, WAVEGUIDE_M, GE, x, g2))
         legs.append(CouplingLeg(1, WAVEGUIDE_N, SE, x, g4))
     return SystemConfig(
-        (TWO_LEVEL, LAMBDA), tuple(legs), 1, delta, k - delta, omega_s, wall
+        (TWO_LEVEL, LAMBDA), tuple(legs), 1, delta, k, q, wall
     )
 
 
@@ -80,7 +64,7 @@ def small_overlap(gammas, delta) -> SystemConfig:
         tuple(gammas),
         delta,
         k=1.0,
-        omega_s=0.0,
+        q=1.0,
         positions=(0.0, 0.0),
         double_legs=False,
     )
@@ -88,12 +72,11 @@ def small_overlap(gammas, delta) -> SystemConfig:
 
 def small_separated(gammas, delta, phi_a: float, phi_b: float) -> SystemConfig:
     """Two-level atom at x = 0, lambda atom at x = 1."""
-    k, omega_s = _split(phi_a, phi_b)
     return _config(
         tuple(gammas),
         delta,
-        k=k,
-        omega_s=omega_s,
+        k=phi_a,
+        q=phi_b,
         positions=(0.0, 1.0),
         double_legs=False,
     )
@@ -101,12 +84,11 @@ def small_separated(gammas, delta, phi_a: float, phi_b: float) -> SystemConfig:
 
 def giant(gammas, delta, phi1: float, phi2: float) -> SystemConfig:
     """Co-located giant atoms, each coupling at x = 0 and x = 1."""
-    k, omega_s = _split(phi1, phi2)
     return _config(
         tuple(gammas),
         delta,
-        k=k,
-        omega_s=omega_s,
+        k=phi1,
+        q=phi2,
         positions=(0.0, 1.0),
         double_legs=True,
     )
@@ -118,7 +100,7 @@ def semi_infinite(gammas, delta, phi3: float) -> SystemConfig:
         tuple(gammas),
         delta,
         k=phi3,
-        omega_s=0.0,
+        q=phi3,
         positions=(0.0, 0.0),
         double_legs=False,
         wall=1.0,
@@ -138,7 +120,7 @@ def _spectator(
     for x in points:
         legs.append(CouplingLeg(0, WAVEGUIDE_M, GE, x, gamma1))
         legs.append(CouplingLeg(0, WAVEGUIDE_N, GE, x, gamma3))
-    return SystemConfig((TWO_LEVEL,), tuple(legs), 4, delta, k - delta, wall=wall)
+    return SystemConfig((TWO_LEVEL,), tuple(legs), 4, delta, k, wall=wall)
 
 
 def reverse_small(gamma1: float, gamma3: float, delta: float) -> SystemConfig:

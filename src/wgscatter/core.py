@@ -4,15 +4,17 @@ Physical picture: two parallel one-dimensional waveguides, a lower "bus"
 guide M and an upper "drop" guide N, are bridged by a two-level atom and a
 lambda-type atom.  A single photon injected into one guide is reflected,
 transmitted, or transferred to the other guide; transfer through the lambda
-atom's s-e transition converts the wavevector from k to q = k - omega_s/v_g
-and leaves that atom in its second ground state.
+atom's s-e transition converts the wavevector from k to q and leaves that
+atom in its second ground state.
 
 Unit conventions used throughout the package:
 
 * natural units with group velocity v_g = 1;
 * energies (detunings, decay rates) in units of a reference decay rate;
 * lengths in units of v_g divided by the reference rate;
-* the detuning ``delta`` is measured from the shared e-level, delta = E - omega_1.
+* the photon's wavevector k equals its energy E (v_g = 1), and its detuning
+  ``delta`` from the atoms' shared e-level is given on its own, so no level
+  energy is stored and no phase is derived from one.
 
 Port numbering: 1 = guide M left end, 2 = guide M right end, 3 = guide N
 left end, 4 = guide N right end.  A unit-amplitude photon enters at port 1
@@ -131,25 +133,30 @@ class SystemConfig:
     """Full physical description of one scattering problem.
 
     ``atoms`` lists each bridge atom's kind, `TWO_LEVEL` or `LAMBDA`, with
-    at most one lambda atom.  The atoms share one e-level, ``omega_1`` above
-    the primary ground state; ``omega_s`` is the energy of the lambda atom's
-    second ground state (0 when there is no lambda atom).  A unit-amplitude
-    photon enters at ``port`` 1 (guide M, from the left) or 4 (guide N,
-    from the right) with detuning ``delta`` from the e-level.  ``wall`` is
-    the coordinate of a terminating mirror on guide M; ``None`` means both
-    guides are infinite.
+    at most one lambda atom.  A unit-amplitude photon enters at ``port`` 1
+    (guide M, from the left) or 4 (guide N, from the right) with
+    wavevector ``k`` (its energy, since v_g = 1) and detuning ``delta``
+    from the atoms' shared e-level.  ``q`` is the wavevector of a photon
+    converted by the lambda atom's s-e transition; only an N_q channel reads
+    it.  ``wall`` is the coordinate of a terminating mirror on guide M;
+    ``None`` means both guides are infinite.
 
-    ``delta``, ``omega_1``, ``omega_s`` and each leg's gamma may be arrays,
-    one value per cell of a block that the solver assembles and solves at
-    once.
+    ``k`` and ``q`` may be any finite values, in any order: each enters the
+    model only through e^{i kappa x} at the breakpoints, which the `configs`
+    builders put at unit spacing, so the phases requested there are k and q
+    themselves.  Hence no level splitting k - q is stored, and none has a
+    sign to check.
+
+    ``delta``, ``k``, ``q`` and each leg's gamma may be arrays, one value
+    per cell of a block that the solver assembles and solves at once.
     """
 
     atoms: tuple[str, ...]
     legs: tuple[CouplingLeg, ...]
     port: int
     delta: float = 0.0
-    omega_1: float = 0.0
-    omega_s: float = 0.0
+    k: float = 0.0
+    q: float = 0.0
     wall: float | None = None
 
     def __post_init__(self) -> None:
@@ -164,12 +171,8 @@ class SystemConfig:
             raise ConfigError(f"incident port must be 1 or 4, got {self.port}")
         if not _finite(self.delta):
             raise ConfigError("detuning must be finite")
-        if not _finite(self.omega_1):
-            raise ConfigError("omega_1 must be finite")
-        if not (_holds(self.omega_s >= 0) and _finite(self.omega_s)):
-            raise ConfigError("omega_s must be finite and non-negative")
-        if LAMBDA not in self.atoms and not _holds(self.omega_s == 0.0):
-            raise ConfigError("omega_s must be 0 without a lambda atom")
+        if not (_finite(self.k) and _finite(self.q)):
+            raise ConfigError("wavevectors k and q must be finite")
         referenced: set[int] = set()
         seen: set[tuple[int, str, str, float]] = set()
         for leg in self.legs:
@@ -196,11 +199,6 @@ class SystemConfig:
             m_positions = [l.position for l in self.legs if l.waveguide == WAVEGUIDE_M]
             if m_positions and self.wall <= max(m_positions):
                 raise ConfigError("the wall must sit strictly beyond all guide-M legs")
-
-    @property
-    def energy(self) -> float:
-        """Total eigenstate energy E = omega_1 + delta."""
-        return self.omega_1 + self.delta
 
 
 #: Outgoing ports in `ScatterAmplitudes.outgoing` order, named as its fields.

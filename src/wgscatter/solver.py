@@ -31,8 +31,8 @@ interior regions and atoms are all read through that map, by
 `BlockSolution.components`.  Every leg's position is a breakpoint whatever
 its rate, so both engines name the same components at any pattern of zero
 rates.  A block of cells that share one layout is solved at once:
-`solve_batch` takes a configuration whose detuning, omega_1, omega_s and
-each leg's gamma may be arrays over the block, and assembles and solves
+`solve_batch` takes a configuration whose detuning, wavevectors k and q
+and each leg's gamma may be arrays over the block, and assembles and solves
 the whole block with one stacked numpy call each.  The cells
 must share one active-leg pattern (which legs have gamma > 0), since that
 fixes the layout.  `solve` is the block of one cell: it raises
@@ -224,27 +224,23 @@ def _active(gamma) -> bool:
     return False
 
 
-def _wavevector(cfg: SystemConfig, energy: float, kind: str) -> float:
-    if kind == "k":
-        return energy
-    return energy - cfg.omega_s
-
-
-def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> tuple[np.ndarray, np.ndarray]:
-    """Build the dense linear system A x = b at eigenstate energy E.
+def assemble(layout: ChannelLayout, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Build the dense linear system A x = b.
 
     Rows: two jump conditions per channel per breakpoint, one mirror row per
     terminated channel, one row per atomic amplitude, and the boundary rows
     fixing the incoming coefficient of every channel end: 1 at the entry
     port (M_k's right mover at its left end for port 1, N_k's left mover at
-    its right end for port 4) and 0 elsewhere.
+    its right end for port 4) and 0 elsewhere.  A k channel's plane waves
+    take kappa = ``cfg.k`` and the q channel's ``cfg.q``, as given; each
+    atom's diagonal entry is ``cfg.delta``.
 
-    ``energy`` may be an array of cells, with which omega_1 and omega_s
-    broadcast; the matrix then has shape ``(*cells, n, n)`` and the
-    right-hand side, shape ``(n,)``, is shared.  Returns ``(matrix, rhs)``.
+    ``delta``, ``k`` and ``q`` may be arrays of cells, which broadcast; the
+    matrix then has shape ``(*cells, n, n)`` and the right-hand side, shape
+    ``(n,)``, is shared.  Returns ``(matrix, rhs)``.
     """
     n = len(layout.labels)
-    cells = getattr(energy, "shape", ())
+    cells = np.broadcast_shapes(np.shape(cfg.delta), np.shape(cfg.k), np.shape(cfg.q))
     stack = np.zeros(cells + (n, n), dtype=complex)
     # matrix[r, c] is that entry over all cells, through a view of the
     # contiguous stack (the stack itself for a single cell).
@@ -252,16 +248,15 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig, energy) -> tuple[np.ndarr
     rhs = np.zeros(n, dtype=complex)
     port = cfg.port
 
-    # Atomic rows: (E - omega_1) u = sum_legs g * average field at the leg.
-    # The channel rows fill the columns before the atoms', so each atom's
-    # row is its own column; the legs' terms are added below.
-    detuning = energy - cfg.omega_1
+    # Atomic rows: delta u = sum_legs g * average field at the leg.  The
+    # channel rows fill the columns before the atoms', so each atom's row
+    # is its own column; the legs' terms are added below.
     for column in layout.atom_columns.values():
-        matrix[column, column] = detuning
+        matrix[column, column] = cfg.delta
 
     row = 0
     for ch in layout.channels:
-        kappa = _wavevector(cfg, energy, ch.kind)
+        kappa = cfg.k if ch.kind == "k" else cfg.q
         last = ch.n_regions - 1
 
         # Incoming-coefficient boundary rows.
@@ -348,8 +343,8 @@ def solve(cfg: SystemConfig) -> ScatterAmplitudes:
 def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockSolution:
     """Solve a 1-D block of cells that share one layout.
 
-    The detuning, omega_1 and omega_s in ``cfg`` are arrays over the block,
-    and so may be each leg's gamma (the `configs` builders make them from
+    The detuning, k and q in ``cfg`` are arrays over the block (or scalars
+    shared by every cell), and so may be each leg's gamma (the `configs` builders make them from
     array rates, detunings and phases).  One stacked solve covers the
     block; if any cell is exactly singular, the cells are solved one by one
     and only those that fail are marked singular.  A cell whose solution is
@@ -360,10 +355,10 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
     `validate`, the `both` engine and `search`'s re-verification read no
     flag and skip it.
     """
-    if np.ndim(cfg.energy) != 1:
-        raise ValueError("solve_batch needs a 1-D block of cells")
     layout = build_layout(cfg)
-    matrix, b = assemble(layout, cfg, cfg.energy)
+    matrix, b = assemble(layout, cfg)
+    if matrix.ndim != 3:
+        raise ValueError("solve_batch needs a 1-D block of cells")
     singular = np.zeros(len(matrix), dtype=bool)
     # A 3-D right-hand side is a stack of one-column matrices under every
     # numpy version; a 1-D one means a vector only from numpy 2.0 on.

@@ -509,7 +509,7 @@ def figure_preset(figure_id: str) -> FigurePreset:
     for name, linkage in linkages.items():
         axis = None
         if linkage is not None:
-            axis = PhaseAxis(0.0, configs.TWO_PI, DEFAULT_PHASE_COUNT, linkage=linkage)
+            axis = PhaseAxis(0.0, 2.0 * math.pi, DEFAULT_PHASE_COUNT, linkage=linkage)
         sweeps[name] = SweepSpec(family, gammas, pm, DEFAULT_DELTA, axis)
     return FigurePreset(fid, sweeps, tuple(FigurePanel(*panel) for panel in panels))
 

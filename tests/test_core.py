@@ -181,21 +181,19 @@ class TestEffectivePhases:
         assert phi_b == pytest.approx(1.4, abs=1e-15)
 
 
-def _one_atom(position=0.0, wall=None, omega_1=0.0, omega_s=0.0, delta=0.0) -> SystemConfig:
+def _one_atom(position=0.0, wall=None, k=0.0, q=0.0, delta=0.0) -> SystemConfig:
     return SystemConfig(
-        ("lambda",), (CouplingLeg(0, "M", "ge", position, 1.0),), 1, delta, omega_1, omega_s, wall
+        ("lambda",), (CouplingLeg(0, "M", "ge", position, 1.0),), 1, delta, k, q, wall
     )
 
 
 #: The inputs that a solver block may make arrays, one value per cell.
-BLOCK_INPUTS = ("omega_1", "omega_s", "delta")
+BLOCK_INPUTS = ("k", "q", "delta")
 
 
 class TestConfigValidation:
     def test_atom_invariants(self):
         legs = (CouplingLeg(0, "M", "ge", 0.0, 1.0),)
-        with pytest.raises(ConfigError, match="omega_s must be 0"):
-            SystemConfig(("two_level",), legs, 1, omega_s=0.5)
         with pytest.raises(ConfigError, match="unknown atom kind"):
             SystemConfig(("qutrit",), legs, 1)
         with pytest.raises(ConfigError, match="at most one lambda atom"):
@@ -240,7 +238,7 @@ class TestConfigValidation:
             CouplingLeg(0, "N", "ge", 0.0, 1.0),
         )
         with pytest.raises(ConfigError, match="guide N only"):
-            SystemConfig(("lambda",), legs, 1, omega_s=0.2)
+            SystemConfig(("lambda",), legs, 1, q=0.2)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["position", "wall", *BLOCK_INPUTS])

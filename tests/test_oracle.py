@@ -243,7 +243,7 @@ def test_zero_rates_split_a_round_into_layout_groups(monkeypatch):
     batch = solver.solve_batch
 
     def recording(cfg, **kwargs):
-        blocks.append(len(cfg.energy))
+        blocks.append(len(cfg.delta))
         return batch(cfg, **kwargs)
 
     monkeypatch.setattr(solver, "solve_batch", recording)
@@ -298,7 +298,7 @@ def test_no_block_exceeds_solver_block(monkeypatch, draws):
     batch = solver.solve_batch
 
     def recording(cfg, **kwargs):
-        blocks.append(len(cfg.energy))
+        blocks.append(len(cfg.delta))
         return batch(cfg, **kwargs)
 
     monkeypatch.setattr(solver, "solve_batch", recording)

@@ -46,7 +46,6 @@ def single_atom_config(gamma: float, delta: float) -> SystemConfig:
         legs=(CouplingLeg(0, "M", "ge", 0.0, gamma),),
         port=1,
         delta=delta,
-        omega_1=1.0,
     )
 
 
@@ -66,7 +65,6 @@ class TestTextbookCases:
             legs=(CouplingLeg(0, "M", "ge", 0.0, 0.0),),
             port=1,
             delta=0.3,
-            omega_1=1.0,
         )
         a = solver.solve(cfg)
         assert a.m_right == 1.0
@@ -79,7 +77,6 @@ class TestTextbookCases:
             legs=(CouplingLeg(0, "M", "ge", 0.0, 0.0),),
             port=1,
             delta=0.3,
-            omega_1=1.0,
             wall=2.0,
         )
         a = solver.solve(cfg)
@@ -118,7 +115,7 @@ class TestLayout:
     def test_expected_unknowns_present(self):
         cfg = configs.small_separated((1.0, 1.0, 1.0, 1.0), 0.0, 1.0, 0.5)
         layout = solver.build_layout(cfg)
-        matrix, rhs = solver.assemble(layout, cfg, cfg.energy)
+        matrix, rhs = solver.assemble(layout, cfg)
         n = matrix.shape[0]
         assert matrix.shape == (n, n)
         assert len(rhs) == n == len(layout.labels)
@@ -164,7 +161,6 @@ class TestSolutions:
                 CouplingLeg(1, "M", "ge", 0.0, 1.0),
             ),
             port=1,
-            omega_1=1.0,
         )
         with pytest.raises(DegenerateConfigError):
             solver.solve(cfg)
@@ -182,8 +178,8 @@ def small_layouts(draw):
     """Keyword arguments of a small `SystemConfig`: one or two atoms, at
     most one of them a lambda atom, each with one or two legs at x in
     {0, 0.5, 1} on random guides and transitions (s-e only for the lambda
-    atom), rates in [0.05, 3], port 1 or 4, a detuning in [-1, 1], omega_1
-    = 2, omega_s = 0.4 with a lambda atom and an optional wall at 1.5."""
+    atom), rates in [0.05, 3], port 1 or 4, a detuning in [-1, 1], k = 2,
+    q = 1.6 and an optional wall at 1.5."""
     kinds = draw(
         st.sampled_from(
             [("two_level",), ("lambda",), ("two_level", "two_level"),
@@ -208,8 +204,8 @@ def small_layouts(draw):
         legs=tuple(legs),
         port=draw(st.sampled_from((1, 4))),
         delta=draw(st.floats(-1.0, 1.0)),
-        omega_1=2.0,
-        omega_s=0.4 if "lambda" in kinds else 0.0,
+        k=2.0,
+        q=1.6,
         wall=draw(st.sampled_from((None, 1.5))),
     )
 
@@ -234,7 +230,7 @@ class TestStructuralProperties:
         # Solving a row/column-permuted system recovers the same amplitudes.
         cfg = configs.small_separated((1.2, 0.7, 0.5, 1.9), 1.3, 2.0, 1.1)
         layout = solver.build_layout(cfg)
-        matrix, rhs = solver.assemble(layout, cfg, cfg.energy)
+        matrix, rhs = solver.assemble(layout, cfg)
         x_direct = np.linalg.solve(matrix, rhs)
         rng = np.random.default_rng(3)
         n = len(rhs)
@@ -284,14 +280,14 @@ class TestBlockSolve:
         delta = np.linspace(-4.0, 4.0, 9)
         shifted = [p + 0.6 * delta for p in phases]
         block = build(*rates, delta, *shifted)
-        matrix, _ = solver.assemble(solver.build_layout(block), block, block.energy)
+        matrix, _ = solver.assemble(solver.build_layout(block), block)
         result = solver.solve_batch(block)
         assert not result.singular.any()
         items = result.components()
         for j, d in enumerate(delta.tolist()):
             cell = build(*rates, d, *(float(p[j]) for p in shifted))
             layout = solver.build_layout(cell)
-            cell_matrix, cell_rhs = solver.assemble(layout, cell, cell.energy)
+            cell_matrix, cell_rhs = solver.assemble(layout, cell)
             assert matrix[j].tobytes() == cell_matrix.tobytes()
             # A reference that never runs `solve_batch`: the cell's own
             # scalar system through a 2-D solve.
@@ -324,7 +320,7 @@ class TestBlockSolve:
             amps = solver.solve(cell)
             assert cell_bits(items, j) == amplitude_bits(amps)
             layout = solver.build_layout(cell)
-            x = np.linalg.solve(*solver.assemble(layout, cell, cell.energy))
+            x = np.linalg.solve(*solver.assemble(layout, cell))
             assert result.layout.labels == layout.labels
             assert result.x[j].tobytes() == x.tobytes()
             assert amps.components() == {name: value[j] for name, value in items.items()}
@@ -501,7 +497,6 @@ def twin_atoms(delta) -> SystemConfig:
         legs=(CouplingLeg(0, "M", "ge", 0.0, 1.0), CouplingLeg(1, "M", "ge", 0.0, 1.0)),
         port=1,
         delta=delta,
-        omega_1=1.0,
     )
 
 
@@ -525,7 +520,7 @@ class TestIllConditionedScreen:
 
     def test_block_whose_stacked_solve_raised(self):
         block = twin_atoms(np.linspace(-1.0, 1.0, 5))
-        matrix, _ = solver.assemble(solver.build_layout(block), block, block.energy)
+        matrix, _ = solver.assemble(solver.build_layout(block), block)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(matrix)
         expected = exact_flags(matrix)

@@ -548,14 +548,13 @@ def twin_atoms(gammas, delta):
         legs=(CouplingLeg(0, "M", "ge", 0.0, 1.0), CouplingLeg(1, "M", "ge", 0.0, 1.0)),
         port=1,
         delta=delta,
-        omega_1=1.0,
     )
 
 
 def test_block_solver_marks_only_the_singular_cell(monkeypatch):
     monkeypatch.setattr(configs, "small_overlap", twin_atoms)
     block = twin_atoms(None, np.linspace(-1.0, 1.0, 5))
-    matrix, rhs = solver.assemble(solver.build_layout(block), block, block.energy)
+    matrix, rhs = solver.assemble(solver.build_layout(block), block)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(matrix, rhs)
     spec = small_spec(delta_axis=Axis(-1.0, 1.0, 5), engine="solver")

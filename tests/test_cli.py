@@ -951,12 +951,13 @@ def test_flagged_spectrum_matches_golden_digest(tmp_path, doc, engine, flag, dig
 
 
 #: `spectrum` output of `giant_at_pi_config` with 2 * SOLVER_BLOCK + 37
-#: detunings, taken before the condition check screened cells with a bound:
-#: each phase row spans three solver blocks, and the flagged cells at
-#: resonance sit in the middle one.
+#: detunings, taken before the condition check screened cells with a bound
+#: (the solver entry re-pinned when the solver began taking the requested
+#: phases as k and q): each phase row spans three solver blocks, and the
+#: flagged cells at resonance sit in the middle one.
 MULTI_BLOCK_DIGESTS = {
     "both": ("eta_undefined", "0c3b138a8385f5aefdd6ef776071f001646f011ece50677433dfc80e5c860dd7"),
-    "solver": ("ill_conditioned", "46b9a1f57b9fc1fc8cdfcdbac9135c5d75d1f9a8b7d06ea0d4f07157958608fd"),
+    "solver": ("ill_conditioned", "5fe34fd7c5ab114ab9051a2a7bbbc45d83890d10afb25c6ca9da0705f639b9ca"),
 }
 
 
@@ -985,7 +986,8 @@ FAMILY_LINKAGE = {
 
 #: `spectrum` output on 5 phases x 21 detunings for every family, regime and
 #: solver-backed engine, taken before the family table replaced the
-#: per-family dispatch.
+#: per-family dispatch.  The two giant solver entries were re-pinned when the
+#: solver began taking the requested phases as k and q.
 ENGINE_DIGESTS = {
     ("small_overlap", "markovian", "solver"): "b0db15cb9767175597c3b5e293fbfc189c091eb3bdaa4aef8fbb48f3b22cb502",
     ("small_overlap", "markovian", "both"): "6f75dc77a1b5e432671ba24834a645de44d73a316b176a5a0f0087fcdf872d2a",
@@ -995,9 +997,9 @@ ENGINE_DIGESTS = {
     ("small_separated", "markovian", "both"): "05491e5c353b0b81e06e452a7addf0b47053eca1d0af99d674e4757687585eb6",
     ("small_separated", "non_markovian", "solver"): "63e574c31cc7d042cab2bf3f07b6d67d47676fff7376ec7caa8d4960a0ee3609",
     ("small_separated", "non_markovian", "both"): "8adf25f5314610f4acfa47875096b804ac7236b50d2522a9b3962f9363ca984c",
-    ("giant", "markovian", "solver"): "e5adfc1532795a58f27c6e8ab69c0969c3f1575da87f7a2aac4da818d31a9f00",
+    ("giant", "markovian", "solver"): "a52e70daaaa6820de23840163f2d6336ba06edc1cd4e5daee13a1031787d9193",
     ("giant", "markovian", "both"): "1b3d9d16c948333c9692d182feea3622db0893e7c6987586f9e32b9293aca17d",
-    ("giant", "non_markovian", "solver"): "398df277ef803faea0b935f4ee0077da1352c7e23def49b47293edbd66456ee7",
+    ("giant", "non_markovian", "solver"): "e609d68394827300a782afd7d540c59bfedb8d6cbf683c25bd60946966a81e8c",
     ("giant", "non_markovian", "both"): "4b9be1f9e035d383f70140a422c15943639db082ab15a84dfb707ce2b1556e36",
     ("semi_infinite", "markovian", "solver"): "b3529ec57ee52f4f68f34167f155f9b67a45979d9eb91b2076d60f061c8b5297",
     ("semi_infinite", "markovian", "both"): "fc677d8156aa8d7ee43e346e36de4becd492499bc9e532c7ef22f014cfddf4f7",
@@ -1178,15 +1180,17 @@ SEARCH_CASES = {
 }
 
 #: `search` report digests (text, then `--json`), taken while the
-#: golden-section refinement evaluated every probe afresh.
+#: golden-section refinement evaluated every probe afresh.  The two
+#: conversion cases were re-pinned when the solver began taking the requested
+#: phases as k and q: only their `solver_discrepancy` lines moved.
 SEARCH_DIGESTS = {
     "conversion_1d": (
-        "929a2731803705b154faad0d73c4056a86b5f0b275db56fccadf78a57a95ca13",
-        "ad5d66f6a3a10e877ea393a39e9024e9aaaadb8b5bd69386498c96c5be1f5b80",
+        "72ca5efd3ef28925ea0b03187fdf8e5d0bf3834f04d18875f2bd15c31eda9c3d",
+        "b67c8ccc910931234b91eda99f0b74f3e1cead7d9962069355d4032263f917ac",
     ),
     "conversion_3d": (
-        "32c8349bee774a1ae5d917668da42e91e608031d010b71f7d48f6d65919a1343",
-        "c372bc2b1bbb173c8eae9f3af9a651b391b0467720b431c99a522675c7eea650",
+        "7da7beaa4913ac423b06b049f639ad4b9920375d6d0e9900d803c9591fd48860",
+        "385071aecfb692edf296d529f7d19a279973d12afcf89f5319879870dba17dfc",
     ),
     "isolation_2d": (
         "d7c75b4a5d06ddc543e8f11349731a61a9651b1902110452735205421d5cfe13",

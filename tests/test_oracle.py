@@ -265,9 +265,10 @@ def test_singular_closed_draw_raises_as_reference():
 
 def test_singular_solver_draw_raises_as_reference():
     # Point-coupled forward and terminated forward: the closed denominators
-    # clear the floor, but the solver's pivots underflow.
+    # clear the floor (gamma4 * delta = 1e-10), but the solver's pivots
+    # underflow: each atom's diagonal is the subnormal detuning 1e-310.
     rows = reference_draws(10, 4)
-    rows[6][:5] = rows[9][:5] = (0.0, 0.0, 5e-324, 1e300, 1e-300)
+    rows[6][:5] = rows[9][:5] = (0.0, 0.0, 1e-310, 1e300, 1e-310)
     with pytest.raises(DegenerateConfigError):
         reference(rows)
     with pytest.raises(DegenerateConfigError, match="draw 6"):

@@ -3,13 +3,14 @@ the one objective at a point against a scalar reference and at arrays
 against its columns' shape, the broadcast grid stage against point-by-point
 evaluation, and the refinement's reuse of values at revisited probes."""
 
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from wgscatter import search
+from wgscatter import cli, search
 from wgscatter.core import NoFeasiblePointError, SingularityError, VerificationError
 from wgscatter.search import (
     CONVERSION_MERIT,
@@ -154,6 +155,53 @@ class TestProperties:
         obj = Objective(kind=kind, parameters=obj.parameters)
         report = grid_refine_search(obj, budget=100)
         assert report.solver_discrepancy <= 1e-10
+
+
+
+#: The benchmark's known-failure search config: a giant spectrum config
+#: with an objective whose optimum lands at phi2' = pi - 1.37e-6 and
+#: delta = 0, where T_N is about 2e-13.  The engines' rates there differed
+#: by 1.76e-10 while the solver realized the phases through a level
+#: splitting.
+NEAR_PI_SEARCH = {
+    "system": {
+        "family": "giant",
+        "gamma_units": "Gamma_ref",
+        "gamma": [1.6966226104738438, 1.5280110857335898, 0.8701145826201477, 0.0],
+        "phase_units": "radians",
+        "phases": {"phi1_prime": 3.2124338172355777, "phi2_prime": 2.544276222803882},
+        "regime": "markovian",
+        "tau": 0.0,
+    },
+    "sweep": {
+        "delta": {"min": -10.0, "max": 10.0, "count": 11},
+        "phase": {"min": 0.0, "max": 2 * math.pi, "count": 2, "linkage": {"phi1_prime": 1.0}},
+        "engine": "closed",
+    },
+    "objective": {
+        "kind": "isolation_contrast",
+        "parameters": {
+            "gamma1": {"bounds": [0.17105699664793833, 0.8056785330022032]},
+            "gamma2": {"fixed": 1.0861231586096858},
+            "gamma3": {"linked": "gamma1", "factor": 0.732090533474655},
+            "gamma4": {"bounds": [0.18702149183034283, 1.1403415341635599]},
+            "phi1_prime": {"fixed": 0.34773871223919994},
+            "phi2_prime": {"bounds": [0.0, 6.016183149642931]},
+            "tau": {"fixed": 1.79873731904273},
+        },
+        "min_reverse": 0.10133053308142363,
+    },
+}
+
+
+def test_search_optimum_near_phi2_pi_verifies(tmp_path):
+    cfg = tmp_path / "search.json"
+    cfg.write_text(json.dumps(NEAR_PI_SEARCH))
+    out = tmp_path / "search.txt"
+    assert cli.main(["search", str(cfg), "--budget", "2000", "--out", str(out)]) == 0
+    lines = dict(line.split("=", 1) for line in out.read_text().splitlines() if "=" in line)
+    assert abs(float(lines["param phi2_prime"]) - math.pi) < 1e-5
+    assert float(lines["solver_discrepancy"]) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from wgscatter.sweep import (
     FAMILIES,
     ILL_FORWARD,
     ILL_REVERSE,
+    RATE_FIELDS,
     SOLVER_BLOCK,
     Axis,
     PhaseAxis,
@@ -634,3 +635,105 @@ class TestConditionScreenCallers:
             assert unchecked[0][name].tobytes() == values.tobytes()
         assert unchecked[1].tobytes() == singular.tobytes()
         assert unchecked[2].tolist() == (codes & ~(ILL_FORWARD | ILL_REVERSE)).tolist()
+
+
+# ---------------------------------------------------------------------------
+# Both engines model the requested phases
+# ---------------------------------------------------------------------------
+
+#: Phases that a rounded level splitting would miss: the quarter turns
+#: (a wrap by 2*pi included), and two values on either side of them, so that
+#: pairs cover phi_q > phi_k as well as phi_q < phi_k.
+REQUESTED_PHASES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi, -math.pi / 2, 0.4, 5.9)
+
+#: Each builder's (k, q) from its phase arguments.  The builders without a
+#: phase put every breakpoint at x = 0, where e^{i kappa x} = 1 for any
+#: kappa; no reverse builder has an N_q channel, so q keeps its default.
+BUILDER_WAVEVECTORS = {
+    "small_overlap": lambda: (1.0, 1.0),
+    "small_separated": lambda phi_a, phi_b: (phi_a, phi_b),
+    "giant": lambda phi1, phi2: (phi1, phi2),
+    "semi_infinite": lambda phi3: (phi3, phi3),
+    "reverse_small": lambda: (1.0, 0.0),
+    "reverse_giant": lambda phi1: (phi1, 0.0),
+    "reverse_semi_infinite": lambda phi3: (phi3, 0.0),
+}
+
+
+def float_bits(*values) -> bytes:
+    return np.array(np.broadcast_arrays(*values), dtype=float).tobytes()
+
+
+class TestRequestedPhases:
+    @pytest.mark.parametrize("builder", sorted(BUILDER_WAVEVECTORS))
+    def test_builder_passes_the_phases_through(self, builder):
+        """k and q are the requested phases bit for bit, as scalars at
+        delta = 0 and delta != 0, and as arrays over a block whose every
+        cell has its own detuning."""
+        build = getattr(configs, builder)
+        rates, phases = BUILDER_CASES[builder]
+        wavevectors = BUILDER_WAVEVECTORS[builder]
+        pairs = list(itertools.product(REQUESTED_PHASES, repeat=len(phases)))
+        for requested in pairs:
+            for delta in (0.0, 0.37, -2.5):
+                cfg = build(*rates, delta, *requested)
+                assert float_bits(cfg.k, cfg.q) == float_bits(*wavevectors(*requested))
+        columns = [np.array(column) for column in zip(*pairs)]
+        delta = np.linspace(-3.0, 3.0, len(pairs))
+        block = build(*rates, delta, *columns)
+        want = [np.broadcast_to(v, delta.shape) for v in wavevectors(*columns)]
+        assert float_bits(block.k, block.q, delta) == float_bits(*want, delta)
+
+    @pytest.mark.parametrize(
+        "builder, channel, phase",
+        [
+            ("giant", "M_k", 0),
+            ("giant", "N_k", 0),
+            ("giant", "N_q", 1),
+            ("small_separated", "M_k", 0),
+            ("small_separated", "N_q", 1),
+        ],
+    )
+    def test_jump_at_x1_carries_the_closed_kernels_phase(self, builder, channel, phase):
+        """The right-mover jump row at x = 1 holds -i e^{i kappa} where the
+        closed kernel holds np.exp(1j * phi) (giant's e1 and e2, separated's
+        ea and eb), with the same bits."""
+        build = getattr(configs, builder)
+        rates, _ = BUILDER_CASES[builder]
+        for requested in itertools.product(REQUESTED_PHASES, repeat=2):
+            for delta in (0.37, -2.5):
+                cfg = build(*rates, delta, *requested)
+                layout = solver.build_layout(cfg)
+                matrix, _ = solver.assemble(layout, cfg)
+                column = layout.right(channel, 2)
+                atoms = set(layout.atom_columns.values())
+                (row,) = [r for r in np.flatnonzero(matrix[:, column]) if r not in atoms]
+                want = -1j * np.exp(1j * np.asarray(requested[phase]))
+                assert matrix[row, column].tobytes() == want.tobytes(), requested
+
+
+#: Giant draws at phi2' = pi with rates log-uniform over [1e-4, 1e4]:
+#: (gammas, phi1', d), each solved at delta = -d, d and 0.37.  No cell is
+#: flagged by either engine.  When the solver realized the phases through
+#: omega_s = (phi1' - phi2') % 2pi and E = (k - delta) + delta, these broke
+#: the 1e-10 gate by 5.5e-10 to 4.0e-9; with the phases as given, the worst
+#: is 3.3e-12.
+DARK_GIANT_DRAWS = [
+    ((0.00014616174274636467, 1538.1226128270182, 133.24476218331222, 323.22287038944125), 2.2534501728581655, 1e-05),
+    ((34.05898124733448, 0.013191566224586424, 1.2296126659327669, 9371.623684117263), 0.9301136313994705, 0.001),
+    ((0.00014877103720417078, 0.00030126352990761363, 12.74573798950615, 2755.385212074331), 2.0324707942269264, 0.0001),
+    ((0.00022636178526583823, 0.0013336830549741526, 722.5242987847423, 1869.8624562682562), 2.5025031714164787, 1e-05),
+    ((0.027556777757964092, 0.00025502760562135993, 1.9708545828800939, 1355.169125019585), 1.767774122886451, 0.001),
+]
+
+
+@pytest.mark.parametrize("gammas, phi1, d", DARK_GIANT_DRAWS)
+def test_dark_giant_draw_agrees(gammas, phi1, d):
+    delta = np.array([-d, d, 0.37])
+    phases = {"phi1_prime": phi1, "phi2_prime": math.pi}
+    giant = FAMILIES["giant"]
+    closed, closed_singular, closed_codes = giant.closed_rates(gammas, delta, phases)
+    rates, singular, codes = giant.solver_rates(gammas, delta, phases)
+    assert not (closed_singular.any() or singular.any() or closed_codes.any() or codes.any())
+    for name in RATE_FIELDS[:6]:
+        assert np.abs(closed[name] - rates[name]).max() <= 1e-10, name

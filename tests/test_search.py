@@ -146,6 +146,27 @@ class TestProperties:
             grid_refine_search(conversion_objective(0.0), budget=100)
         assert issubclass(VerificationError, RuntimeError)
 
+    @pytest.mark.parametrize(
+        "budget, ndim, per_dim",
+        [(2000, 3, 10), (128, 3, 4), (250, 3, 5), (432, 3, 6), (300, 2, 12), (400, 1, 200), (100, 4, 3)],
+    )
+    def test_grid_is_the_largest_that_fits_half_the_budget(
+        self, monkeypatch, budget, ndim, per_dim
+    ):
+        """Perfect cubes included: (budget // 2) ** (1 / 3) rounds 1000 to
+        9.999..., which must not cost the grid an axis point."""
+        free = {name: Bounds(0.1, 2.0) for name in ("gamma2", "gamma4", "gamma3")[: ndim - 1]}
+        shapes = []
+        scan = _Tracker.scan
+
+        def recording(self, grids):
+            shapes.append(tuple(len(g) for g in grids))
+            return scan(self, grids)
+
+        monkeypatch.setattr(_Tracker, "scan", recording)
+        grid_refine_search(conversion_objective(0.0, **free), budget=budget)
+        assert shapes == [(per_dim,) * ndim]
+
     # The closed forms give T_Ns = 0 and eta_undefined when gamma3 = 0, the
     # solver T_Ns = 2.4e-35 and eta = 1, so the re-verification fails.
     @pytest.mark.xfail(strict=True, raises=RuntimeError, reason="solver eta where T_N = 0")

@@ -10,6 +10,7 @@ are byte-identical.  Exit codes: 0 success, 1 check or optimization failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import shutil
 import stat
 import sys
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -595,27 +597,24 @@ def _cmd_figure(args) -> int:
         specs[key] = spec
     if args.phase_count is not None and all(s.phase_axis is None for s in specs.values()):
         raise ConfigError(f"{args.id} has no phase axis for --phase-count")
-    last_panel = {panel.sweep: n for n, panel in enumerate(preset.panels)}
-    # A sweep runs when its first panel is due and is dropped after its last
-    # one, so only one sweep's grids are held at a time.  Panels of one sweep
-    # share their data rows: the first panel formats them and each later one
-    # copies them after its own metadata.
-    results: dict[str, sweep_mod.SweepResult] = {}
-    first_panels: dict[str, Path] = {}
-    for n, panel in enumerate(preset.panels):
-        if panel.sweep not in results:
-            results[panel.sweep] = sweep_mod.run_sweep(specs[panel.sweep])
-        result = results.pop(panel.sweep) if last_panel[panel.sweep] == n else results[panel.sweep]
-        path = out_dir / f"{preset.figure}{panel.panel}.csv"
-        extra = {"figure": preset.figure, "panel": panel.panel, "column": panel.column}
-        if panel.sweep in first_panels:
-            _copy_data_rows(first_panels[panel.sweep], _csv_head(result, extra), path)
-        else:
-            with _create(path) as stream:
-                write_csv(result, stream, extra=extra)
-            first_panels[panel.sweep] = path
+    # One pass per sweep: a preset lists each sweep's panels together, and a
+    # sweep's grids are dropped before the next sweep runs, so only one is
+    # held at a time.  The first panel formats the data rows and each later
+    # one copies them after its own metadata.
+    for key, panels in itertools.groupby(preset.panels, key=attrgetter("sweep")):
+        result = sweep_mod.run_sweep(specs[key])
+        first = None
+        for panel in panels:
+            path = out_dir / f"{preset.figure}{panel.panel}.csv"
+            extra = {"figure": preset.figure, "panel": panel.panel, "column": panel.column}
+            if first is None:
+                with _create(path) as stream:
+                    write_csv(result, stream, extra=extra)
+                first = path
+            else:
+                _copy_data_rows(first, _csv_head(result, extra), path)
+            print(path)
         del result
-        print(path)
     return 0
 
 

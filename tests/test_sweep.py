@@ -1,6 +1,7 @@
 """Sweep grids, presets, regime handling, and isolation reports."""
 
 import inspect
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -29,6 +30,7 @@ from wgscatter.sweep import (
     RATE_FIELDS,
     SINGULAR,
     SOLVER_BLOCK,
+    FIGURE_IDS,
     Axis,
     PhaseAxis,
     SweepSpec,
@@ -289,6 +291,14 @@ class TestPresets:
     def test_unknown_id(self):
         with pytest.raises(ConfigError):
             figure_preset("fig99")
+
+    @pytest.mark.parametrize("figure_id", FIGURE_IDS)
+    def test_panels_are_contiguous_per_sweep(self, figure_id):
+        """`figure` runs a sweep once per run of its panels, so each sweep's
+        panels must follow one another, and every sweep must have one."""
+        p = figure_preset(figure_id)
+        runs = [key for key, _ in itertools.groupby(panel.sweep for panel in p.panels)]
+        assert sorted(runs) == sorted(p.sweeps)
 
 
 class TestIsolationReport:

@@ -6,7 +6,8 @@ k and the converted wavevector q are the two requested phases themselves,
 passed through unchanged.  The solver computes every e^{i kappa x} and all
 the boundary matching from that geometry, which keeps it an independent
 check on the closed forms, and both engines model the same phases bit for
-bit.
+bit.  A builder without a phase puts every coupling at x = 0, where any
+wavevector gives e^{i kappa x} = 1, and a reverse builder has no q channel.
 
 Reverse-incidence builders implement the model's reverse scattering rule:
 a photon entering guide N cannot be absorbed by the lambda atom (its s-e
@@ -31,6 +32,7 @@ from .core import (
     CouplingLeg,
     SystemConfig,
 )
+
 
 def _config(
     gammas: tuple[float, float, float, float],

@@ -141,11 +141,10 @@ class SystemConfig:
     it.  ``wall`` is the coordinate of a terminating mirror on guide M;
     ``None`` means both guides are infinite.
 
-    ``k`` and ``q`` may be any finite values, in any order: each enters the
-    model only through e^{i kappa x} at the breakpoints, which the `configs`
-    builders put at unit spacing, so the phases requested there are k and q
-    themselves.  Hence no level splitting k - q is stored, and none has a
-    sign to check.
+    ``k`` and ``q`` may be any finite values, in either order: each enters
+    only through e^{i kappa x} at the breakpoints, which the `configs`
+    builders put at unit spacing, so k and q are the phases the closed
+    forms take, and q needs no sign rule.
 
     ``delta``, ``k``, ``q`` and each leg's gamma may be arrays, one value
     per cell of a block that the solver assembles and solves at once.

@@ -11,6 +11,10 @@ Conventions (matching the closed forms):
 
 * right movers carry coefficients of exp(+i kappa x), left movers of
   exp(-i kappa x), with one coefficient pair per region between breakpoints;
+  kappa is the configuration's ``k`` on the M_k and N_k channels and its
+  ``q`` on N_q, taken as given, and each atom's row has the detuning
+  ``delta`` on its diagonal, so at the builders' breakpoints x = 0 and 1 the
+  solver's phases are exactly the ones the closed forms take;
 * integrating the stationary equations across a coupling point x_c gives the
   jump rows (natural units, v_g = 1)
       -i [c_R(x_c+) - c_R(x_c-)] + sum g u = 0

@@ -55,9 +55,7 @@ def _config(
     for x in lam_points:
         legs.append(CouplingLeg(1, WAVEGUIDE_M, GE, x, g2))
         legs.append(CouplingLeg(1, WAVEGUIDE_N, SE, x, g4))
-    return SystemConfig(
-        (TWO_LEVEL, LAMBDA), tuple(legs), 1, delta, k, q, wall
-    )
+    return SystemConfig((TWO_LEVEL, LAMBDA), tuple(legs), 1, delta, k, q, wall)
 
 
 def small_overlap(gammas, delta) -> SystemConfig:

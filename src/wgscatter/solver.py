@@ -347,9 +347,9 @@ def solve(cfg: SystemConfig) -> ScatterAmplitudes:
 def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockSolution:
     """Solve a 1-D block of cells that share one layout.
 
-    The detuning, k and q in ``cfg`` are arrays over the block (or scalars
-    shared by every cell), and so may be each leg's gamma (the `configs` builders make them from
-    array rates, detunings and phases).  One stacked solve covers the
+    The detuning, k and q in ``cfg`` broadcast to the block's one axis,
+    and each leg's gamma may be an array over it (the `configs` builders
+    make them from array rates, detunings and phases).  One stacked solve covers the
     block; if any cell is exactly singular, the cells are solved one by one
     and only those that fail are marked singular.  A cell whose solution is
     not finite is marked singular too.

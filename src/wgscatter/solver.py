@@ -239,12 +239,12 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig) -> tuple[np.ndarray, np.n
     take kappa = ``cfg.k`` and the q channel's ``cfg.q``, as given; each
     atom's diagonal entry is ``cfg.delta``.
 
-    ``delta``, ``k`` and ``q`` may be arrays of cells, which broadcast; the
-    matrix then has shape ``(*cells, n, n)`` and the right-hand side, shape
-    ``(n,)``, is shared.  Returns ``(matrix, rhs)``.
+    ``delta`` may be an array of cells, with which ``k`` and ``q``
+    broadcast; the matrix then has shape ``(*cells, n, n)`` and the
+    right-hand side, shape ``(n,)``, is shared.  Returns ``(matrix, rhs)``.
     """
     n = len(layout.labels)
-    cells = np.broadcast_shapes(np.shape(cfg.delta), np.shape(cfg.k), np.shape(cfg.q))
+    cells = np.shape(cfg.delta)
     stack = np.zeros(cells + (n, n), dtype=complex)
     # matrix[r, c] is that entry over all cells, through a view of the
     # contiguous stack (the stack itself for a single cell).
@@ -347,9 +347,9 @@ def solve(cfg: SystemConfig) -> ScatterAmplitudes:
 def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockSolution:
     """Solve a 1-D block of cells that share one layout.
 
-    The detuning, k and q in ``cfg`` broadcast to the block's one axis,
-    and each leg's gamma may be an array over it (the `configs` builders
-    make them from array rates, detunings and phases).  One stacked solve covers the
+    The detuning in ``cfg`` is an array over the block, with which k, q
+    and each leg's gamma broadcast (the `configs` builders make them from
+    array rates, detunings and phases).  One stacked solve covers the
     block; if any cell is exactly singular, the cells are solved one by one
     and only those that fail are marked singular.  A cell whose solution is
     not finite is marked singular too.
@@ -359,10 +359,10 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
     `validate`, the `both` engine and `search`'s re-verification read no
     flag and skip it.
     """
+    if np.ndim(cfg.delta) != 1:
+        raise ValueError("solve_batch needs a 1-D block of cells")
     layout = build_layout(cfg)
     matrix, b = assemble(layout, cfg)
-    if matrix.ndim != 3:
-        raise ValueError("solve_batch needs a 1-D block of cells")
     singular = np.zeros(len(matrix), dtype=bool)
     # A 3-D right-hand side is a stack of one-column matrices under every
     # numpy version; a 1-D one means a vector only from numpy 2.0 on.

@@ -25,12 +25,12 @@ from wgscatter.core import (
 from wgscatter.sweep import (
     ETA_UNDEFINED,
     FAMILIES,
+    FIGURE_IDS,
     FLAG_NAMES,
     MAX_CELLS,
     RATE_FIELDS,
     SINGULAR,
     SOLVER_BLOCK,
-    FIGURE_IDS,
     Axis,
     PhaseAxis,
     SweepSpec,

@@ -78,6 +78,7 @@ class TestTextbookCases:
             legs=(CouplingLeg(0, "M", "ge", 0.0, 0.0),),
             port=1,
             delta=0.3,
+            k=1.3,
             wall=2.0,
         )
         a = solver.solve(cfg)
@@ -179,8 +180,8 @@ def small_layouts(draw):
     """Keyword arguments of a small `SystemConfig`: one or two atoms, at
     most one of them a lambda atom, each with one or two legs at x in
     {0, 0.5, 1} on random guides and transitions (s-e only for the lambda
-    atom), rates in [0.05, 3], port 1 or 4, a detuning in [-1, 1], k = 2,
-    q = 1.6 and an optional wall at 1.5."""
+    atom), rates in [0.05, 3], port 1 or 4, a detuning in [-1, 1], k = 2 +
+    delta, q = k - 0.4 and an optional wall at 1.5."""
     kinds = draw(
         st.sampled_from(
             [("two_level",), ("lambda",), ("two_level", "two_level"),
@@ -200,13 +201,15 @@ def small_layouts(draw):
                     draw(st.floats(0.05, 3.0)),
                 )
             )
+    port = draw(st.sampled_from((1, 4)))
+    delta = draw(st.floats(-1.0, 1.0))
     return dict(
         atoms=kinds,
         legs=tuple(legs),
-        port=draw(st.sampled_from((1, 4))),
-        delta=draw(st.floats(-1.0, 1.0)),
-        k=2.0,
-        q=1.6,
+        port=port,
+        delta=delta,
+        k=2.0 + delta,
+        q=2.0 + delta - 0.4,
         wall=draw(st.sampled_from((None, 1.5))),
     )
 

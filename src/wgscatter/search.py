@@ -277,9 +277,10 @@ def grid_refine_search(obj: Objective, budget: int = 2000) -> SearchReport:
     tracker = _Tracker(obj)
 
     # The most points per axis whose grid fits half the budget, at least 3.
-    per_dim = 3
-    while (per_dim + 1) ** ndim <= budget // 2:
-        per_dim += 1
+    half = budget // 2
+    per_dim = max(3, round(half ** (1 / ndim)))
+    while per_dim > 3 and per_dim**ndim > half:
+        per_dim -= 1
     tracker.scan([np.linspace(bounds[n].lo, bounds[n].hi, per_dim) for n in names])
 
     if tracker.best_point is None:

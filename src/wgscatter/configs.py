@@ -7,7 +7,8 @@ passed through unchanged.  The solver computes every e^{i kappa x} and all
 the boundary matching from that geometry, which keeps it an independent
 check on the closed forms, and both engines model the same phases bit for
 bit.  A builder without a phase puts every coupling at x = 0, where any
-wavevector gives e^{i kappa x} = 1, and a reverse builder has no q channel.
+wavevector gives e^{i kappa x} = 1, so it keeps SystemConfig's default
+k = q = 0; a reverse builder has no q channel and keeps q = 0.
 
 Reverse-incidence builders implement the model's reverse scattering rule:
 a photon entering guide N cannot be absorbed by the lambda atom (its s-e
@@ -38,8 +39,8 @@ def _config(
     gammas: tuple[float, float, float, float],
     delta: float,
     *,
-    k: float,
-    q: float,
+    k: float = 0.0,
+    q: float = 0.0,
     positions: tuple[float, float],
     double_legs: bool,
     wall: float | None = None,
@@ -63,8 +64,6 @@ def small_overlap(gammas, delta) -> SystemConfig:
     return _config(
         tuple(gammas),
         delta,
-        k=1.0,
-        q=1.0,
         positions=(0.0, 0.0),
         double_legs=False,
     )
@@ -112,7 +111,7 @@ def _spectator(
     gamma3: float,
     delta: float,
     *,
-    k: float,
+    k: float = 0.0,
     points: tuple[float, ...],
     wall: float | None,
 ) -> SystemConfig:
@@ -125,7 +124,7 @@ def _spectator(
 
 def reverse_small(gamma1: float, gamma3: float, delta: float) -> SystemConfig:
     """Reverse incidence on the point-like configuration (lambda atom inert)."""
-    return _spectator(gamma1, gamma3, delta, k=1.0, points=(0.0,), wall=None)
+    return _spectator(gamma1, gamma3, delta, points=(0.0,), wall=None)
 
 
 def reverse_giant(gamma1: float, gamma3: float, delta: float, phi1: float) -> SystemConfig:

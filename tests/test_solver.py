@@ -650,14 +650,13 @@ class TestConditionScreenCallers:
 REQUESTED_PHASES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi, -math.pi / 2, 0.4, 5.9)
 
 #: Each builder's (k, q) from its phase arguments.  The builders without a
-#: phase put every breakpoint at x = 0, where e^{i kappa x} = 1 for any
-#: kappa; no reverse builder has an N_q channel, so q keeps its default.
+#: phase and the reverse builders' q channel keep the defaults.
 BUILDER_WAVEVECTORS = {
-    "small_overlap": lambda: (1.0, 1.0),
+    "small_overlap": lambda: (0.0, 0.0),
     "small_separated": lambda phi_a, phi_b: (phi_a, phi_b),
     "giant": lambda phi1, phi2: (phi1, phi2),
     "semi_infinite": lambda phi3: (phi3, phi3),
-    "reverse_small": lambda: (1.0, 0.0),
+    "reverse_small": lambda: (0.0, 0.0),
     "reverse_giant": lambda phi1: (phi1, 0.0),
     "reverse_semi_infinite": lambda phi3: (phi3, 0.0),
 }

@@ -27,7 +27,6 @@ from .sweep import (
     SweepResult,
     SweepSpec,
     figure_preset,
-    isolation_report,
     run_sweep,
 )
 from .validate import ValidationReport, run_validation
@@ -64,7 +63,6 @@ __all__ = [
     "combine_directions",
     "figure_preset",
     "grid_refine_search",
-    "isolation_report",
     "rates_from_amplitudes",
     "run_sweep",
     "run_validation",

@@ -10,11 +10,11 @@ are byte-identical.  Exit codes: 0 success, 1 check or optimization failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
 import os
-import shutil
 import stat
 import sys
 from dataclasses import replace
@@ -436,20 +436,22 @@ def _text_words(texts, end: bytes) -> np.ndarray:
     return _bytes_table(rows, -(-max(map(len, rows)) // 8) * 8)
 
 
-def _csv_head(result: sweep_mod.SweepResult, extra: dict | None) -> str:
-    return "".join(line + "\n" for line in _metadata_lines(result, extra)) + CSV_HEADER + "\n"
-
-
-def write_csv(result: sweep_mod.SweepResult, stream, extra: dict | None = None) -> None:
+def write_csv(
+    result: sweep_mod.SweepResult, stream, extra: dict | None = None, panels=()
+) -> None:
     """Emit the grid in detuning-major row order with metadata up front.
 
-    Every number reads as "%.17g" prints it.  CSV_CHUNK_ROWS rows at a time
-    are built as one zero-padded matrix of uint64 words, a row per CSV row:
-    the delta and phi texts (formatted once per sweep), the rates
-    (_fill_words) and the flag text.  A chunk's text is the matrix's bytes
-    without the zeros, so memory stays bounded whatever the grid size.
+    ``panels`` are further (stream, extra) pairs: each gets its own metadata
+    and the same data rows, written in the same pass.  Every number reads
+    as "%.17g" prints it.  CSV_CHUNK_ROWS rows at a time are built as one
+    zero-padded matrix of uint64 words, a row per CSV row: the delta and
+    phi texts (formatted once per sweep), the rates (_fill_words) and the
+    flag text.  A chunk's text is the matrix's bytes without the zeros, so
+    memory stays bounded whatever the grid size; it goes to every stream.
     """
-    stream.write(_csv_head(result, extra))
+    outs = ((stream, extra), *panels)
+    for out, meta in outs:
+        out.write("".join(f"{line}\n" for line in (*_metadata_lines(result, meta), CSV_HEADER)))
     n_phi = result.phi.size
     n_rows = n_phi * result.delta.size
     delta_text = _text_words([_fmt(x) for x in result.delta], b",")
@@ -476,18 +478,9 @@ def write_csv(result: sweep_mod.SweepResult, stream, extra: dict | None = None) 
             block[:, col] = result.rates[name][i, j]
         _fill_words(block, rows[:, edges[2] : edges[3]].reshape(-1, n_rates, _WORDS))
         rows[:, edges[3] :] = flag_text[result.codes[i, j]]
-        stream.write(text.translate(None, b"\0").decode())
-
-
-def _copy_data_rows(source: Path, head: str, path: Path) -> None:
-    """Write ``head`` to ``path``, then the data rows of the CSV at ``source``
-    (the lines after its '#' metadata and its column header)."""
-    with open(source, "rb") as src, _create(path) as dst:
-        while src.readline().startswith(b"#"):
-            pass
-        dst.write(head)
-        dst.flush()
-        shutil.copyfileobj(src, dst.buffer)
+        chunk = text.translate(None, b"\0").decode()
+        for out, _ in outs:
+            out.write(chunk)
 
 
 def result_as_json(result: sweep_mod.SweepResult) -> dict:
@@ -530,7 +523,9 @@ def _create(path):
     An existing regular file is unlinked first, so the output is a new file
     (default permissions; other hard links keep the old content): on some
     file systems truncating a just-written file in place stalls for tens to
-    hundreds of milliseconds.  A symlink, device or FIFO is opened as it is.
+    hundreds of milliseconds.  A symlink, device or FIFO is opened as it is;
+    opening a FIFO waits for its reader, and `figure` opens all of a sweep's
+    panels before it writes any.
     """
     try:
         if stat.S_ISREG(os.lstat(path).st_mode):
@@ -599,20 +594,22 @@ def _cmd_figure(args) -> int:
         raise ConfigError(f"{args.id} has no phase axis for --phase-count")
     # One pass per sweep: a preset lists each sweep's panels together, and a
     # sweep's grids are dropped before the next sweep runs, so only one is
-    # held at a time.  The first panel formats the data rows and each later
-    # one copies them after its own metadata.
+    # held at a time.  All of a sweep's panels are open at once, and one
+    # write_csv call writes each formatted chunk to every one of them.
     for key, panels in itertools.groupby(preset.panels, key=attrgetter("sweep")):
         result = sweep_mod.run_sweep(specs[key])
-        first = None
-        for panel in panels:
-            path = out_dir / f"{preset.figure}{panel.panel}.csv"
-            extra = {"figure": preset.figure, "panel": panel.panel, "column": panel.column}
-            if first is None:
-                with _create(path) as stream:
-                    write_csv(result, stream, extra=extra)
-                first = path
-            else:
-                _copy_data_rows(first, _csv_head(result, extra), path)
+        panels = list(panels)
+        paths = [out_dir / f"{preset.figure}{panel.panel}.csv" for panel in panels]
+        with contextlib.ExitStack() as stack:
+            outs = [
+                (
+                    stack.enter_context(_create(path)),
+                    {"figure": preset.figure, "panel": panel.panel, "column": panel.column},
+                )
+                for path, panel in zip(paths, panels)
+            ]
+            write_csv(result, *outs[0], panels=outs[1:])
+        for path in paths:
             print(path)
         del result
     return 0

@@ -65,11 +65,6 @@ ENGINES = ("closed", "solver", "both")
 
 RATE_FIELDS = ("T_Ng", "T_Ns", "T_M_rev", "R_M", "T2", "eta", "residual")
 
-#: Forward transfer below this total counts as blocked in isolation reports.
-BLOCKED_THRESHOLD = 1e-6
-#: Reverse throughput defining a usable isolation window.
-WINDOW_THRESHOLD = 0.45
-
 #: Detunings per stacked solver block.  Bounds the block's memory (one
 #: 20x20 complex matrix per cell for the giant layout) on long rows.
 SOLVER_BLOCK = 128
@@ -512,62 +507,3 @@ def figure_preset(figure_id: str) -> FigurePreset:
             axis = PhaseAxis(0.0, 2.0 * math.pi, DEFAULT_PHASE_COUNT, linkage=linkage)
         sweeps[name] = SweepSpec(family, gammas, pm, DEFAULT_DELTA, axis)
     return FigurePreset(fid, sweeps, tuple(FigurePanel(*panel) for panel in panels))
-
-
-# ---------------------------------------------------------------------------
-# Isolation report
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IsolationReport:
-    """Summary of diode behavior over a sweep grid.
-
-    ``windows`` lists contiguous phase intervals where the reverse
-    throughput at resonance stays at or above WINDOW_THRESHOLD.
-    """
-
-    blocked_fraction: float
-    resonance_blocked_all_phases: bool
-    max_forward: float
-    max_forward_at: tuple[float, float]
-    windows: tuple[tuple[float, float], ...]
-    result: SweepResult
-
-
-def isolation_report(spec: SweepSpec) -> IsolationReport:
-    """Run the sweep and summarize forward blocking and reverse throughput.
-
-    Requires a closed converted channel (gamma4 == 0): with conversion open
-    the configuration is a converter, not an isolator.
-    """
-    if spec.gammas[3] != 0.0:
-        raise ConfigError("isolation analysis requires gamma4 == 0")
-    result = run_sweep(spec)
-    forward = result.rates["T_Ng"] + result.rates["T_Ns"]
-    blocked = forward <= BLOCKED_THRESHOLD
-    i_res = int(np.argmin(np.abs(result.delta)))
-    t_rev_res = result.rates["T_M_rev"][:, i_res]
-    open_mask = t_rev_res >= WINDOW_THRESHOLD
-
-    windows: list[tuple[float, float]] = []
-    start = None
-    for i, is_open in enumerate(open_mask):
-        if is_open and start is None:
-            start = result.phi[i]
-        elif not is_open and start is not None:
-            windows.append((float(start), float(result.phi[i - 1])))
-            start = None
-    if start is not None:
-        windows.append((float(start), float(result.phi[-1])))
-
-    flat = int(np.argmax(forward))
-    i_max, j_max = np.unravel_index(flat, forward.shape)
-    return IsolationReport(
-        blocked_fraction=float(np.mean(blocked)),
-        resonance_blocked_all_phases=bool(np.all(blocked[:, i_res])),
-        max_forward=float(forward[i_max, j_max]),
-        max_forward_at=(float(result.phi[i_max]), float(result.delta[j_max])),
-        windows=tuple(windows),
-        result=result,
-    )

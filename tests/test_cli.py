@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -340,9 +341,9 @@ class TestFigure:
         formatted = []
         write_csv = cli.write_csv
 
-        def counting_write_csv(result, stream, extra=None):
+        def counting_write_csv(result, stream, extra=None, panels=()):
             formatted.append(extra["panel"])
-            write_csv(result, stream, extra)
+            write_csv(result, stream, extra, panels=panels)
 
         monkeypatch.setattr(cli, "write_csv", counting_write_csv)
         rc = cli.main(
@@ -360,8 +361,48 @@ class TestFigure:
         assert rc == 0
         names = sorted(p.name for p in tmp_path.glob("*.csv"))
         assert names == ["fig9a.csv", "fig9b.csv", "fig9c.csv", "fig9d.csv"]
-        # Panels b and d reuse the rows formatted for a and c.
+        # Panels b and d get the rows formatted for a and c in the same pass.
         assert formatted == ["a", "c"]
+
+    SMALL_FIG9 = ["figure", "fig9", "--phase-count", "2", "--delta-count", "5", "--out-dir"]
+
+    def test_panel_symlinked_to_dev_null_leaves_its_twin_whole(self, tmp_path):
+        """The data rows of panel b do not come from panel a's file."""
+        plain, linked = tmp_path / "plain", tmp_path / "linked"
+        assert cli.main(self.SMALL_FIG9 + [str(plain)]) == 0
+        linked.mkdir()
+        (linked / "fig9a.csv").symlink_to(os.devnull)
+        assert cli.main(self.SMALL_FIG9 + [str(linked)]) == 0
+        for name in ("fig9b.csv", "fig9c.csv", "fig9d.csv"):
+            assert (linked / name).read_bytes() == (plain / name).read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_panel_is_written_once_and_never_read(self, tmp_path):
+        """A FIFO panel gets its bytes through its reader, and `figure`
+        finishes without opening the FIFO again."""
+        plain, piped = tmp_path / "plain", tmp_path / "piped"
+        assert cli.main(self.SMALL_FIG9 + [str(plain)]) == 0
+        piped.mkdir()
+        fifo = piped / "fig9a.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        subprocess.run(
+            [sys.executable, "-m", "wgscatter.cli", *self.SMALL_FIG9, str(piped)],
+            env=env,
+            check=True,
+            stdout=subprocess.DEVNULL,
+            timeout=60,
+        )
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert received == [(plain / "fig9a.csv").read_bytes()]
+        for name in ("fig9b.csv", "fig9c.csv", "fig9d.csv"):
+            assert (piped / name).read_bytes() == (plain / name).read_bytes()
 
     def test_figure_holds_one_sweep_at_a_time(self, tmp_path, monkeypatch, capsys):
         swept = []

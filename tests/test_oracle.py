@@ -8,12 +8,13 @@ reference.
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wgscatter import closed_form as cf
-from wgscatter import solver, validate
+from wgscatter import cli, solver, validate
 from wgscatter.core import (
     DegenerateConfigError,
     ScatterAmplitudes,
@@ -112,6 +113,46 @@ def test_swapped_interior_movers_detected(monkeypatch):
     report = run_validation(draws=50, seed=1)
     assert not report.passed
     assert report.max_discrepancy.value > 1e-10
+
+
+# Each gate is held on both sides by a perturbation of one route, measured
+# on ``validate --draws 300 --seed 0``, whose largest amplitude is 1.86.
+
+
+@pytest.mark.parametrize("eps, code", [(2e-10, 1), (2e-11, 0)])
+def test_pair_gate_on_both_sides(monkeypatch, capsys, eps, code):
+    """A phase e^{i eps} on every solver amplitude leaves each modulus and
+    residual as it is and moves the pair discrepancy by up to 1.86 eps:
+    3.7e-10 fails the 1e-10 gate and exits 1, 3.7e-11 passes."""
+    solve_batch = solver.solve_batch
+
+    def rotated(cfg, **kwargs):
+        sol = solve_batch(cfg, **kwargs)
+        return replace(sol, x=sol.x * np.exp(1j * eps))
+
+    monkeypatch.setattr(solver, "solve_batch", rotated)
+    assert cli.main(["validate", "--draws", "300", "--seed", "0"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"validation: {'FAIL' if code else 'PASS'}"
+    pair = float(lines[4].split()[0].split("=")[1])
+    assert pair == pytest.approx(1.859 * eps, rel=1e-3)
+
+
+@pytest.mark.parametrize("eps, passed", [(1e-12, False), (2e-13, True)])
+def test_closed_residual_gate_on_both_sides(monkeypatch, eps, passed):
+    """Closed amplitudes scaled by 1 + eps move the closed residual by about
+    2 eps: 2e-12 fails the 1e-12 gate, 4e-13 passes.  The pair discrepancy
+    (at most 1.86 eps) stays far under its own gate."""
+    components = cf.components
+
+    def scaled(port, fields):
+        return {key: value * (1.0 + eps) for key, value in components(port, fields).items()}
+
+    monkeypatch.setattr(cf, "components", scaled)
+    report = run_validation(draws=300, seed=0)
+    assert report.max_residual_closed.value == pytest.approx(2 * eps, rel=0.01)
+    assert report.max_discrepancy.value < 2 * eps
+    assert report.passed is passed
 
 
 #: The seven distinct routes: both small families share their reverse one.

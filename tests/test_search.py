@@ -6,6 +6,7 @@ evaluation, and the refinement's reuse of values at revisited probes."""
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,6 +146,25 @@ class TestProperties:
         with pytest.raises(VerificationError, match="re-verification"):
             grid_refine_search(conversion_objective(0.0), budget=100)
         assert issubclass(VerificationError, RuntimeError)
+
+    @pytest.mark.parametrize("shift, fails", [(2e-10, True), (5e-11, False)])
+    def test_reverification_gate_on_both_sides(self, shift, fails):
+        """Closed rates shifted by 2e-10 fail the 1e-10 gate; by 5e-11 they
+        pass, and the discrepancy read is the shift."""
+        params = {
+            "gamma1": 0.32, "gamma2": 1.0, "gamma3": 1.0, "gamma4": 1.0,
+            "phi1_prime": 0.0, "phi2_prime": 0.0, "tau": 0.0,
+        }
+        closed = rates_at_resonance(params)
+        shifted = replace(
+            closed,
+            **{name: getattr(closed, name) + shift for name in ("t_ng", "t_ns", "t_m_rev")},
+        )
+        if fails:
+            with pytest.raises(VerificationError, match="re-verification"):
+                search._verify_with_solver(params, shifted)
+        else:
+            assert search._verify_with_solver(params, shifted) == pytest.approx(shift, rel=1e-4)
 
     @pytest.mark.parametrize(
         "budget, ndim, per_dim",

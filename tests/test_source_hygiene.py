@@ -8,7 +8,8 @@ package's re-exports) are exempt.  A function, class or constant defined at
 the top level of a package module is unread when no file of the package,
 the tests or the benchmark loads it as a name or an attribute, imports it,
 or spells it as a string (the family table and the benchmark's tracer look
-functions up by name).
+functions up by name).  It is read only by tests when, of those files,
+only tests read it (a re-export in ``__init__`` is not a read).
 """
 
 import ast
@@ -21,7 +22,8 @@ import wgscatter
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "wgscatter").glob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
-READERS = MODULES + sorted((ROOT / "bench").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+READERS = MODULES + BENCH
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -122,6 +124,15 @@ def test_scan_finds_an_unread_name():
 def test_no_unread_module_level_names():
     package = {path.stem: path.read_text() for path in PACKAGE}
     assert unread_names(package, [path.read_text() for path in READERS]) == []
+
+
+def test_no_module_level_names_only_tests_read():
+    """A name the package defines must be read by the package or the
+    benchmark; a test alone does not keep it, and neither does a re-export
+    in ``__init__``."""
+    package = {path.stem: path.read_text() for path in PACKAGE}
+    readers = [path for path in PACKAGE if path.stem != "__init__"] + BENCH
+    assert unread_names(package, [path.read_text() for path in readers]) == []
 
 
 def test_public_api_list_is_sorted_and_resolves():

@@ -38,7 +38,6 @@ from wgscatter.sweep import (
     _phase_constants,
     _resolved,
     figure_preset,
-    isolation_report,
     run_sweep,
 )
 
@@ -301,41 +300,48 @@ class TestPresets:
         assert sorted(runs) == sorted(p.sweeps)
 
 
-class TestIsolationReport:
-    def make_spec(self, gammas=(1.0, 0.25, 1.0, 0.0), regime=MARKOVIAN, tau=0.0):
+class TestGiantIsolation:
+    """The fig6 isolator (giant, rates 1, 0.25, 1, 0, Markovian) on 41
+    phi1' points over [0, 2pi] and 81 detunings over [-10, 10]."""
+
+    def sweep(self, gammas=(1.0, 0.25, 1.0, 0.0)):
         axis = PhaseAxis(0.0, 2 * math.pi, 41, linkage=(("phi1_prime", 1.0),))
-        return small_spec(
-            family="giant",
-            gammas=gammas,
-            phases=PhaseModel(regime=regime, tau=tau),
-            delta_axis=Axis(-10.0, 10.0, 81),
-            phase_axis=axis,
+        return run_sweep(
+            small_spec(
+                family="giant",
+                gammas=gammas,
+                delta_axis=Axis(-10.0, 10.0, 81),
+                phase_axis=axis,
+            )
         )
 
-    def test_markovian_isolation_windows(self):
-        report = isolation_report(self.make_spec())
-        assert report.resonance_blocked_all_phases
-        covered = [w for w in report.windows if w[0] <= 0.0]
-        assert covered and covered[0][1] >= 0.1 * math.pi
-        tail = [w for w in report.windows if w[1] >= 2 * math.pi - 1e-9]
-        assert tail and tail[0][0] <= 1.9 * math.pi
+    @staticmethod
+    def at_resonance(result, name):
+        j = int(np.argmin(np.abs(result.delta)))
+        assert result.delta[j] == 0.0
+        return result.rates[name][:, j]
 
-    def test_non_markovian_off_resonant_leak(self):
-        report = isolation_report(self.make_spec(regime=NON_MARKOVIAN, tau=1.0))
-        res = report.result
-        i_pi = int(np.argmin(np.abs(res.phi - math.pi)))
-        j_4 = int(np.argmin(np.abs(res.delta - 4.0)))
-        assert res.rates["T_Ng"][i_pi, j_4] == pytest.approx(0.47, abs=0.01)
-        assert report.max_forward > 0.4
+    def test_forward_blocked_at_resonance_on_every_phase(self):
+        result = self.sweep()
+        forward = self.at_resonance(result, "T_Ng") + self.at_resonance(result, "T_Ns")
+        assert np.all(forward <= 1e-6)
 
-    def test_no_reverse_path(self):
-        report = isolation_report(self.make_spec(gammas=(0.0, 0.25, 1.0, 0.0)))
-        assert report.windows == ()
-        assert np.all(report.result.rates["T_M_rev"] == 0.0)
+    def test_reverse_windows_at_both_ends_of_the_phase_range(self):
+        """T_M_rev >= 0.45 at resonance on a run of phases from 0 that
+        reaches 0.1 pi, and on one that ends at 2 pi and starts by 1.9 pi."""
+        result = self.sweep()
+        is_open = self.at_resonance(result, "T_M_rev") >= 0.45
+        assert is_open[0] and is_open[-1]
+        closed = np.flatnonzero(~is_open)
+        first_run_end = result.phi[closed[0] - 1] if closed.size else result.phi[-1]
+        last_run_start = result.phi[closed[-1] + 1] if closed.size else result.phi[0]
+        assert first_run_end >= 0.1 * math.pi
+        assert last_run_start <= 1.9 * math.pi
+        assert result.phi[-1] == 2 * math.pi
 
-    def test_requires_closed_conversion_channel(self):
-        with pytest.raises(ConfigError):
-            isolation_report(self.make_spec(gammas=(1.0, 0.25, 1.0, 0.5)))
+    def test_no_reverse_path_without_gamma1(self):
+        result = self.sweep(gammas=(0.0, 0.25, 1.0, 0.0))
+        assert np.all(result.rates["T_M_rev"] == 0.0)
 
 
 def loop_fill_singular(grids, codes, singular_mask):

@@ -36,16 +36,20 @@ interior regions and atoms are all read through that map, by
 its rate, so both engines name the same components at any pattern of zero
 rates.  A block of cells that share one layout is solved at once:
 `solve_batch` takes a configuration whose detuning, wavevectors k and q
-and each leg's gamma may be arrays over the block, and assembles and solves
-the whole block with one stacked numpy call each.  The cells
-must share one active-leg pattern (which legs have gamma > 0), since that
-fixes the layout.  `solve` is the block of one cell: it raises
-DegenerateConfigError where `solve_batch` marks that cell singular.  Every
-cell's matrix is bit-identical to the one its own configuration assembles,
-and its solution to a plain `np.linalg.solve` of that matrix, whatever the
-block around it; so is its ``ill_conditioned`` flag: one stacked Frobenius
-condition number bounds every cell's 2-norm one from above, and the exact
-SVD runs only on the cells that bound cannot clear (see `_ill_conditioned`).
+and each leg's gamma may be arrays over the block.  The cells must share
+one active-leg pattern (which legs have gamma > 0), since that fixes the
+layout.  It solves in atom space: the photons' unknowns are eliminated
+channel by channel, which leaves each cell an at most 2 x 2 system for the
+atoms' amplitudes, with the detuning on its diagonal alone.  Where only the
+detuning varies over the block (a Markovian detuning row) the photon
+elimination runs once for the whole block.  `solve` is the block of one
+cell: it raises DegenerateConfigError where `solve_batch` marks that cell
+singular.  Every cell's matrix is bit-identical to the one its own
+configuration assembles, and its solution to the one its own one-cell block
+gives, whatever the block around it; so is its ``ill_conditioned`` flag:
+one stacked Frobenius condition number bounds every cell's 2-norm one from
+above, and the exact SVD runs only on the cells that bound cannot clear
+(see `_ill_conditioned`).
 """
 
 from __future__ import annotations
@@ -239,9 +243,12 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig) -> tuple[np.ndarray, np.n
     take kappa = ``cfg.k`` and the q channel's ``cfg.q``, as given; each
     atom's diagonal entry is ``cfg.delta``.
 
-    ``delta`` may be an array of cells, with which ``k`` and ``q``
-    broadcast; the matrix then has shape ``(*cells, n, n)`` and the
-    right-hand side, shape ``(n,)``, is shared.  Returns ``(matrix, rhs)``.
+    ``delta`` may be an array of cells, with which ``k``, ``q`` and the
+    layout's legs' rates broadcast; the matrix then has shape
+    ``(*cells, n, n)`` and the right-hand side, shape ``(n,)``, is shared.
+    The detuning enters nowhere but the atoms' diagonal, which
+    `solve_batch` relies on to assemble a block at delta = 0.  Returns
+    ``(matrix, rhs)``.
     """
     n = len(layout.labels)
     cells = np.shape(cfg.delta)
@@ -328,9 +335,9 @@ def solve(cfg: SystemConfig) -> ScatterAmplitudes:
 
     The configuration is solved as a `solve_batch` block of one cell.
     Raises DegenerateConfigError where that block marks the cell singular:
-    the system is exactly singular or its solution is not finite (an
-    underflowed pivot, as with a subnormal decay rate at resonance).  An
-    ill-conditioned (but solvable) system is returned with an
+    a channel block or the atoms' system is exactly singular, or the
+    solution is not finite (as where the atoms' system has a subnormal
+    pivot).  An ill-conditioned (but solvable) system is returned with an
     ``"ill_conditioned"`` flag attached.
     """
     cell = replace(cfg, delta=np.array([cfg.delta]))
@@ -345,42 +352,115 @@ def solve(cfg: SystemConfig) -> ScatterAmplitudes:
 
 
 def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockSolution:
-    """Solve a 1-D block of cells that share one layout.
+    """Solve a 1-D block of cells that share one layout, in atom space.
 
     The detuning in ``cfg`` is an array over the block, with which k, q
     and each leg's gamma broadcast (the `configs` builders make them from
-    array rates, detunings and phases).  One stacked solve covers the
-    block; if any cell is exactly singular, the cells are solved one by one
-    and only those that fail are marked singular.  A cell whose solution is
-    not finite is marked singular too.
-    ``check_conditioning=False`` skips the condition check, whose stacked
-    inverse holds as much memory again as the block's matrices, and leaves
-    ``ill_conditioned`` None.  Only the `solver` engine of a sweep checks;
-    `validate`, the `both` engine and `search`'s re-verification read no
-    flag and skip it.
+    array rates, detunings and phases).  The photons' columns come first
+    and the atoms' last, so a cell's matrix at delta = 0 splits as
+    [[A_pp, A_pa], [A_ap, A_aa]], and its detuning adds delta I to A_aa
+    alone.  The photons are eliminated first:
+
+    1. Y = A_pp^-1 [A_pa | b_p], one solve per channel: A_pp is free
+       propagation (the boundary, mirror and jump rows) and has no entry
+       outside the channels' diagonal blocks;
+    2. S = A_aa + delta I - A_ap Y[:, :-1], the atoms' Schur complement (at
+       most 2 x 2), and S u = b_a - A_ap Y[:, -1];
+    3. x_p = Y[:, -1] - Y[:, :-1] u.
+
+    Where k, q and every leg's gamma hold one value over the block (a
+    Markovian detuning row, or one cell), the rows are assembled once, at
+    delta = 0, and step 1 and A_ap Y run once for the block; otherwise they
+    run stacked over its cells.  Either way every cell goes through the
+    same operations on the same values, so its solution is bit-identical to
+    that of its own one-cell block, whatever the block around it.
+
+    A cell is singular, with a zero row, when a channel block or its S is
+    exactly singular (the stacked solve then falls back to solving the
+    matrices one by one) or when its solution is not finite.
+    ``ill_conditioned`` flags the cells whose full matrix, assembled per
+    cell for this check alone, has a 2-norm condition number above
+    `ILL_CONDITIONED`; the check never changes how a cell is solved.  Its
+    stacked inverse holds as much memory again as the block's matrices, so
+    ``check_conditioning=False`` skips it and leaves ``ill_conditioned``
+    None.  Only the `solver` engine of a sweep checks; `validate`, the
+    `both` engine and `search`'s re-verification read no flag and skip it.
     """
     if np.ndim(cfg.delta) != 1:
         raise ValueError("solve_batch needs a 1-D block of cells")
-    layout = build_layout(cfg)
-    matrix, b = assemble(layout, cfg)
+    # One cell where only the detuning varies over the block, else every
+    # cell.  The layout's channels carry the legs whose couplings `assemble`
+    # reads.
+    at_zero = _at_zero_detuning(cfg)
+    layout = build_layout(at_zero)
+    matrix, b = assemble(layout, at_zero)
+    cells, n_a = len(cfg.delta), len(layout.atom_columns)
+    n_p = len(b) - n_a
+    a_pp, a_pa = matrix[:, :n_p, :n_p], matrix[:, :n_p, n_p:]
+    a_ap, a_aa = matrix[:, n_p:, :n_p], matrix[:, n_p:, n_p:]
+    # Step 1.  `assemble` writes each channel's rows in its columns' span.
+    y = np.concatenate([a_pa, np.broadcast_to(b[:n_p, None], a_pa.shape[:-1] + (1,))], axis=-1)
     singular = np.zeros(len(matrix), dtype=bool)
-    # A 3-D right-hand side is a stack of one-column matrices under every
-    # numpy version; a 1-D one means a vector only from numpy 2.0 on.
-    rhs = np.broadcast_to(b[:, None], matrix.shape[:-1] + (1,))
+    for ch in layout.channels:
+        rows = slice(layout.offsets[ch.name], layout.offsets[ch.name] + 2 * ch.n_regions)
+        y[:, rows], failed = _solve_cells(a_pp[:, rows, rows], y[:, rows])
+        singular |= failed
+    # Steps 2 and 3.  A u or x_p that is not finite (as where S has a
+    # subnormal pivot) marks its cell singular below.
+    with np.errstate(invalid="ignore", over="ignore"):
+        # Near a dark point the leading digits of A_ap Y cancel in S u;
+        # summed in float64, its rounding alone broke the 1e-10 gate on
+        # giant cells near phi2' = pi at delta = 0, so it is summed in long
+        # double.
+        a_ap_y = (a_ap.astype(np.clongdouble) @ y.astype(np.clongdouble)).astype(complex)
+        s = np.broadcast_to(a_aa - a_ap_y[..., :-1], (cells, n_a, n_a)).copy()
+        diagonal = np.arange(n_a)
+        s[:, diagonal, diagonal] += np.asarray(cfg.delta)[:, None]
+        rhs = np.broadcast_to(b[n_p:, None] - a_ap_y[..., -1:], (cells, n_a, 1))
+        u, failed = _solve_cells(s, rhs)
+        y = np.broadcast_to(y, (cells, n_p, n_a + 1))
+        x = np.concatenate([y[..., -1:] - y[..., :-1] @ u, u], axis=1)[..., 0]
+    singular = singular | failed | ~np.isfinite(x).all(axis=-1)
+    x[singular] = 0.0
+    ill_conditioned = _ill_conditioned(assemble(layout, cfg)[0]) if check_conditioning else None
+    return BlockSolution(singular, ill_conditioned, x, layout)
+
+
+def _at_zero_detuning(cfg: SystemConfig) -> SystemConfig:
+    """``cfg`` at delta = 0: one cell where k, q and every leg's gamma hold
+    one value over the block, bit for bit, and otherwise every cell."""
+    values = (cfg.k, cfg.q, *(leg.gamma for leg in cfg.legs))
+    if not all(map(_one_value, values)):
+        return replace(cfg, delta=np.zeros(len(cfg.delta)))
+    legs = tuple(leg if np.ndim(leg.gamma) == 0 else replace(leg, gamma=leg.gamma[0]) for leg in cfg.legs)
+    return replace(cfg, delta=np.zeros(1), k=_first(cfg.k), q=_first(cfg.q), legs=legs)
+
+
+def _one_value(value) -> bool:
+    """Whether a scalar or a block's array holds one float, bit for bit."""
+    if np.ndim(value) == 0:
+        return True
+    bits = np.asarray(value, dtype=float).view(np.int64)
+    return bool((bits == bits[0]).all())
+
+
+def _first(value):
+    """A scalar, or the first cell of a block's array."""
+    return value if np.ndim(value) == 0 else value[0]
+
+
+def _solve_cells(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.solve`` of a stack of matrices, and which are exactly
+    singular.  If any is, the stack is solved again matrix by matrix, and
+    each singular one gets a zero solution."""
+    singular = np.zeros(len(a), dtype=bool)
     try:
-        x = np.linalg.solve(matrix, rhs)[..., 0]
+        return np.linalg.solve(a, b), singular
     except np.linalg.LinAlgError:
-        x = np.zeros(matrix.shape[:2], dtype=complex)
-        for k, cell in enumerate(matrix):
+        x = np.zeros(b.shape, dtype=complex)
+        for k, (cell, rhs) in enumerate(zip(a, b)):
             try:
-                x[k] = np.linalg.solve(cell, b)
+                x[k] = np.linalg.solve(cell, rhs)
             except np.linalg.LinAlgError:
                 singular[k] = True
-    # A solution that is not finite (an underflowed pivot, as with a
-    # subnormal decay rate at resonance) is as good as singular.
-    unresolved = ~np.isfinite(x).all(axis=-1)
-    if unresolved.any():
-        singular |= unresolved
-        x[unresolved] = 0.0
-    ill_conditioned = _ill_conditioned(matrix) if check_conditioning else None
-    return BlockSolution(singular, ill_conditioned, x, layout)
+        return x, singular

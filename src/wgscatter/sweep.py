@@ -5,8 +5,8 @@ grid for one configuration family, with phases resolved per the regime model
 (constant in the Markovian regime, shifted by tau*delta otherwise).  Two
 engines are available: "closed" evaluates the analytical amplitudes
 (vectorized across the detuning axis), "solver" runs the boundary-matching
-solver on blocks of SOLVER_BLOCK detunings per phase row (one stacked solve
-per block), and "both" runs the two and records their maximum disagreement.
+solver on blocks of SOLVER_BLOCK detunings per phase row (one atom-space
+solve per block), and "both" runs the two and records their maximum disagreement.
 Only the "solver" engine runs the solver's condition screen and writes its
 ``ill_conditioned`` flags: "both" writes the closed engine's flags, so its
 solver pass skips the screen, as do `validate` and `search`'s
@@ -65,8 +65,9 @@ ENGINES = ("closed", "solver", "both")
 
 RATE_FIELDS = ("T_Ng", "T_Ns", "T_M_rev", "R_M", "T2", "eta", "residual")
 
-#: Detunings per stacked solver block.  Bounds the block's memory (one
-#: 20x20 complex matrix per cell for the giant layout) on long rows.
+#: Detunings per solver block.  Bounds the block's memory on long rows: one
+#: 20x20 complex matrix per cell for the giant layout where the phases or
+#: rates vary along the row, and per cell for the condition screen.
 SOLVER_BLOCK = 128
 
 #: Largest grid (phase count x detuning count) a sweep accepts: 13x the

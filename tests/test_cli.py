@@ -979,7 +979,7 @@ def giant_at_pi_config():
             giant_at_pi_config(),
             "solver",
             "ill_conditioned",
-            "28c63ac677d9c3a6d73c6636b495dc6f5656c285bcc60c7085be2890503f0559",
+            "a703e4a12d96b320aad8606ad6740a436c2f1635d8da6aae69716f8698bde3d3",
         ),
     ],
 )
@@ -994,11 +994,12 @@ def test_flagged_spectrum_matches_golden_digest(tmp_path, doc, engine, flag, dig
 #: `spectrum` output of `giant_at_pi_config` with 2 * SOLVER_BLOCK + 37
 #: detunings, taken before the condition check screened cells with a bound
 #: (the solver entry re-pinned when the solver began taking the requested
-#: phases as k and q): each phase row spans three solver blocks, and the
-#: flagged cells at resonance sit in the middle one.
+#: phases as k and q, and both when it began solving in atom space): each
+#: phase row spans three solver blocks, and the flagged cells at resonance
+#: sit in the middle one.
 MULTI_BLOCK_DIGESTS = {
-    "both": ("eta_undefined", "0c3b138a8385f5aefdd6ef776071f001646f011ece50677433dfc80e5c860dd7"),
-    "solver": ("ill_conditioned", "5fe34fd7c5ab114ab9051a2a7bbbc45d83890d10afb25c6ca9da0705f639b9ca"),
+    "both": ("eta_undefined", "129c777f9651510263d5981185a39b75af41e45981bb777eef99dcf66d0bc06a"),
+    "solver": ("ill_conditioned", "641f523005c8ba02587b15ef3ec80ae706b7befc2303e7c284f0cf7951de8d87"),
 }
 
 
@@ -1028,24 +1029,25 @@ FAMILY_LINKAGE = {
 #: `spectrum` output on 5 phases x 21 detunings for every family, regime and
 #: solver-backed engine, taken before the family table replaced the
 #: per-family dispatch.  The two giant solver entries were re-pinned when the
-#: solver began taking the requested phases as k and q.
+#: solver began taking the requested phases as k and q, and every entry
+#: whose bytes moved when it began solving in atom space.
 ENGINE_DIGESTS = {
-    ("small_overlap", "markovian", "solver"): "b0db15cb9767175597c3b5e293fbfc189c091eb3bdaa4aef8fbb48f3b22cb502",
+    ("small_overlap", "markovian", "solver"): "659c4ebcc48092a0ba78340d3e9a741165debbae40226bc7f0864e677a4dc20f",
     ("small_overlap", "markovian", "both"): "6f75dc77a1b5e432671ba24834a645de44d73a316b176a5a0f0087fcdf872d2a",
-    ("small_overlap", "non_markovian", "solver"): "707e450e4ce6a608d4130d59fc7d82cdb8bc3f2693324c1fcb9e23d3a19bba09",
+    ("small_overlap", "non_markovian", "solver"): "7ac82c09949c520259dff6ab8d8ee9d377452bfccb295033000acf357a261cf7",
     ("small_overlap", "non_markovian", "both"): "360e49bd958efafe98359e021742a6075e40891408b5076c3b766d8196e1d9c5",
-    ("small_separated", "markovian", "solver"): "c11ad0264d62cccecc596194b27de9dfc000348b801980c268ab417d4f3d94c0",
+    ("small_separated", "markovian", "solver"): "276992c1a87befc457ef6b4e9e83cb0b97e7fcfb9d1f59d201fb7cb6faa979a3",
     ("small_separated", "markovian", "both"): "05491e5c353b0b81e06e452a7addf0b47053eca1d0af99d674e4757687585eb6",
-    ("small_separated", "non_markovian", "solver"): "63e574c31cc7d042cab2bf3f07b6d67d47676fff7376ec7caa8d4960a0ee3609",
-    ("small_separated", "non_markovian", "both"): "8adf25f5314610f4acfa47875096b804ac7236b50d2522a9b3962f9363ca984c",
-    ("giant", "markovian", "solver"): "a52e70daaaa6820de23840163f2d6336ba06edc1cd4e5daee13a1031787d9193",
-    ("giant", "markovian", "both"): "1b3d9d16c948333c9692d182feea3622db0893e7c6987586f9e32b9293aca17d",
-    ("giant", "non_markovian", "solver"): "e609d68394827300a782afd7d540c59bfedb8d6cbf683c25bd60946966a81e8c",
-    ("giant", "non_markovian", "both"): "4b9be1f9e035d383f70140a422c15943639db082ab15a84dfb707ce2b1556e36",
-    ("semi_infinite", "markovian", "solver"): "b3529ec57ee52f4f68f34167f155f9b67a45979d9eb91b2076d60f061c8b5297",
-    ("semi_infinite", "markovian", "both"): "fc677d8156aa8d7ee43e346e36de4becd492499bc9e532c7ef22f014cfddf4f7",
-    ("semi_infinite", "non_markovian", "solver"): "fe98d7d644d43555d8dc072ad3ac56b8ff4e3d0645c1c39564e2ca853066a4ac",
-    ("semi_infinite", "non_markovian", "both"): "8372006ab17713171a0ca810854ff263dfbe403d713b8d0278e8edca89e81116",
+    ("small_separated", "non_markovian", "solver"): "a9b347657ce688fc51f156d1020d467c92ea28ba6e1527cfb247a3d8de8a67e2",
+    ("small_separated", "non_markovian", "both"): "521c9470653fd8048dffe08f897b01050af9912cbe6d199beeb7a169f4615941",
+    ("giant", "markovian", "solver"): "ecba92441764077fdabb8b028d51450878a816405a940cacd171c9cb58820a60",
+    ("giant", "markovian", "both"): "a81178f17dca70bb03201443aaf2d37d8628d5f9be8bbecd52bd860de804df98",
+    ("giant", "non_markovian", "solver"): "21633bf4504e43c200e77996b6633ef6cd0c645f91b8d2be60bd95c5c4643378",
+    ("giant", "non_markovian", "both"): "d61f5a7fac05786c0b0a1d9c7eda7a696649a02abb7106c1f6cc6bbe68795987",
+    ("semi_infinite", "markovian", "solver"): "754e76c7463c2de8ed3290dcf6cd02e0488a8aee21c77624a145a2f444e6d6b1",
+    ("semi_infinite", "markovian", "both"): "e918aa61075c827211524c866cc0cd04846c7a4744876013a5ad61b709c72e8c",
+    ("semi_infinite", "non_markovian", "solver"): "0a9e6a1c47b5755afac154f517d8a0fc145cd8f9c4c03480689718ce1af06c2f",
+    ("semi_infinite", "non_markovian", "both"): "22f7dd80a195c05e3675f41292dc1cd3420a9093c9f756a4806df16cee3a15a9",
 }
 
 
@@ -1113,16 +1115,18 @@ class TestOutputFileReplaced:
 
 
 #: `spectrum --engine both --json` output of `family_config` for every family
-#: and regime, taken before flags were stored as one code per cell.
+#: and regime, taken before flags were stored as one code per cell; the
+#: entries whose `max_engine_discrepancy` moved were re-pinned when the
+#: solver began solving in atom space.
 JSON_DIGESTS = {
-    ("giant", "markovian"): "1a6b5ef14ac57484047aad8e998ed9f293252da846e859209a00f812ee9fb858",
-    ("giant", "non_markovian"): "c5879904a6f2e249e95d18d9b66443e2d10174f0ed847e52a5d154b914639ef3",
-    ("semi_infinite", "markovian"): "c4a338f4c96f226900350ffab1815d632a8a85bc7a29079ef4ecf21238c26262",
-    ("semi_infinite", "non_markovian"): "d65e4a04d927e9b06155b87a9490926bbf3d98db693dd154e1902b48c3ee15c6",
+    ("giant", "markovian"): "5575d61cf7416e7fb7504b8dc65d9b6b07027502da5e5a651fd632e3bf91547d",
+    ("giant", "non_markovian"): "2ef8c4135fc5b9d427dea01ae3e6fdbbcc7f06b507ebbf794b661cdb8b3f243f",
+    ("semi_infinite", "markovian"): "cb7930bec37a2a3593b46c27973ec4f181c11663fd56643804f548f365fb2683",
+    ("semi_infinite", "non_markovian"): "e044f595e16b432b843b3978ba214e3ed1fcf8aa9ecf4994c737004455ee2220",
     ("small_overlap", "markovian"): "172e07f378d23cadf33e9cb77063a1faaedfe58859a17e27136db6d86e024b17",
     ("small_overlap", "non_markovian"): "35fbb8b1837c9447528939f548faa344023416867d48e828328313fb17bb2a28",
     ("small_separated", "markovian"): "0aa8fc8bba4e6c155383156e9bea4c0302cf15f2fcfef0b68b65b180649b8bfb",
-    ("small_separated", "non_markovian"): "f5f25b1b4be77ee1f0fb52e3b8a4e081d4ce3335a288cc93ad00bdc19a8fa708",
+    ("small_separated", "non_markovian"): "09894ed347be06bed2325775d4a075615aa12f16d57c3e302b0d01d09e1113ee",
 }
 
 
@@ -1152,7 +1156,7 @@ def test_family_json_matches_golden_digest(tmp_path, family, regime):
             giant_at_pi_config(),
             "solver",
             "ill_conditioned",
-            "ef1ca50231f334ed18732df52475c97d8048f8fe82645e69322e12e47dce557a",
+            "6838ed6230ffab32c15d0ddb296a6b25bba4cb48eb352279cdad64e6cd29fd16",
         ),
     ],
 )
@@ -1223,23 +1227,25 @@ SEARCH_CASES = {
 #: `search` report digests (text, then `--json`), taken while the
 #: golden-section refinement evaluated every probe afresh.  The two
 #: conversion cases were re-pinned when the solver began taking the requested
-#: phases as k and q: only their `solver_discrepancy` lines moved.
+#: phases as k and q, and conversion_1d, isolation_2d and singular_edge when
+#: it began solving in atom space: only their `solver_discrepancy` lines
+#: moved.
 SEARCH_DIGESTS = {
     "conversion_1d": (
-        "72ca5efd3ef28925ea0b03187fdf8e5d0bf3834f04d18875f2bd15c31eda9c3d",
-        "b67c8ccc910931234b91eda99f0b74f3e1cead7d9962069355d4032263f917ac",
+        "de5cec2c3d3232a156f8ee0769d4c6da8a42d4410fdddb61a0928f894d118d3b",
+        "6e770b49c96880df1d803c8366feedd5b12dd766780f6616b8239132d39913f9",
     ),
     "conversion_3d": (
         "7da7beaa4913ac423b06b049f639ad4b9920375d6d0e9900d803c9591fd48860",
         "385071aecfb692edf296d529f7d19a279973d12afcf89f5319879870dba17dfc",
     ),
     "isolation_2d": (
-        "d7c75b4a5d06ddc543e8f11349731a61a9651b1902110452735205421d5cfe13",
-        "21b677b336d174c8a4bdcfeda9afacddb708329e024b6bd2bb9f2485a7e700ea",
+        "db704d56d79399d2609f09de002b45378ae1e6324b1acee7e9415e17d85f51f7",
+        "b3aab1a15d980d9d95c8aaaa9536242b4b671acd3b1618dd35fc241b6625c253",
     ),
     "singular_edge": (
-        "fb82ca79ff6b2d3971c359ab0a6ca8d4569c41514da92bc516a15543d6ddfe79",
-        "d05d14944be14a21b93523ce7da362afd4f4fd8f7df4dea5f0d6a841a998733b",
+        "3724eb1a416e2525dbc2e418b58196c634616cf1f1a119ab887d990e3fbd26fc",
+        "fc6afb0a75a13c52e912ed6a519b42fb2df29574b6aca00a9d5d3a0e0964773a",
     ),
 }
 

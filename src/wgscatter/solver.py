@@ -416,6 +416,8 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
         s = np.broadcast_to(a_aa - a_ap_y[..., :-1], (cells, n_a, n_a)).copy()
         diagonal = np.arange(n_a)
         s[:, diagonal, diagonal] += np.asarray(cfg.delta)[:, None]
+        # A stack of one-column right-hand sides under every numpy version;
+        # a 1-D one means a vector only from numpy 2.0 on.
         rhs = np.broadcast_to(b[n_p:, None] - a_ap_y[..., -1:], (cells, n_a, 1))
         u, failed = _solve_cells(s, rhs)
         y = np.broadcast_to(y, (cells, n_p, n_a + 1))
@@ -432,7 +434,9 @@ def _at_zero_detuning(cfg: SystemConfig) -> SystemConfig:
     values = (cfg.k, cfg.q, *(leg.gamma for leg in cfg.legs))
     if not all(map(_one_value, values)):
         return replace(cfg, delta=np.zeros(len(cfg.delta)))
-    legs = tuple(leg if np.ndim(leg.gamma) == 0 else replace(leg, gamma=leg.gamma[0]) for leg in cfg.legs)
+    legs = tuple(
+        replace(leg, gamma=leg.gamma[0]) if np.ndim(leg.gamma) else leg for leg in cfg.legs
+    )
     return replace(cfg, delta=np.zeros(1), k=_first(cfg.k), q=_first(cfg.q), legs=legs)
 
 

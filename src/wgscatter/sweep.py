@@ -6,7 +6,8 @@ grid for one configuration family, with phases resolved per the regime model
 engines are available: "closed" evaluates the analytical amplitudes
 (vectorized across the detuning axis), "solver" runs the boundary-matching
 solver on blocks of SOLVER_BLOCK detunings per phase row (one atom-space
-solve per block), and "both" runs the two and records their maximum disagreement.
+solve per block), and "both" runs the two and records their maximum
+disagreement.
 Only the "solver" engine runs the solver's condition screen and writes its
 ``ill_conditioned`` flags: "both" writes the closed engine's flags, so its
 solver pass skips the screen, as do `validate` and `search`'s

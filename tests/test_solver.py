@@ -813,9 +813,9 @@ def test_dark_giant_draw_agrees(gammas, phi1, d):
 
 
 def test_semi_infinite_dark_row_agrees():
-    """phi3 = pi/2 darkens guide N's k channel at the mirror.  A dense LU
-    over all the unknowns gave eta 0.36843 at this cell; the closed form's
-    is 0.58680."""
+    """A cell of a `semi_infinite` row at phi3 = pi/2, where guide N goes
+    dark.  A dense LU over all the unknowns gave eta 0.36843 here; the
+    closed form's is 0.58680."""
     gammas, delta, phases = (0.01346, 2.04869, 0.34836, 2806.33), np.array([3.0]), {"phi3": math.pi / 2}
     semi = FAMILIES["semi_infinite"]
     closed, closed_singular, closed_codes = semi.closed_rates(gammas, delta, phases)

@@ -969,17 +969,19 @@ def giant_at_pi_config():
 @pytest.mark.parametrize(
     "doc, engine, flag, digest",
     [
-        (
+        pytest.param(
             base_config(),
             "both",
             "eta_undefined",
             "eb60afb598ab22a60be52b0b001d5475197f657fdc79e068ad1a019d046953f6",
+            id="small_overlap-both",
         ),
-        (
+        pytest.param(
             giant_at_pi_config(),
             "solver",
             "ill_conditioned",
             "a703e4a12d96b320aad8606ad6740a436c2f1635d8da6aae69716f8698bde3d3",
+            id="giant_at_pi-solver",
         ),
     ],
 )
@@ -1146,17 +1148,19 @@ def test_family_json_matches_golden_digest(tmp_path, family, regime):
 @pytest.mark.parametrize(
     "doc, engine, flag, digest",
     [
-        (
+        pytest.param(
             base_config(),
             "both",
             "eta_undefined",
             "6462170ab9aa1124ba1f7d6206a6c9975e3fcc6ce67607c4ed636c836915cb6e",
+            id="small_overlap-both",
         ),
-        (
+        pytest.param(
             giant_at_pi_config(),
             "solver",
             "ill_conditioned",
             "6838ed6230ffab32c15d0ddb296a6b25bba4cb48eb352279cdad64e6cd29fd16",
+            id="giant_at_pi-solver",
         ),
     ],
 )

@@ -40,16 +40,16 @@ and each leg's gamma may be arrays over the block.  The cells must share
 one active-leg pattern (which legs have gamma > 0), since that fixes the
 layout.  It solves in atom space: the photons' unknowns are eliminated
 channel by channel, which leaves each cell an at most 2 x 2 system for the
-atoms' amplitudes, with the detuning on its diagonal alone.  Where only the
-detuning varies over the block (a Markovian detuning row) the photon
-elimination runs once for the whole block.  `solve` is the block of one
-cell: it raises DegenerateConfigError where `solve_batch` marks that cell
-singular.  Every cell's matrix is bit-identical to the one its own
-configuration assembles, and its solution to the one its own one-cell block
-gives, whatever the block around it; so is its ``ill_conditioned`` flag:
-one stacked Frobenius condition number bounds every cell's 2-norm one from
-above, and the exact SVD runs only on the cells that bound cannot clear
-(see `_ill_conditioned`).
+atoms' amplitudes, with the detuning on its diagonal alone.  Consecutive
+cells whose k, q and rates are equal form a run, such as a Markovian
+detuning row, and the photon elimination runs once per run.  `solve` is
+the block of one cell: it raises DegenerateConfigError where `solve_batch`
+marks that cell singular.  Every cell's matrix is bit-identical to the one
+its own configuration assembles, and its solution to the one its own
+one-cell block gives, whatever the block around it; so is its
+``ill_conditioned`` flag: one stacked Frobenius condition number bounds
+every cell's 2-norm one from above, and the exact SVD runs only on the
+cells that bound cannot clear (see `_ill_conditioned`).
 """
 
 from __future__ import annotations
@@ -81,6 +81,11 @@ ILL_CONDITIONED = 1e12
 #: not ill-conditioned; the bound and the SVD each err by about n*u*kappa
 #: relative, so 100x under the gate leaves no cell the exact check would flag.
 _SCREEN = ILL_CONDITIONED * 1e-2
+#: Cells per stack of the condition screen, which holds each cell's full
+#: matrix, its inverse and their work arrays: about 16 KB per cell for the
+#: giant layout's 20 x 20 system.  `sweep.run_sweep` also puts at most this
+#: many runs, each solved on its own matrix, in one block.
+SOLVER_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -247,8 +252,8 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig) -> tuple[np.ndarray, np.n
     layout's legs' rates broadcast; the matrix then has shape
     ``(*cells, n, n)`` and the right-hand side, shape ``(n,)``, is shared.
     The detuning enters nowhere but the atoms' diagonal, which
-    `solve_batch` relies on to assemble a block at delta = 0.  Returns
-    ``(matrix, rhs)``.
+    `solve_batch` relies on to assemble each run at delta = 0 and to screen
+    each cell on its run's matrix.  Returns ``(matrix, rhs)``.
     """
     n = len(layout.labels)
     cells = np.shape(cfg.delta)
@@ -359,48 +364,58 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
     array rates, detunings and phases).  The photons' columns come first
     and the atoms' last, so a cell's matrix at delta = 0 splits as
     [[A_pp, A_pa], [A_ap, A_aa]], and its detuning adds delta I to A_aa
-    alone.  The photons are eliminated first:
+    alone.  Consecutive cells whose k, q and every leg's gamma are equal,
+    bit for bit, form a run (a Markovian detuning row is one run), and
+    each run shares its matrix at delta = 0.  The photons are eliminated
+    once per run:
 
     1. Y = A_pp^-1 [A_pa | b_p], one solve per channel: A_pp is free
        propagation (the boundary, mirror and jump rows) and has no entry
        outside the channels' diagonal blocks;
     2. S = A_aa + delta I - A_ap Y[:, :-1], the atoms' Schur complement (at
-       most 2 x 2), and S u = b_a - A_ap Y[:, -1];
-    3. x_p = Y[:, -1] - Y[:, :-1] u.
+       most 2 x 2), and S u = b_a - A_ap Y[:, -1], per cell on its run's
+       values;
+    3. x_p = Y[:, -1] - Y[:, :-1] u, per cell.
 
-    Where k, q and every leg's gamma hold one value over the block (a
-    Markovian detuning row, or one cell), the rows are assembled once, at
-    delta = 0, and step 1 and A_ap Y run once for the block; otherwise they
-    run stacked over its cells.  Either way every cell goes through the
-    same operations on the same values, so its solution is bit-identical to
-    that of its own one-cell block, whatever the block around it.
+    `assemble` runs once, on a config at delta = 0 with one cell per run,
+    and step 1 and A_ap Y run stacked over the runs; where every cell is a
+    run, nothing is gathered.  Every cell goes through the same operations
+    on the same values, so its solution is bit-identical to that of its
+    own one-cell block, whatever the block around it.
 
     A cell is singular, with a zero row, when a channel block or its S is
     exactly singular (the stacked solve then falls back to solving the
     matrices one by one) or when its solution is not finite.
-    ``ill_conditioned`` flags the cells whose full matrix, assembled per
-    cell for this check alone, has a 2-norm condition number above
-    `ILL_CONDITIONED`; the check never changes how a cell is solved.  Its
-    stacked inverse holds as much memory again as the block's matrices, so
-    ``check_conditioning=False`` skips it and leaves ``ill_conditioned``
-    None.  Only the `solver` engine of a sweep checks; `validate`, the
-    `both` engine and `search`'s re-verification read no flag and skip it.
+    ``ill_conditioned`` flags the cells whose full matrix has a 2-norm
+    condition number above `ILL_CONDITIONED`; the matrices are its run's
+    with the cell's detuning on the atoms' diagonal, SOLVER_BLOCK cells at
+    a time, and the check never changes how a cell is solved.  Its stacked
+    inverse costs as much memory again, so ``check_conditioning=False``
+    skips it and leaves ``ill_conditioned`` None.  Only the `solver`
+    engine of a sweep checks; `validate`, the `both` engine and `search`'s
+    re-verification read no flag and skip it.
     """
     if np.ndim(cfg.delta) != 1:
         raise ValueError("solve_batch needs a 1-D block of cells")
-    # One cell where only the detuning varies over the block, else every
-    # cell.  The layout's channels carry the legs whose couplings `assemble`
-    # reads.
-    at_zero = _at_zero_detuning(cfg)
+    cells = len(cfg.delta)
+    starts = _run_starts(cfg)
+    run = np.cumsum(starts) - 1
+    runs = int(np.count_nonzero(starts))
+    gather = runs < cells
+    if gather:
+        at_zero = _cells(cfg, starts, np.zeros(runs))
+    else:
+        at_zero = replace(cfg, delta=np.zeros(cells))
+    # The layout's channels carry the legs whose couplings `assemble` reads.
     layout = build_layout(at_zero)
     matrix, b = assemble(layout, at_zero)
-    cells, n_a = len(cfg.delta), len(layout.atom_columns)
+    n_a = len(layout.atom_columns)
     n_p = len(b) - n_a
     a_pp, a_pa = matrix[:, :n_p, :n_p], matrix[:, :n_p, n_p:]
     a_ap, a_aa = matrix[:, n_p:, :n_p], matrix[:, n_p:, n_p:]
     # Step 1.  `assemble` writes each channel's rows in its columns' span.
     y = np.concatenate([a_pa, np.broadcast_to(b[:n_p, None], a_pa.shape[:-1] + (1,))], axis=-1)
-    singular = np.zeros(len(matrix), dtype=bool)
+    singular = np.zeros(runs, dtype=bool)
     for ch in layout.channels:
         rows = slice(layout.offsets[ch.name], layout.offsets[ch.name] + 2 * ch.n_regions)
         y[:, rows], failed = _solve_cells(a_pp[:, rows, rows], y[:, rows])
@@ -413,44 +428,58 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
         # giant cells near phi2' = pi at delta = 0, so it is summed in long
         # double.
         a_ap_y = (a_ap.astype(np.clongdouble) @ y.astype(np.clongdouble)).astype(complex)
-        s = np.broadcast_to(a_aa - a_ap_y[..., :-1], (cells, n_a, n_a)).copy()
-        diagonal = np.arange(n_a)
-        s[:, diagonal, diagonal] += np.asarray(cfg.delta)[:, None]
+        s = a_aa - a_ap_y[..., :-1]
         # A stack of one-column right-hand sides under every numpy version;
         # a 1-D one means a vector only from numpy 2.0 on.
-        rhs = np.broadcast_to(b[n_p:, None] - a_ap_y[..., -1:], (cells, n_a, 1))
+        rhs = b[n_p:, None] - a_ap_y[..., -1:]
+        if gather:
+            s, rhs, y, singular = s[run], rhs[run], y[run], singular[run]
+        diagonal = np.arange(n_a)
+        s[:, diagonal, diagonal] += np.asarray(cfg.delta)[:, None]
         u, failed = _solve_cells(s, rhs)
-        y = np.broadcast_to(y, (cells, n_p, n_a + 1))
         x = np.concatenate([y[..., -1:] - y[..., :-1] @ u, u], axis=1)[..., 0]
     singular = singular | failed | ~np.isfinite(x).all(axis=-1)
     x[singular] = 0.0
-    ill_conditioned = _ill_conditioned(assemble(layout, cfg)[0]) if check_conditioning else None
+    ill_conditioned = _screen(matrix, run, cfg.delta, n_p) if check_conditioning else None
     return BlockSolution(singular, ill_conditioned, x, layout)
 
 
-def _at_zero_detuning(cfg: SystemConfig) -> SystemConfig:
-    """``cfg`` at delta = 0: one cell where k, q and every leg's gamma hold
-    one value over the block, bit for bit, and otherwise every cell."""
-    values = (cfg.k, cfg.q, *(leg.gamma for leg in cfg.legs))
-    if not all(map(_one_value, values)):
-        return replace(cfg, delta=np.zeros(len(cfg.delta)))
+def _run_starts(cfg: SystemConfig) -> np.ndarray:
+    """Which cells start a run: consecutive cells whose k, q and every
+    leg's gamma are equal, bit for bit, form one."""
+    starts = np.arange(len(cfg.delta)) == 0
+    for value in (cfg.k, cfg.q, *(leg.gamma for leg in cfg.legs)):
+        if np.ndim(value):
+            bits = np.asarray(value, dtype=float).view(np.int64)
+            starts[1:] |= bits[1:] != bits[:-1]
+    return starts
+
+
+def _cells(cfg: SystemConfig, index, delta) -> SystemConfig:
+    """The cells ``index`` of a block, at detuning ``delta``."""
+
+    def pick(value):
+        return value[index] if np.ndim(value) else value
+
     legs = tuple(
-        replace(leg, gamma=leg.gamma[0]) if np.ndim(leg.gamma) else leg for leg in cfg.legs
+        replace(leg, gamma=pick(leg.gamma)) if np.ndim(leg.gamma) else leg for leg in cfg.legs
     )
-    return replace(cfg, delta=np.zeros(1), k=_first(cfg.k), q=_first(cfg.q), legs=legs)
+    return replace(cfg, delta=delta, k=pick(cfg.k), q=pick(cfg.q), legs=legs)
 
 
-def _one_value(value) -> bool:
-    """Whether a scalar or a block's array holds one float, bit for bit."""
-    if np.ndim(value) == 0:
-        return True
-    bits = np.asarray(value, dtype=float).view(np.int64)
-    return bool((bits == bits[0]).all())
-
-
-def _first(value):
-    """A scalar, or the first cell of a block's array."""
-    return value if np.ndim(value) == 0 else value[0]
+def _screen(matrix: np.ndarray, run: np.ndarray, delta, n_p: int) -> np.ndarray:
+    """`_ill_conditioned` of each cell's full matrix: its run's ``matrix``
+    at delta = 0 with its detuning on the atoms' diagonal, which is what
+    `assemble` gives at that detuning.  SOLVER_BLOCK cells at a time, so
+    the stacked inverse never grows with the block."""
+    atoms = np.arange(n_p, matrix.shape[-1])
+    flags = np.zeros(len(run), dtype=bool)
+    for start in range(0, len(run), SOLVER_BLOCK):
+        part = slice(start, start + SOLVER_BLOCK)
+        full = matrix[run[part]]
+        full[:, atoms, atoms] = np.asarray(delta)[part, None]
+        flags[part] = _ill_conditioned(full)
+    return flags
 
 
 def _solve_cells(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,9 +5,12 @@ grid for one configuration family, with phases resolved per the regime model
 (constant in the Markovian regime, shifted by tau*delta otherwise).  Two
 engines are available: "closed" evaluates the analytical amplitudes
 (vectorized across the detuning axis), "solver" runs the boundary-matching
-solver on blocks of SOLVER_BLOCK detunings per phase row (one atom-space
-solve per block), and "both" runs the two and records their maximum
-disagreement.
+solver on blocks of whole phase rows (one atom-space solve per block, see
+`_solver_blocks`), and "both" runs the two and records their maximum
+disagreement.  A solver block holds at most SOLVER_BLOCK runs of cells
+with equal k, q and rates, which share one photon elimination, and at
+most SOLVER_CELLS cells: a Markovian row is one run, and a non-Markovian
+row one run per cell.
 Only the "solver" engine runs the solver's condition screen and writes its
 ``ill_conditioned`` flags: "both" writes the closed engine's flags, so its
 solver pass skips the screen, as do `validate` and `search`'s
@@ -61,15 +64,19 @@ from .core import (
     rates_from_outgoing,
     resolved_phase,
 )
+from .solver import SOLVER_BLOCK
 
 ENGINES = ("closed", "solver", "both")
 
 RATE_FIELDS = ("T_Ng", "T_Ns", "T_M_rev", "R_M", "T2", "eta", "residual")
 
-#: Detunings per solver block.  Bounds the block's memory on long rows: one
-#: 20x20 complex matrix per cell for the giant layout where the phases or
-#: rates vary along the row, and per cell for the condition screen.
-SOLVER_BLOCK = 128
+#: Cells per solver block, which holds at most SOLVER_BLOCK runs (see
+#: `solver.solve_batch`).  For the giant layout's 20 x 20 system a block's
+#: solves take about 8.5 KB per run (its matrix at delta = 0 and the photon
+#: elimination) and 1.6 KB per cell, both directions included, so a block of
+#: 1024 Markovian cells peaks near 1.6 MB and one of 128 non-Markovian
+#: cells, each a run, near 1.3 MB.  The condition screen adds about 2 MB.
+SOLVER_CELLS = 1024
 
 #: Largest grid (phase count x detuning count) a sweep accepts: 13x the
 #: full preset grid (629 x 2001), and about 1 GB of rate grids per engine.
@@ -367,6 +374,26 @@ def _fill_singular(grids, codes, singular_mask) -> None:
     codes[rows, cols] |= SINGULAR
 
 
+def _solver_blocks(n_phi: int, n_delta: int, row_runs: int) -> list[tuple[int, int]]:
+    """Flat cell ranges [start, stop) of the row-major (phase x detuning)
+    grid, one per solver block.
+
+    Whole phase rows of ``row_runs`` runs each go into a block while it
+    holds at most SOLVER_BLOCK runs and SOLVER_CELLS cells.  A longer row is
+    split into slices of SOLVER_CELLS cells where it is one run, and of
+    SOLVER_BLOCK cells where each cell is a run.
+    """
+    width = SOLVER_CELLS if row_runs == 1 else SOLVER_BLOCK
+    if n_delta > width:
+        return [
+            (i * n_delta + j, i * n_delta + min(j + width, n_delta))
+            for i in range(n_phi)
+            for j in range(0, n_delta, width)
+        ]
+    rows = min(SOLVER_BLOCK // row_runs, SOLVER_CELLS // n_delta)
+    return [(i * n_delta, min(i + rows, n_phi) * n_delta) for i in range(0, n_phi, rows)]
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the full grid; singular cells are flagged, never fatal."""
     delta = spec.delta_axis.values()
@@ -376,27 +403,48 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         phi = np.array([0.0])
     n_phi, n_delta = len(phi), len(delta)
     family = FAMILIES[spec.family]
+    models = [_phase_constants(spec.phases, spec.phase_axis, float(value)) for value in phi]
+
+    def block_input(start: int, stop: int):
+        """Detunings and resolved phases of the flat cells [start, stop)."""
+        pieces = []
+        while start < stop:
+            i, j = divmod(start, n_delta)
+            d = delta[j : j + stop - start]
+            pieces.append((d, _resolved(models[i], family, d)))
+            start += len(d)
+        if len(pieces) == 1:
+            return pieces[0]
+        return (
+            np.concatenate([d for d, _ in pieces]),
+            {name: np.concatenate([p[name] for _, p in pieces]) for name in family.phases},
+        )
 
     def run_engine(engine: str):
         grids = {name: np.zeros((n_phi, n_delta)) for name in RATE_FIELDS}
         codes = np.zeros((n_phi, n_delta), dtype=np.uint8)
         singular = np.zeros((n_phi, n_delta), dtype=bool)
         if engine == "closed":
-            step, block_rates = n_delta, family.closed_rates
+            blocks = [(i * n_delta, (i + 1) * n_delta) for i in range(n_phi)]
+            block_rates = family.closed_rates
         else:
+            # A row is one run where its phases, and so k and q, do not move
+            # with the detuning, and otherwise one run per cell.
+            fixed = spec.phases.regime == MARKOVIAN or not family.phases
+            row_runs = 1 if fixed else n_delta
+            blocks = _solver_blocks(n_phi, n_delta, row_runs)
             # "both" writes the closed codes, so only "solver" screens.
-            step = SOLVER_BLOCK
             block_rates = partial(family.solver_rates, check_conditioning=spec.engine == "solver")
-        for i, value in enumerate(phi):
-            pm = _phase_constants(spec.phases, spec.phase_axis, float(value))
-            for start in range(0, n_delta, step):
-                block = slice(start, start + step)
-                d = delta[block]
-                rates, singular[i, block], codes[i, block] = block_rates(
-                    spec.gammas, d, _resolved(pm, family, d)
-                )
-                for name in RATE_FIELDS:
-                    grids[name][i, block] = rates[name]
+        # Each block is a range of the grids' row-major cells.
+        flat = {name: grid.reshape(-1) for name, grid in grids.items()}
+        for start, stop in blocks:
+            d, phases = block_input(start, stop)
+            block = slice(start, stop)
+            rates, singular.reshape(-1)[block], codes.reshape(-1)[block] = block_rates(
+                spec.gammas, d, phases
+            )
+            for name in RATE_FIELDS:
+                flat[name][block] = rates[name]
         _fill_singular(grids, codes, singular)
         return grids, codes
 

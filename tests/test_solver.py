@@ -280,6 +280,20 @@ def one_cell_x(cell: SystemConfig) -> bytes:
     return solver.solve_batch(replace(cell, delta=np.array([cell.delta]))).x[0].tobytes()
 
 
+@pytest.fixture
+def assembled(monkeypatch):
+    """Number of cells each `solver.assemble` call receives."""
+    cells: list[int] = []
+    original = solver.assemble
+
+    def recording(layout, cfg):
+        cells.append(np.size(cfg.delta))
+        return original(layout, cfg)
+
+    monkeypatch.setattr(solver, "assemble", recording)
+    return cells
+
+
 class TestBlockSolve:
     @pytest.mark.parametrize("builder", sorted(BUILDER_CASES))
     def test_block_is_bitwise_per_cell(self, builder):
@@ -331,11 +345,12 @@ class TestBlockSolve:
             assert amps.components() == {name: value[j] for name, value in items.items()}
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
-    def test_cell_bits_do_not_depend_on_the_block(self, route, monkeypatch):
+    def test_cell_bits_do_not_depend_on_the_block(self, route, assembled):
         """A cell's solution has the same bits alone, in a block where only
         the detuning varies (given as scalars or as arrays of one value),
-        which is assembled once, and in a block whose rates vary, which is
-        assembled per cell."""
+        which is one run and assembled once, and in a block whose rates
+        change at its last cell, which is two runs and assembled once per
+        run."""
         r = ROUTES[route]
         gammas = (0.5, 1.0, 1.5, 0.7)
         phases = {name: 0.4 + k for k, name in enumerate(r.phases)}
@@ -350,17 +365,9 @@ class TestBlockSolve:
                     np.append(delta, 0.3),
                     {name: np.append(p, 1.0) for name, p in full.items()},
                 ),
-                10,
+                2,
             ),
         }
-        assembled = []
-        original = solver.assemble
-
-        def recording(layout, cfg):
-            assembled.append(len(cfg.delta))
-            return original(layout, cfg)
-
-        monkeypatch.setattr(solver, "assemble", recording)
         solutions = {}
         for name, (block, stack) in blocks.items():
             assembled.clear()
@@ -370,6 +377,84 @@ class TestBlockSolve:
             alone = one_cell_x(r.config(gammas, d, phases))
             for name, x in solutions.items():
                 assert x[j].tobytes() == alone, (name, j)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_runs_of_four_one_and_five_cells(self, route, assembled, monkeypatch):
+        """Runs of 4, 1 and 5 cells: gamma1 changes after the fourth cell,
+        gamma3 and the phases after the fifth.  Each run is assembled once,
+        checked or not; every cell keeps its one-cell bits and flag, and the
+        condition screen sees the matrix the cell's own config assembles."""
+        r = ROUTES[route]
+        lengths = [4, 1, 5]
+        gammas = tuple(
+            np.repeat(values, lengths)
+            for values in ([0.5, 0.9, 0.9], [1.0] * 3, [1.5, 1.5, 0.2], [0.7] * 3)
+        )
+        delta = np.linspace(-3.0, 3.0, 10)
+        phases = {
+            name: np.repeat([0.4 + k, 0.4 + k, 2.1 + k], lengths) for k, name in enumerate(r.phases)
+        }
+        block = r.config(gammas, delta, phases)
+        unchecked = solver.solve_batch(block, check_conditioning=False)
+        assert assembled == [3]
+        screened = []
+        screen = solver._ill_conditioned
+
+        def recording(matrix):
+            screened.append(matrix)
+            return screen(matrix)
+
+        monkeypatch.setattr(solver, "_ill_conditioned", recording)
+        checked = solver.solve_batch(block)
+        assert assembled == [3, 3]
+        assert checked.x.tobytes() == unchecked.x.tobytes()
+        assert not checked.singular.any()
+        (stack,) = screened
+        for j in range(10):
+            cell = r.config(
+                tuple(float(g[j]) for g in gammas),
+                float(delta[j]),
+                {name: float(p[j]) for name, p in phases.items()},
+            )
+            alone = solver.solve_batch(replace(cell, delta=np.array([cell.delta])))
+            assert checked.x[j].tobytes() == alone.x[0].tobytes(), j
+            assert checked.ill_conditioned[j] == alone.ill_conditioned[0], j
+            own = solver.assemble(solver.build_layout(cell), cell)[0]
+            assert stack[j].tobytes() == own.tobytes(), j
+
+    def test_markovian_block_past_the_elision_size(self, assembled, monkeypatch):
+        """A Markovian 8 x 128 giant sweep is one solver block per direction:
+        1,024 cells in 8 runs, assembled once per run.  Its forward cells x
+        18 photon columns pass numpy's 16,384-operand temporary-elision
+        size, and every cell keeps its one-cell bits."""
+        axis = PhaseAxis(0.0, 2 * math.pi, 8, linkage=(("phi1_prime", 1.0), ("phi2_prime", -1.0)))
+        spec = SweepSpec(
+            "giant", (0.32, 1.0, 1.0, 1.0), PhaseModel(), Axis(-10.0, 10.0, 128), axis, "solver"
+        )
+        blocks = []
+        original = solver.solve_batch
+
+        def recording(cfg, **kwargs):
+            sol = original(cfg, **kwargs)
+            blocks.append((cfg, sol))
+            return sol
+
+        monkeypatch.setattr(solver, "solve_batch", recording)
+        run_sweep(spec)
+        monkeypatch.setattr(solver, "solve_batch", original)
+        assert [len(cfg.delta) for cfg, _ in blocks] == [1024, 1024]
+        assert assembled == [8, 8]
+        giant = FAMILIES["giant"]
+        forward_columns = len(blocks[0][1].layout.labels) - len(blocks[0][1].layout.atom_columns)
+        assert 1024 * forward_columns > 16384
+        delta = spec.delta_axis.values()
+        for (cfg, sol), route in zip(blocks, (giant.forward, giant.reverse)):
+            for j in range(1024):
+                i, d = divmod(j, 128)
+                phi = float(axis.values()[i])
+                phases = {"phi1_prime": phi, "phi2_prime": -phi}
+                cell = route.config(spec.gammas, float(delta[d]), phases)
+                assert sol.x[j].tobytes() == one_cell_x(cell), (cfg.port, j)
 
     @pytest.mark.parametrize("builder", sorted(BUILDER_CASES))
     def test_photon_block_is_block_diagonal_by_channel(self, builder):
@@ -606,6 +691,23 @@ class TestIllConditionedScreen:
         solver.solve(configs.giant((0.5, 1.0, 1.5, 0.7), 0.3, 0.4, 1.1))
         assert sum(cond_cells) == 0
 
+    @pytest.mark.parametrize("eps, flagged", [(5e-11, False), (5e-12, True)])
+    def test_gate_on_both_sides(self, eps, flagged):
+        """Giant cells at resonance eps below phi1' = pi: a condition number
+        of 3.4e11 is not flagged and one of 3.4e12 is, alone and as one run
+        of a block whose other run lies on the other side of the gate."""
+        cfg = configs.giant(FLAGGED_GAMMAS, np.zeros(1), math.pi - eps, 0.0)
+        matrix, _ = solver.assemble(solver.build_layout(cfg), cfg)
+        kappa = float(np.linalg.cond(matrix[0]))
+        low = 1e12 if flagged else 1e11
+        assert low < kappa < 10 * low
+        assert solver.solve_batch(cfg).ill_conditioned.tolist() == [flagged]
+        other = 5e-12 if eps == 5e-11 else 5e-11
+        phi1 = math.pi - np.array([eps, eps, other, other])
+        block = configs.giant(FLAGGED_GAMMAS, np.zeros(4), phi1, 0.0)
+        flags = solver.solve_batch(block).ill_conditioned.tolist()
+        assert flags == [flagged, flagged, not flagged, not flagged]
+
     def test_ill_conditioned_cells_still_reach_svd(self, cond_cells):
         # Phases 3, pi - 0.07, pi: the cells at pi and resonance are flagged.
         axis = PhaseAxis(3.0, math.pi, 3, linkage=(("phi1_prime", 1.0),))
@@ -651,9 +753,9 @@ class TestConditionScreenCallers:
     def test_solver_sweep_screens_each_block_and_direction(self, screen_calls):
         codes = run_sweep(flagged_spec("solver", SOLVER_BLOCK + 1)).codes
         assert codes.any()
-        # Three phase rows of two blocks (SOLVER_BLOCK cells and one cell),
-        # each solved forward and reverse.
-        assert screen_calls == [SOLVER_BLOCK, SOLVER_BLOCK, 1, 1] * 3
+        # The three Markovian phase rows are one block of three runs, which
+        # each direction screens SOLVER_BLOCK cells at a time.
+        assert screen_calls == ([SOLVER_BLOCK] * 3 + [3]) * 2
 
     def test_both_sweep_runs_no_screen(self, screen_calls):
         both = run_sweep(flagged_spec("both"))

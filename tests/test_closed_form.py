@@ -131,6 +131,19 @@ class TestSmallReverse:
         with pytest.raises(SingularityError):
             OVERLAP.reverse.amplitudes((0.0, 1.0, 0.0, 1.0), 0.0, {})
 
+    @pytest.mark.parametrize("gamma, singular", [(2.5e-14, False), (4.5e-15, True)])
+    def test_denominator_gate_on_both_sides(self, gamma, singular):
+        # At resonance den = gamma1 + gamma3: 5e-14 clears the 1e-14 floor
+        # and 9e-15 falls under it.
+        fields = cf.spectator_reverse_fields(gamma, gamma, 0.0)
+        assert bool(fields.singular) is singular
+        rates = (gamma, 1.0, gamma, 1.0)
+        if singular:
+            with pytest.raises(SingularityError):
+                OVERLAP.reverse.amplitudes(rates, 0.0, {})
+        else:
+            assert OVERLAP.reverse.amplitudes(rates, 0.0, {}).m_left == pytest.approx(-0.5)
+
 
 class TestGiantForward:
     def test_reduction_to_quadrupled_overlap(self):

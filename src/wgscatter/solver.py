@@ -38,11 +38,12 @@ rates.  A block of cells that share one layout is solved at once:
 `solve_batch` takes a configuration whose detuning, wavevectors k and q
 and each leg's gamma may be arrays over the block.  The cells must share
 one active-leg pattern (which legs have gamma > 0), since that fixes the
-layout.  It solves in atom space: the photons' unknowns are eliminated
-channel by channel, which leaves each cell an at most 2 x 2 system for the
-atoms' amplitudes, with the detuning on its diagonal alone.  Consecutive
-cells whose k, q and rates are equal form a run, such as a Markovian
-detuning row, and the photon elimination runs once per run.  `solve` is
+layout.  It solves in atom space: each channel's rows form one lower
+bidiagonal chain, so the photons' unknowns are eliminated by substitution,
+which leaves each cell an at most 2 x 2 system for the atoms' amplitudes,
+with the detuning on its diagonal alone.  Consecutive cells whose k, q and
+rates are equal form a run, such as a Markovian detuning row, and the
+photon elimination runs once per run.  `solve` is
 the block of one cell: it raises DegenerateConfigError where `solve_batch`
 marks that cell singular.  Every cell's matrix is bit-identical to the one
 its own configuration assembles, and its solution to the one its own
@@ -119,7 +120,7 @@ class ChannelLayout:
     atom's excited amplitude.  It maps to None an amplitude that is 0 by
     construction: a port with no channel or beyond the wall, and the
     amplitudes of a q channel or an atom with no active leg, which get no
-    columns.
+    columns.  ``chain`` holds the photon block's substitution steps.
     """
 
     channels: tuple[Channel, ...]
@@ -128,6 +129,7 @@ class ChannelLayout:
     offsets: Mapping[str, int]
     atom_columns: Mapping[int, int]
     components: Mapping[str, int | None]
+    chain: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def right(self, channel: str, r: int) -> int:
         """Column of the right mover of ``channel``'s region ``r``."""
@@ -223,8 +225,25 @@ def build_layout(cfg: SystemConfig) -> ChannelLayout:
     excited = [atom_columns.get(atom) for atom in range(len(cfg.atoms))]
     return ChannelLayout(
         channels, breakpoints, tuple(labels), offsets, atom_columns,
-        named_components(ports, interior, excited),
+        named_components(ports, interior, excited), _chain(channels, offsets),
     )
+
+
+def _chain(channels: tuple[Channel, ...], offsets: Mapping[str, int]) -> tuple:
+    """(row, pivot column, prior column) arrays of the substitution steps,
+    (steps, channels), in `assemble`'s row order: row 0 fixes R_0, jump row
+    2j + 2 fixes R_{j+1} from R_j, row 1 fixes L_last from R_last (whose
+    entry is 0 on an open channel), jump row 2j + 3 fixes L_j from L_{j+1}.
+    A shorter chain repeats its first step in front, where L_0 is still 0."""
+    steps = []
+    for ch in channels:
+        o, last = offsets[ch.name], ch.n_regions - 1
+        right = [(o + 2 + 2 * j, o + 2 * j + 2, o + 2 * j) for j in range(last)]
+        left = [(o + 3 + 2 * j, o + 2 * j + 1, o + 2 * j + 3) for j in reversed(range(last))]
+        steps.append([(o, o, o + 1)] + right + [(o + 1, o + 2 * last + 1, o + 2 * last)] + left)
+    longest = max(len(chain) for chain in steps)
+    padded = [chain[:1] * (longest - len(chain)) + chain for chain in steps]
+    return tuple(np.array(padded).transpose(2, 1, 0))
 
 
 def _active(gamma) -> bool:
@@ -244,9 +263,11 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig) -> tuple[np.ndarray, np.n
     terminated channel, one row per atomic amplitude, and the boundary rows
     fixing the incoming coefficient of every channel end: 1 at the entry
     port (M_k's right mover at its left end for port 1, N_k's left mover at
-    its right end for port 4) and 0 elsewhere.  A k channel's plane waves
-    take kappa = ``cfg.k`` and the q channel's ``cfg.q``, as given; each
-    atom's diagonal entry is ``cfg.delta``.
+    its right end for port 4) and 0 elsewhere.  Each channel's rows fill
+    its columns' span in the order `_chain` reads: the left boundary row,
+    the far boundary or mirror row, then each breakpoint's two jump rows.
+    A k channel's plane waves take kappa = ``cfg.k`` and the q channel's
+    ``cfg.q``, as given; each atom's diagonal entry is ``cfg.delta``.
 
     ``delta`` may be an array of cells, with which ``k``, ``q`` and the
     layout's legs' rates broadcast; the matrix then has shape
@@ -340,10 +361,10 @@ def solve(cfg: SystemConfig) -> ScatterAmplitudes:
 
     The configuration is solved as a `solve_batch` block of one cell.
     Raises DegenerateConfigError where that block marks the cell singular:
-    a channel block or the atoms' system is exactly singular, or the
-    solution is not finite (as where the atoms' system has a subnormal
-    pivot).  An ill-conditioned (but solvable) system is returned with an
-    ``"ill_conditioned"`` flag attached.
+    the atoms' system is exactly singular, or the solution is not finite
+    (as where the atoms' system has a subnormal pivot).  An ill-conditioned
+    (but solvable) system is returned with an ``"ill_conditioned"`` flag
+    attached.
     """
     cell = replace(cfg, delta=np.array([cfg.delta]))
     sol = solve_batch(cell)
@@ -369,23 +390,25 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
     each run shares its matrix at delta = 0.  The photons are eliminated
     once per run:
 
-    1. Y = A_pp^-1 [A_pa | b_p], one solve per channel: A_pp is free
-       propagation (the boundary, mirror and jump rows) and has no entry
-       outside the channels' diagonal blocks;
+    1. Y = A_pp^-1 [A_pa | b_p] by substitution (`_substitute`): A_pp is
+       free propagation (the boundary, mirror and jump rows), and each
+       channel's block, taken in its chain's order, is lower bidiagonal
+       with pivots of modulus 1, so it is never singular;
     2. S = A_aa + delta I - A_ap Y[:, :-1], the atoms' Schur complement (at
        most 2 x 2), and S u = b_a - A_ap Y[:, -1], per cell on its run's
        values;
-    3. x_p = Y[:, -1] - Y[:, :-1] u, per cell.
+    3. x_p = Y[:, -1] - sum_a Y[:, a] u_a, per cell.
 
     `assemble` runs once, on a config at delta = 0 with one cell per run,
-    and step 1 and A_ap Y run stacked over the runs; where every cell is a
-    run, nothing is gathered.  Every cell goes through the same operations
-    on the same values, so its solution is bit-identical to that of its
-    own one-cell block, whatever the block around it.
+    and step 1 and A_ap Y run stacked over the runs; S, its right-hand side
+    and Y are then taken to the cells, except where every cell is a run.
+    Every cell goes through the same operations on the same values, so its
+    solution is bit-identical to that of its own one-cell block, whatever
+    the block around it.
 
-    A cell is singular, with a zero row, when a channel block or its S is
-    exactly singular (the stacked solve then falls back to solving the
-    matrices one by one) or when its solution is not finite.
+    A cell is singular, with a zero row, when its S is exactly singular
+    (the stacked solve then falls back to solving the matrices one by one)
+    or when its solution is not finite.
     ``ill_conditioned`` flags the cells whose full matrix has a 2-norm
     condition number above `ILL_CONDITIONED`; the matrices are its run's
     with the cell's detuning on the atoms' diagonal, SOLVER_BLOCK cells at
@@ -411,15 +434,8 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
     matrix, b = assemble(layout, at_zero)
     n_a = len(layout.atom_columns)
     n_p = len(b) - n_a
-    a_pp, a_pa = matrix[:, :n_p, :n_p], matrix[:, :n_p, n_p:]
     a_ap, a_aa = matrix[:, n_p:, :n_p], matrix[:, n_p:, n_p:]
-    # Step 1.  `assemble` writes each channel's rows in its columns' span.
-    y = np.concatenate([a_pa, np.broadcast_to(b[:n_p, None], a_pa.shape[:-1] + (1,))], axis=-1)
-    singular = np.zeros(runs, dtype=bool)
-    for ch in layout.channels:
-        rows = slice(layout.offsets[ch.name], layout.offsets[ch.name] + 2 * ch.n_regions)
-        y[:, rows], failed = _solve_cells(a_pp[:, rows, rows], y[:, rows])
-        singular |= failed
+    y = _substitute(layout, matrix, b)
     # Steps 2 and 3.  A u or x_p that is not finite (as where S has a
     # subnormal pivot) marks its cell singular below.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -433,15 +449,43 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
         # a 1-D one means a vector only from numpy 2.0 on.
         rhs = b[n_p:, None] - a_ap_y[..., -1:]
         if gather:
-            s, rhs, y, singular = s[run], rhs[run], y[run], singular[run]
+            s, rhs, y = s.take(run, 0), rhs.take(run, 0), y.take(run, 0)
         diagonal = np.arange(n_a)
         s[:, diagonal, diagonal] += np.asarray(cfg.delta)[:, None]
-        u, failed = _solve_cells(s, rhs)
-        x = np.concatenate([y[..., -1:] - y[..., :-1] @ u, u], axis=1)[..., 0]
-    singular = singular | failed | ~np.isfinite(x).all(axis=-1)
+        u, singular = _solve_cells(s, rhs)
+        # x_p = Y[:, -1] - sum_a Y[:, a] u_a, each product in place in Y, so
+        # no numpy temporary can swap its operands.
+        x_p = y[..., -1]
+        for atom in range(n_a):
+            term = y[..., atom]
+            term *= u[:, atom]
+            x_p -= term
+        x = np.concatenate([x_p, u[..., 0]], axis=1)
+    singular |= ~np.isfinite(x).all(axis=-1)
     x[singular] = 0.0
     ill_conditioned = _screen(matrix, run, cfg.delta, n_p) if check_conditioning else None
     return BlockSolution(singular, ill_conditioned, x, layout)
+
+
+def _substitute(layout: ChannelLayout, matrix: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Step 1 of `solve_batch`: Y = A_pp^-1 [A_pa | b_p] for a stack of
+    matrices, by substitution along each channel's chain (`_chain`), all
+    channels at once: x_s = (r_s - A[row, prior] x_prior) / A[row, pivot].
+    It reads only entries of ``matrix`` and uses only *, - and /."""
+    rows, pivots, priors = layout.chain
+    n_p = len(b) - len(layout.atom_columns)
+    a_pa = matrix[:, :n_p, n_p:]
+    r = np.concatenate([a_pa, np.broadcast_to(b[:n_p, None], a_pa.shape[:-1] + (1,))], -1)[:, rows]
+    lower, pivot = matrix[:, rows, priors, None], matrix[:, rows, pivots, None]
+    y = np.zeros((len(matrix), n_p, r.shape[-1]), dtype=matrix.dtype)
+    for step in range(len(rows)):
+        # In place, so that no numpy temporary can swap a product's operands.
+        term = y[:, priors[step]]
+        term *= lower[:, step]
+        np.subtract(r[:, step], term, out=term)
+        term /= pivot[:, step]
+        y[:, pivots[step]] = term
+    return y
 
 
 def _run_starts(cfg: SystemConfig) -> np.ndarray:
@@ -483,9 +527,9 @@ def _screen(matrix: np.ndarray, run: np.ndarray, delta, n_p: int) -> np.ndarray:
 
 
 def _solve_cells(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.solve`` of a stack of matrices, and which are exactly
-    singular.  If any is, the stack is solved again matrix by matrix, and
-    each singular one gets a zero solution."""
+    """``np.linalg.solve`` of a stack of the atoms' systems S u = r, and
+    which are exactly singular.  If any is, the stack is solved again
+    matrix by matrix, and each singular one gets a zero solution."""
     singular = np.zeros(len(a), dtype=bool)
     try:
         return np.linalg.solve(a, b), singular

@@ -265,6 +265,37 @@ BUILDER_CASES = {
 }
 
 
+#: Layouts beyond the builders': a wall past two coupling points, so that
+#: M_k's chain is shorter than N_k's, and a lambda atom whose s-e leg sits
+#: at a point of its own on the N_q channel, with incidence at port 4.
+CHAIN_CASES = {
+    "wall": SystemConfig(
+        atoms=("two_level", "two_level"),
+        legs=(
+            CouplingLeg(0, "M", "ge", 0.0, 0.8),
+            CouplingLeg(1, "M", "ge", 0.5, 1.1),
+            CouplingLeg(1, "N", "ge", 1.0, 0.6),
+        ),
+        port=1,
+        delta=0.3,
+        k=2.3,
+        wall=1.5,
+    ),
+    "lambda": SystemConfig(
+        atoms=("lambda", "two_level"),
+        legs=(
+            CouplingLeg(0, "M", "ge", 0.0, 1.2),
+            CouplingLeg(0, "N", "se", 0.5, 0.9),
+            CouplingLeg(1, "N", "ge", 1.0, 0.4),
+        ),
+        port=4,
+        delta=-0.2,
+        k=1.7,
+        q=1.3,
+    ),
+}
+
+
 def cell_bits(items, j: int) -> bytes:
     """The bits of cell ``j`` of a block's component map, in its order."""
     return np.array([value[j] for value in items.values()]).tobytes()
@@ -456,21 +487,55 @@ class TestBlockSolve:
                 cell = route.config(spec.gammas, float(delta[d]), phases)
                 assert sol.x[j].tobytes() == one_cell_x(cell), (cfg.port, j)
 
-    @pytest.mark.parametrize("builder", sorted(BUILDER_CASES))
-    def test_photon_block_is_block_diagonal_by_channel(self, builder):
+    @pytest.mark.parametrize("case", sorted(BUILDER_CASES) + sorted(CHAIN_CASES))
+    def test_photon_block_is_block_diagonal_by_channel(self, case):
         """The atom-space solve eliminates each channel on its own: the
-        photon rows of a channel have no entry outside its own columns."""
-        rates, phases = BUILDER_CASES[builder]
-        cfg = getattr(configs, builder)(*rates, 0.3, *phases)
+        photon rows of a channel have no entry outside its own columns, and
+        its block, permuted into the order of its chain, is lower bidiagonal
+        with pivots of modulus 1, each step's prior being the step before's
+        pivot.  A shorter chain is padded in front with its first step."""
+        if case in CHAIN_CASES:
+            cfg = CHAIN_CASES[case]
+        else:
+            rates, phases = BUILDER_CASES[case]
+            cfg = getattr(configs, case)(*rates, 0.3, *phases)
         layout = solver.build_layout(cfg)
         matrix, _ = solver.assemble(layout, cfg)
         n_p = len(layout.labels) - len(layout.atom_columns)
         inside = np.zeros((n_p, n_p), dtype=bool)
-        for ch in layout.channels:
-            span = slice(layout.offsets[ch.name], layout.offsets[ch.name] + 2 * ch.n_regions)
-            inside[span, span] = True
+        rows, pivots, priors = layout.chain
+        assert rows.shape == (2 * max(ch.n_regions for ch in layout.channels), len(layout.channels))
+        for c, ch in enumerate(layout.channels):
+            span = list(range(layout.offsets[ch.name], layout.offsets[ch.name] + 2 * ch.n_regions))
+            inside[np.ix_(span, span)] = True
+            steps = list(zip(rows[:, c].tolist(), pivots[:, c].tolist(), priors[:, c].tolist()))
+            pad = len(steps) - len(span)
+            assert steps[: pad + 1] == [steps[pad]] * (pad + 1), ch.name
+            chain = steps[pad:]
+            order = [pivot for _, pivot, _ in chain]
+            assert sorted(row for row, _, _ in chain) == sorted(order) == span, ch.name
+            assert [prior for _, _, prior in chain[1:]] == order[:-1], ch.name
+            assert matrix[chain[0][0], chain[0][2]] == 0, ch.name
+            block = matrix[np.ix_([row for row, _, _ in chain], order)]
+            assert not np.triu(block, 1).any() and not np.tril(block, -2).any(), ch.name
+            assert np.abs(np.abs(np.diag(block)) - 1.0).max() <= 1e-15, ch.name
         assert not matrix[:n_p, :n_p][~inside].any()
-        assert matrix[:n_p, :n_p][inside].any()
+
+    @given(small_layouts())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_substitution_matches_a_dense_solve(self, kwargs):
+        """Step 1's Y = A_pp^-1 [A_pa | b_p] by substitution agrees with
+        LAPACK's dense solve of the photon block to 1e-13, relative."""
+        try:
+            cfg = SystemConfig(**kwargs)
+        except ConfigError:
+            return
+        layout = solver.build_layout(cfg)
+        matrix, b = solver.assemble(layout, cfg)
+        n_p = len(b) - len(layout.atom_columns)
+        y = solver._substitute(layout, matrix[None], b)[0]
+        want = np.linalg.solve(matrix[:n_p, :n_p], np.column_stack([matrix[:n_p, n_p:], b[:n_p]]))
+        assert np.abs(y - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_condition_check_can_be_skipped(self):
         block = configs.giant((0.5, 1.0, 1.5, 0.7), np.linspace(-1.0, 1.0, 5), 0.4, 1.1)

@@ -980,7 +980,7 @@ def giant_at_pi_config():
             giant_at_pi_config(),
             "solver",
             "ill_conditioned",
-            "a703e4a12d96b320aad8606ad6740a436c2f1635d8da6aae69716f8698bde3d3",
+            "0e788b91cbbeeb721b7923c5df726283406c7bb1607b65cb380b8f6a6001fd10",
             id="giant_at_pi-solver",
         ),
     ],
@@ -996,12 +996,13 @@ def test_flagged_spectrum_matches_golden_digest(tmp_path, doc, engine, flag, dig
 #: `spectrum` output of `giant_at_pi_config` with 2 * SOLVER_BLOCK + 37
 #: detunings, taken before the condition check screened cells with a bound
 #: (the solver entry re-pinned when the solver began taking the requested
-#: phases as k and q, and both when it began solving in atom space): each
+#: phases as k and q, and both when it began solving in atom space and
+#: again when it began eliminating the photons by substitution): each
 #: phase row spans three solver blocks, and the flagged cells at resonance
 #: sit in the middle one.
 MULTI_BLOCK_DIGESTS = {
-    "both": ("eta_undefined", "129c777f9651510263d5981185a39b75af41e45981bb777eef99dcf66d0bc06a"),
-    "solver": ("ill_conditioned", "641f523005c8ba02587b15ef3ec80ae706b7befc2303e7c284f0cf7951de8d87"),
+    "both": ("eta_undefined", "a0f2a83f813fcf27294e69ed8d38c267f1cefec9d702fdd43c520d8fd4e3855a"),
+    "solver": ("ill_conditioned", "be9a2c19f0e249596579a7c4d5d5ebca4a4c5cec4cc49e2eefd43093615c1731"),
 }
 
 
@@ -1032,24 +1033,25 @@ FAMILY_LINKAGE = {
 #: solver-backed engine, taken before the family table replaced the
 #: per-family dispatch.  The two giant solver entries were re-pinned when the
 #: solver began taking the requested phases as k and q, and every entry
-#: whose bytes moved when it began solving in atom space.
+#: whose bytes moved when it began solving in atom space and when it began
+#: eliminating the photons by substitution.
 ENGINE_DIGESTS = {
     ("small_overlap", "markovian", "solver"): "659c4ebcc48092a0ba78340d3e9a741165debbae40226bc7f0864e677a4dc20f",
     ("small_overlap", "markovian", "both"): "6f75dc77a1b5e432671ba24834a645de44d73a316b176a5a0f0087fcdf872d2a",
     ("small_overlap", "non_markovian", "solver"): "7ac82c09949c520259dff6ab8d8ee9d377452bfccb295033000acf357a261cf7",
     ("small_overlap", "non_markovian", "both"): "360e49bd958efafe98359e021742a6075e40891408b5076c3b766d8196e1d9c5",
-    ("small_separated", "markovian", "solver"): "276992c1a87befc457ef6b4e9e83cb0b97e7fcfb9d1f59d201fb7cb6faa979a3",
-    ("small_separated", "markovian", "both"): "05491e5c353b0b81e06e452a7addf0b47053eca1d0af99d674e4757687585eb6",
-    ("small_separated", "non_markovian", "solver"): "a9b347657ce688fc51f156d1020d467c92ea28ba6e1527cfb247a3d8de8a67e2",
-    ("small_separated", "non_markovian", "both"): "521c9470653fd8048dffe08f897b01050af9912cbe6d199beeb7a169f4615941",
-    ("giant", "markovian", "solver"): "ecba92441764077fdabb8b028d51450878a816405a940cacd171c9cb58820a60",
-    ("giant", "markovian", "both"): "a81178f17dca70bb03201443aaf2d37d8628d5f9be8bbecd52bd860de804df98",
-    ("giant", "non_markovian", "solver"): "21633bf4504e43c200e77996b6633ef6cd0c645f91b8d2be60bd95c5c4643378",
-    ("giant", "non_markovian", "both"): "d61f5a7fac05786c0b0a1d9c7eda7a696649a02abb7106c1f6cc6bbe68795987",
-    ("semi_infinite", "markovian", "solver"): "754e76c7463c2de8ed3290dcf6cd02e0488a8aee21c77624a145a2f444e6d6b1",
-    ("semi_infinite", "markovian", "both"): "e918aa61075c827211524c866cc0cd04846c7a4744876013a5ad61b709c72e8c",
-    ("semi_infinite", "non_markovian", "solver"): "0a9e6a1c47b5755afac154f517d8a0fc145cd8f9c4c03480689718ce1af06c2f",
-    ("semi_infinite", "non_markovian", "both"): "22f7dd80a195c05e3675f41292dc1cd3420a9093c9f756a4806df16cee3a15a9",
+    ("small_separated", "markovian", "solver"): "76d711a391937b83350eb1ecdad84f7805a07a26b75af0390f3ee5edcd31c0a8",
+    ("small_separated", "markovian", "both"): "89f8518ba9a2c8c474f56615719ce94bb4cd998c9cd557531b596987676b899d",
+    ("small_separated", "non_markovian", "solver"): "61bc54679343294727e6cc848b5cd67f26ea0c3d3371071b7c47121e00fc1af0",
+    ("small_separated", "non_markovian", "both"): "479d0544acc085e6d9a1b42d6624690570dd588ded812da927ada5ebe984accb",
+    ("giant", "markovian", "solver"): "d38a10c58f1e066b90df580919bf45c0b8af1eca06a3e0b06aee8592f2853b96",
+    ("giant", "markovian", "both"): "ed7a9027638a8c2a52d0d38dbd278262d8a4069ac0d0f05ec2316a12cd5a79fe",
+    ("giant", "non_markovian", "solver"): "5da67e421f1ec571c31be52369229b9d53abf84bbd4c86ac391554c25348d667",
+    ("giant", "non_markovian", "both"): "fbdbb900165c8f4d356bbdfb4a66deff58b3e5ce0c83e8063537e6c8c8f9e239",
+    ("semi_infinite", "markovian", "solver"): "de1da5de6511492f68a0aae8593ba5e38a5f7af09ce744685def28da9e719d3f",
+    ("semi_infinite", "markovian", "both"): "aeb874cb2f6b895b9b8190777e882c6e46d84087a22469535bc1dd5fe6fd347d",
+    ("semi_infinite", "non_markovian", "solver"): "86035a042ea264f1ce2d732c70e6b2ef6bd718f2c370cba776f78f1363be4313",
+    ("semi_infinite", "non_markovian", "both"): "0bfee48a1523fd7b55492f3497443fea95b3fb9f92098d485c5b1adcb188ba79",
 }
 
 
@@ -1119,16 +1121,17 @@ class TestOutputFileReplaced:
 #: `spectrum --engine both --json` output of `family_config` for every family
 #: and regime, taken before flags were stored as one code per cell; the
 #: entries whose `max_engine_discrepancy` moved were re-pinned when the
-#: solver began solving in atom space.
+#: solver began solving in atom space and when it began eliminating the
+#: photons by substitution.
 JSON_DIGESTS = {
-    ("giant", "markovian"): "5575d61cf7416e7fb7504b8dc65d9b6b07027502da5e5a651fd632e3bf91547d",
-    ("giant", "non_markovian"): "2ef8c4135fc5b9d427dea01ae3e6fdbbcc7f06b507ebbf794b661cdb8b3f243f",
-    ("semi_infinite", "markovian"): "cb7930bec37a2a3593b46c27973ec4f181c11663fd56643804f548f365fb2683",
-    ("semi_infinite", "non_markovian"): "e044f595e16b432b843b3978ba214e3ed1fcf8aa9ecf4994c737004455ee2220",
+    ("giant", "markovian"): "83a9387e89266e761fb1f30f26e03e1b0bef812cdf120991afcaae461d304c6b",
+    ("giant", "non_markovian"): "1af95a50a8cfc25729f998a2eaf180d9bc234f8f2661b95ec3a504ac638b324a",
+    ("semi_infinite", "markovian"): "8158101766078c7191e5f1f33b487e162c50db9ee5e68e4d233c6debd04c891b",
+    ("semi_infinite", "non_markovian"): "b43f552711167b83bf91c2c80cba1335f0835fc19750a6cde20628922e96dcbe",
     ("small_overlap", "markovian"): "172e07f378d23cadf33e9cb77063a1faaedfe58859a17e27136db6d86e024b17",
     ("small_overlap", "non_markovian"): "35fbb8b1837c9447528939f548faa344023416867d48e828328313fb17bb2a28",
-    ("small_separated", "markovian"): "0aa8fc8bba4e6c155383156e9bea4c0302cf15f2fcfef0b68b65b180649b8bfb",
-    ("small_separated", "non_markovian"): "09894ed347be06bed2325775d4a075615aa12f16d57c3e302b0d01d09e1113ee",
+    ("small_separated", "markovian"): "8bc8d1416727a702c07123d5d69d71ef12db65f57933a56319ec8a84af6199fd",
+    ("small_separated", "non_markovian"): "5428654daf4509fb25d29630d73552e91ea9fef21f6a0166f7ce65a5c19e4ed0",
 }
 
 
@@ -1159,7 +1162,7 @@ def test_family_json_matches_golden_digest(tmp_path, family, regime):
             giant_at_pi_config(),
             "solver",
             "ill_conditioned",
-            "6838ed6230ffab32c15d0ddb296a6b25bba4cb48eb352279cdad64e6cd29fd16",
+            "7e7a0ac03a0acb000533ccc3216f7079871bc7fce55ee8d63eb3958b012e4020",
             id="giant_at_pi-solver",
         ),
     ],
@@ -1232,24 +1235,24 @@ SEARCH_CASES = {
 #: golden-section refinement evaluated every probe afresh.  The two
 #: conversion cases were re-pinned when the solver began taking the requested
 #: phases as k and q, and conversion_1d, isolation_2d and singular_edge when
-#: it began solving in atom space: only their `solver_discrepancy` lines
-#: moved.
+#: it began solving in atom space and again when it began eliminating the
+#: photons by substitution: only their `solver_discrepancy` lines moved.
 SEARCH_DIGESTS = {
     "conversion_1d": (
-        "de5cec2c3d3232a156f8ee0769d4c6da8a42d4410fdddb61a0928f894d118d3b",
-        "6e770b49c96880df1d803c8366feedd5b12dd766780f6616b8239132d39913f9",
+        "34a576a4fbd6de35b5d7d1b6dc124db8d3afab32ae6f2bbb4ffc5b6be61b7971",
+        "132cdc289d195674f54c41fd01fbac30a6e774ff5d26d0e24d0025f94a901c48",
     ),
     "conversion_3d": (
         "7da7beaa4913ac423b06b049f639ad4b9920375d6d0e9900d803c9591fd48860",
         "385071aecfb692edf296d529f7d19a279973d12afcf89f5319879870dba17dfc",
     ),
     "isolation_2d": (
-        "db704d56d79399d2609f09de002b45378ae1e6324b1acee7e9415e17d85f51f7",
-        "b3aab1a15d980d9d95c8aaaa9536242b4b671acd3b1618dd35fc241b6625c253",
+        "07f234d0a36fb09c112c18bb341455c68fcee39cc13182bd6a7d7883873f0946",
+        "9397a1e541a7d6fd7bd4b4557524555c9f7c8fd3a295bf5f958dd52a75a26325",
     ),
     "singular_edge": (
-        "3724eb1a416e2525dbc2e418b58196c634616cf1f1a119ab887d990e3fbd26fc",
-        "fc6afb0a75a13c52e912ed6a519b42fb2df29574b6aca00a9d5d3a0e0964773a",
+        "48f7ed273f40b58d793ddd1bc86176bc03ec1d5b1c06561ef6d915d7e65c8630",
+        "38dad4359c369c2a60a685c3f6607a1772262de3cf2dc509ae976a254f76b3ed",
     ),
 }
 

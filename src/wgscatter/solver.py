@@ -43,14 +43,14 @@ bidiagonal chain, so the photons' unknowns are eliminated by substitution,
 which leaves each cell an at most 2 x 2 system for the atoms' amplitudes,
 with the detuning on its diagonal alone.  Consecutive cells whose k, q and
 rates are equal form a run, such as a Markovian detuning row, and the
-photon elimination runs once per run.  `solve` is
-the block of one cell: it raises DegenerateConfigError where `solve_batch`
-marks that cell singular.  Every cell's matrix is bit-identical to the one
-its own configuration assembles, and its solution to the one its own
-one-cell block gives, whatever the block around it; so is its
-``ill_conditioned`` flag: one stacked Frobenius condition number bounds
-every cell's 2-norm one from above, and the exact SVD runs only on the
-cells that bound cannot clear (see `_ill_conditioned`).
+photon elimination runs once per run.  `solve` is the block of one cell:
+it raises DegenerateConfigError where `solve_batch` marks that cell
+singular.  Every cell's matrix is bit-identical to the one its own
+configuration assembles, and its solution to the one its own one-cell
+block gives, whatever the block around it; so is its ``ill_conditioned``
+flag: one stacked Frobenius condition number bounds every cell's 2-norm
+one from above, and the exact SVD runs only on the cells that bound
+cannot clear (see `_ill_conditioned`).
 """
 
 from __future__ import annotations
@@ -231,10 +231,11 @@ def build_layout(cfg: SystemConfig) -> ChannelLayout:
 
 def _chain(channels: tuple[Channel, ...], offsets: Mapping[str, int]) -> tuple:
     """(row, pivot column, prior column) arrays of the substitution steps,
-    (steps, channels), in `assemble`'s row order: row 0 fixes R_0, jump row
-    2j + 2 fixes R_{j+1} from R_j, row 1 fixes L_last from R_last (whose
-    entry is 0 on an open channel), jump row 2j + 3 fixes L_j from L_{j+1}.
-    A shorter chain repeats its first step in front, where L_0 is still 0."""
+    (steps, channels).  From each channel's offset, in `assemble`'s order:
+    row 0 fixes R_0, jump row 2j + 2 fixes R_{j+1} from R_j, row 1 fixes
+    L_last from R_last (whose entry is 0 on an open channel), and jump row
+    2j + 3 fixes L_j from L_{j+1}.  A shorter chain repeats its first step
+    in front, where its prior L_0 is still 0."""
     steps = []
     for ch in channels:
         o, last = offsets[ch.name], ch.n_regions - 1

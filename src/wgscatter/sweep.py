@@ -73,8 +73,8 @@ RATE_FIELDS = ("T_Ng", "T_Ns", "T_M_rev", "R_M", "T2", "eta", "residual")
 #: Cells per solver block, which holds at most SOLVER_BLOCK runs (see
 #: `solver.solve_batch`).  For the giant layout's 20 x 20 system a block's
 #: solves take about 8.5 KB per run (its matrix at delta = 0 and the photon
-#: elimination) and 1.6 KB per cell, both directions included, so a block of
-#: 1024 Markovian cells peaks near 1.6 MB and one of 128 non-Markovian
+#: elimination) and 1.3 KB per cell, both directions included, so a block of
+#: 1024 Markovian cells peaks near 1.3 MB and one of 128 non-Markovian
 #: cells, each a run, near 1.3 MB.  The condition screen adds about 2 MB.
 SOLVER_CELLS = 1024
 

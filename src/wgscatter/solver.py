@@ -43,7 +43,10 @@ bidiagonal chain, so the photons' unknowns are eliminated by substitution,
 which leaves each cell an at most 2 x 2 system for the atoms' amplitudes,
 with the detuning on its diagonal alone.  Consecutive cells whose k, q and
 rates are equal form a run, such as a Markovian detuning row, and the
-photon elimination runs once per run.  `solve` is the block of one cell:
+photon elimination runs once per run.  A call checks its config, finds
+its runs and builds its layout once, then assembles, solves and screens
+its runs in pieces of SOLVER_BLOCK, so it holds one piece's matrices at a
+time, whatever the block's length.  `solve` is the block of one cell:
 it raises DegenerateConfigError where `solve_batch` marks that cell
 singular.  Every cell's matrix is bit-identical to the one its own
 configuration assembles, and its solution to the one its own one-cell
@@ -68,7 +71,6 @@ from .core import (
     SE,
     WAVEGUIDE_M,
     WAVEGUIDE_N,
-    CouplingLeg,
     DegenerateConfigError,
     ScatterAmplitudes,
     SystemConfig,
@@ -82,10 +84,13 @@ ILL_CONDITIONED = 1e12
 #: not ill-conditioned; the bound and the SVD each err by about n*u*kappa
 #: relative, so 100x under the gate leaves no cell the exact check would flag.
 _SCREEN = ILL_CONDITIONED * 1e-2
-#: Cells per stack of the condition screen, which holds each cell's full
-#: matrix, its inverse and their work arrays: about 16 KB per cell for the
-#: giant layout's 20 x 20 system.  `sweep.run_sweep` also puts at most this
-#: many runs, each solved on its own matrix, in one block.
+#: Runs per piece of a `solve_batch` block, and cells per stack of the
+#: condition screen.  A piece's runs are assembled at delta = 0 and solved
+#: before the next piece's: for the giant layout's 20 x 20 system that is
+#: a dense 6.4 KB matrix per run, held for one piece at a time, so a block
+#: of any length holds at most 0.8 MB of them.  The screen holds each
+#: cell's full matrix, its inverse and their work arrays, about 16 KB per
+#: cell, for this many cells at a time.
 SOLVER_BLOCK = 128
 
 
@@ -95,7 +100,7 @@ class Channel:
 
     name: str
     kind: str  # "k" or "q"
-    legs: tuple[CouplingLeg, ...]  # the channel's active legs
+    legs: tuple[int, ...]  # indices of its active legs in the config's legs
     terminated: bool
     n_regions: int
 
@@ -177,14 +182,15 @@ def build_layout(cfg: SystemConfig) -> ChannelLayout:
     exactly zero by inspection.  A leg with an array rate must be active in
     every cell of the block or in none.
     """
-    active = [l for l in cfg.legs if _active(l.gamma)]
+    active = [i for i, l in enumerate(cfg.legs) if _active(l.gamma)]
     positions = sorted({l.position for l in cfg.legs})
     if cfg.wall is not None:
         positions.append(cfg.wall)
     breakpoints = tuple(positions)
 
-    def legs(waveguide: str, transition: str) -> tuple[CouplingLeg, ...]:
-        return tuple(l for l in active if (l.waveguide, l.transition) == (waveguide, transition))
+    def legs(waveguide: str, transition: str) -> tuple[int, ...]:
+        pair = (waveguide, transition)
+        return tuple(i for i in active if (cfg.legs[i].waveguide, cfg.legs[i].transition) == pair)
 
     # Both k channels, and guide N's q channel where there is an s-e leg
     # (`SystemConfig` allows s-e legs on guide N only).  Region `outer` is
@@ -206,7 +212,7 @@ def build_layout(cfg: SystemConfig) -> ChannelLayout:
         offsets[ch.name] = len(labels)
         labels += [f"{ch.name}:{r}:{mover}" for r in range(ch.n_regions) for mover in "RL"]
     atom_columns = {}
-    for atom in sorted({l.atom for l in active}):
+    for atom in sorted({cfg.legs[i].atom for i in active}):
         atom_columns[atom] = len(labels)
         labels.append(f"u_e{atom + 1}")
 
@@ -270,8 +276,10 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig) -> tuple[np.ndarray, np.n
     A k channel's plane waves take kappa = ``cfg.k`` and the q channel's
     ``cfg.q``, as given; each atom's diagonal entry is ``cfg.delta``.
 
-    ``delta`` may be an array of cells, with which ``k``, ``q`` and the
-    layout's legs' rates broadcast; the matrix then has shape
+    Each coupling is that of ``cfg``'s own leg, the one the layout's
+    channel names by index, so a layout built for a whole block serves
+    each piece of it.  ``delta`` may be an array of cells, with which
+    ``k``, ``q`` and the legs' rates broadcast; the matrix then has shape
     ``(*cells, n, n)`` and the right-hand side, shape ``(n,)``, is shared.
     The detuning enters nowhere but the atoms' diagonal, which
     `solve_batch` relies on to assemble each run at delta = 0 and to screen
@@ -322,7 +330,8 @@ def assemble(layout: ChannelLayout, cfg: SystemConfig) -> tuple[np.ndarray, np.n
             matrix[row, right] = 1j * phase
             matrix[row + 1, left + 2] = 1j / phase
             matrix[row + 1, left] = -1j / phase
-            for leg in ch.legs:
+            for index in ch.legs:
+                leg = cfg.legs[index]
                 if leg.position != x_c:
                     continue
                 u = layout.atom_columns[leg.atom]
@@ -400,22 +409,30 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
        values;
     3. x_p = Y[:, -1] - sum_a Y[:, a] u_a, per cell.
 
-    `assemble` runs once, on a config at delta = 0 with one cell per run,
-    and step 1 and A_ap Y run stacked over the runs; S, its right-hand side
-    and Y are then taken to the cells, except where every cell is a run.
-    Every cell goes through the same operations on the same values, so its
-    solution is bit-identical to that of its own one-cell block, whatever
-    the block around it.
+    The config is checked, its runs found and its layout built once per
+    call.  The runs are then taken SOLVER_BLOCK at a time, a piece, and
+    its cells are all the cells of those runs.  `assemble` runs once per
+    piece, on a config at delta = 0 with one cell per run (`_cells`, picks
+    of the block's checked arrays that are not checked again), and takes
+    each leg's rate from that config.  The screen below runs on the
+    piece's matrices, and step 1 and A_ap Y run stacked over its runs;
+    the matrices are then freed, and S, its right-hand side and Y are
+    taken to its cells, except where every cell is a run.  So a call holds
+    one piece's (runs, n, n) stack at a time.  Every cell goes
+    through the same operations on the same values, so its solution is
+    bit-identical to that of its own one-cell block, whatever the block
+    around it or the piece it falls in.
 
     A cell is singular, with a zero row, when its S is exactly singular
     (the stacked solve then falls back to solving the matrices one by one)
     or when its solution is not finite.
     ``ill_conditioned`` flags the cells whose full matrix has a 2-norm
     condition number above `ILL_CONDITIONED`; the matrices are its run's
-    with the cell's detuning on the atoms' diagonal, SOLVER_BLOCK cells at
-    a time, and the check never changes how a cell is solved.  Its stacked
-    inverse costs as much memory again, so ``check_conditioning=False``
-    skips it and leaves ``ill_conditioned`` None.  Only the `solver`
+    with the cell's detuning on the atoms' diagonal, piece by piece and
+    SOLVER_BLOCK cells at a time, and the check never changes how a cell
+    is solved.  Its stacked inverse costs as much memory again, so
+    ``check_conditioning=False`` skips it and leaves ``ill_conditioned``
+    None.  Only the `solver`
     engine of a sweep checks; `validate`, the `both` engine and `search`'s
     re-verification read no flag and skip it.
     """
@@ -423,20 +440,43 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
         raise ValueError("solve_batch needs a 1-D block of cells")
     cells = len(cfg.delta)
     starts = _run_starts(cfg)
+    first = np.flatnonzero(starts)
     run = np.cumsum(starts) - 1
-    runs = int(np.count_nonzero(starts))
-    gather = runs < cells
-    if gather:
-        at_zero = _cells(cfg, starts, np.zeros(runs))
-    else:
-        at_zero = replace(cfg, delta=np.zeros(cells))
-    # The layout's channels carry the legs whose couplings `assemble` reads.
-    layout = build_layout(at_zero)
+    runs = len(first)
+    layout = build_layout(cfg)
+    x = np.empty((cells, len(layout.labels)), dtype=complex)
+    singular = np.empty(cells, dtype=bool)
+    ill_conditioned = np.empty(cells, dtype=bool) if check_conditioning else None
+    for start in range(0, runs, SOLVER_BLOCK):
+        piece = slice(start, start + SOLVER_BLOCK)
+        # The piece's cells, from its first run's first cell to the next
+        # piece's.
+        span = slice(first[start], first[piece.stop] if piece.stop < runs else cells)
+        at_zero = _cells(cfg, first[piece], np.zeros(len(first[piece])))
+        singular[span], flags = _solve_piece(
+            layout, at_zero, run[span] - start, cfg.delta[span], x[span], check_conditioning
+        )
+        if check_conditioning:
+            ill_conditioned[span] = flags
+    return BlockSolution(singular, ill_conditioned, x, layout)
+
+
+def _solve_piece(layout: ChannelLayout, at_zero: SystemConfig, run, delta, x, check: bool):
+    """Steps 1 to 3 of `solve_batch`, and its screen, on one piece.
+    ``at_zero`` holds the piece's runs at delta = 0, and ``run`` and
+    ``delta`` give each of its cells' run and detuning.  Writes the cells'
+    solutions into ``x`` and returns which cells are singular, and which
+    are ill-conditioned where ``check`` asks (else None)."""
     matrix, b = assemble(layout, at_zero)
+    flags = _screen(matrix, run, delta, layout) if check else None
     n_a = len(layout.atom_columns)
     n_p = len(b) - n_a
-    a_ap, a_aa = matrix[:, n_p:, :n_p], matrix[:, n_p:, n_p:]
     y = _substitute(layout, matrix, b)
+    # Past step 1 only A_ap and A_aa are read, so the piece's matrices are
+    # freed before the long-double products.
+    a_ap, a_aa = matrix[:, n_p:, :n_p].astype(np.clongdouble), matrix[:, n_p:, n_p:].copy()
+    gather = len(matrix) < len(run)
+    del matrix
     # Steps 2 and 3.  A u or x_p that is not finite (as where S has a
     # subnormal pivot) marks its cell singular below.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -444,7 +484,7 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
         # summed in float64, its rounding alone broke the 1e-10 gate on
         # giant cells near phi2' = pi at delta = 0, so it is summed in long
         # double.
-        a_ap_y = (a_ap.astype(np.clongdouble) @ y.astype(np.clongdouble)).astype(complex)
+        a_ap_y = (a_ap @ y.astype(np.clongdouble)).astype(complex)
         s = a_aa - a_ap_y[..., :-1]
         # A stack of one-column right-hand sides under every numpy version;
         # a 1-D one means a vector only from numpy 2.0 on.
@@ -452,7 +492,7 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
         if gather:
             s, rhs, y = s.take(run, 0), rhs.take(run, 0), y.take(run, 0)
         diagonal = np.arange(n_a)
-        s[:, diagonal, diagonal] += np.asarray(cfg.delta)[:, None]
+        s[:, diagonal, diagonal] += np.asarray(delta)[:, None]
         u, singular = _solve_cells(s, rhs)
         # x_p = Y[:, -1] - sum_a Y[:, a] u_a, each product in place in Y, so
         # no numpy temporary can swap its operands.
@@ -461,11 +501,10 @@ def solve_batch(cfg: SystemConfig, *, check_conditioning: bool = True) -> BlockS
             term = y[..., atom]
             term *= u[:, atom]
             x_p -= term
-        x = np.concatenate([x_p, u[..., 0]], axis=1)
+        np.concatenate([x_p, u[..., 0]], axis=1, out=x)
     singular |= ~np.isfinite(x).all(axis=-1)
     x[singular] = 0.0
-    ill_conditioned = _screen(matrix, run, cfg.delta, n_p) if check_conditioning else None
-    return BlockSolution(singular, ill_conditioned, x, layout)
+    return singular, flags
 
 
 def _substitute(layout: ChannelLayout, matrix: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -501,23 +540,33 @@ def _run_starts(cfg: SystemConfig) -> np.ndarray:
 
 
 def _cells(cfg: SystemConfig, index, delta) -> SystemConfig:
-    """The cells ``index`` of a block, at detuning ``delta``."""
+    """The cells ``index`` of a block, at detuning ``delta``.  Its values
+    are picks of arrays that the block's config already passed, so neither
+    it nor its legs are checked again."""
 
     def pick(value):
         return value[index] if np.ndim(value) else value
 
     legs = tuple(
-        replace(leg, gamma=pick(leg.gamma)) if np.ndim(leg.gamma) else leg for leg in cfg.legs
+        _unchecked(leg, gamma=pick(leg.gamma)) if np.ndim(leg.gamma) else leg for leg in cfg.legs
     )
-    return replace(cfg, delta=delta, k=pick(cfg.k), q=pick(cfg.q), legs=legs)
+    return _unchecked(cfg, delta=delta, k=pick(cfg.k), q=pick(cfg.q), legs=legs)
 
 
-def _screen(matrix: np.ndarray, run: np.ndarray, delta, n_p: int) -> np.ndarray:
+def _unchecked(value, **changes):
+    """`dataclasses.replace` of a frozen dataclass without its
+    ``__post_init__`` checks."""
+    copy = object.__new__(type(value))
+    copy.__dict__.update(value.__dict__, **changes)
+    return copy
+
+
+def _screen(matrix: np.ndarray, run: np.ndarray, delta, layout: ChannelLayout) -> np.ndarray:
     """`_ill_conditioned` of each cell's full matrix: its run's ``matrix``
     at delta = 0 with its detuning on the atoms' diagonal, which is what
     `assemble` gives at that detuning.  SOLVER_BLOCK cells at a time, so
-    the stacked inverse never grows with the block."""
-    atoms = np.arange(n_p, matrix.shape[-1])
+    the stacked inverse never grows with the piece."""
+    atoms = list(layout.atom_columns.values())
     flags = np.zeros(len(run), dtype=bool)
     for start in range(0, len(run), SOLVER_BLOCK):
         part = slice(start, start + SOLVER_BLOCK)

@@ -7,10 +7,11 @@ engines are available: "closed" evaluates the analytical amplitudes
 (vectorized across the detuning axis), "solver" runs the boundary-matching
 solver on blocks of whole phase rows (one atom-space solve per block, see
 `_solver_blocks`), and "both" runs the two and records their maximum
-disagreement.  A solver block holds at most SOLVER_BLOCK runs of cells
-with equal k, q and rates, which share one photon elimination, and at
-most SOLVER_CELLS cells: a Markovian row is one run, and a non-Markovian
-row one run per cell.
+disagreement.  A solver block holds at most SOLVER_CELLS cells, whatever
+its runs: stretches of cells with equal k, q and rates, which share one
+photon elimination (a Markovian row is one run, and a non-Markovian row
+one run per cell).  `solver.solve_batch` takes a block's runs in pieces
+of SOLVER_BLOCK, so its memory does not grow with the runs.
 Only the "solver" engine runs the solver's condition screen and writes its
 ``ill_conditioned`` flags: "both" writes the closed engine's flags, so its
 solver pass skips the screen, as do `validate` and `search`'s
@@ -64,19 +65,23 @@ from .core import (
     rates_from_outgoing,
     resolved_phase,
 )
-from .solver import SOLVER_BLOCK
 
 ENGINES = ("closed", "solver", "both")
 
 RATE_FIELDS = ("T_Ng", "T_Ns", "T_M_rev", "R_M", "T2", "eta", "residual")
 
-#: Cells per solver block, which holds at most SOLVER_BLOCK runs (see
-#: `solver.solve_batch`).  For the giant layout's 20 x 20 system a block's
-#: solves take about 8.5 KB per run (its matrix at delta = 0 and the photon
-#: elimination) and 1.3 KB per cell, both directions included, so a block of
-#: 1024 Markovian cells peaks near 1.3 MB and one of 128 non-Markovian
-#: cells, each a run, near 1.3 MB.  The condition screen adds about 2 MB.
+#: Cells per solver block, whatever its runs: it bounds what a block keeps
+#: per cell (solutions, components, rates and a run's values taken to its
+#: cells), while `solver.SOLVER_BLOCK` bounds the matrices a block holds at
+#: once.  Tracemalloc peaks of `Family.solver_rates` on giant blocks, both
+#: directions, unscreened: 128 non-Markovian cells (one piece) 1.2 MB, 808
+#: (7 pieces) 1.4 MB and 1024 (8 pieces) 1.5 MB, about 0.34 KB per cell
+#: past one piece; 1024 Markovian cells, in one run or in 8, 1.5 MB.  The
+#: condition screen adds 1.3 to 2.1 MB.
 SOLVER_CELLS = 1024
+#: Runs per piece of a solver block (see `solver.SOLVER_BLOCK`); `validate`
+#: sizes its rounds by it.
+SOLVER_BLOCK = solver.SOLVER_BLOCK
 
 #: Largest grid (phase count x detuning count) a sweep accepts: 13x the
 #: full preset grid (629 x 2001), and about 1 GB of rate grids per engine.
@@ -374,23 +379,22 @@ def _fill_singular(grids, codes, singular_mask) -> None:
     codes[rows, cols] |= SINGULAR
 
 
-def _solver_blocks(n_phi: int, n_delta: int, row_runs: int) -> list[tuple[int, int]]:
+def _solver_blocks(n_phi: int, n_delta: int) -> list[tuple[int, int]]:
     """Flat cell ranges [start, stop) of the row-major (phase x detuning)
     grid, one per solver block.
 
-    Whole phase rows of ``row_runs`` runs each go into a block while it
-    holds at most SOLVER_BLOCK runs and SOLVER_CELLS cells.  A longer row is
-    split into slices of SOLVER_CELLS cells where it is one run, and of
-    SOLVER_BLOCK cells where each cell is a run.
+    Whole phase rows go into a block while it holds at most SOLVER_CELLS
+    cells, and a longer row is split into slices of SOLVER_CELLS cells,
+    whatever the rows' runs: `solver.solve_batch` takes a block's runs
+    SOLVER_BLOCK at a time.
     """
-    width = SOLVER_CELLS if row_runs == 1 else SOLVER_BLOCK
-    if n_delta > width:
+    if n_delta > SOLVER_CELLS:
         return [
-            (i * n_delta + j, i * n_delta + min(j + width, n_delta))
+            (i * n_delta + j, i * n_delta + min(j + SOLVER_CELLS, n_delta))
             for i in range(n_phi)
-            for j in range(0, n_delta, width)
+            for j in range(0, n_delta, SOLVER_CELLS)
         ]
-    rows = min(SOLVER_BLOCK // row_runs, SOLVER_CELLS // n_delta)
+    rows = SOLVER_CELLS // n_delta
     return [(i * n_delta, min(i + rows, n_phi) * n_delta) for i in range(0, n_phi, rows)]
 
 
@@ -428,11 +432,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             blocks = [(i * n_delta, (i + 1) * n_delta) for i in range(n_phi)]
             block_rates = family.closed_rates
         else:
-            # A row is one run where its phases, and so k and q, do not move
-            # with the detuning, and otherwise one run per cell.
-            fixed = spec.phases.regime == MARKOVIAN or not family.phases
-            row_runs = 1 if fixed else n_delta
-            blocks = _solver_blocks(n_phi, n_delta, row_runs)
+            blocks = _solver_blocks(n_phi, n_delta)
             # "both" writes the closed codes, so only "solver" screens.
             block_rates = partial(family.solver_rates, check_conditioning=spec.engine == "solver")
         # Each block is a range of the grids' row-major cells.

@@ -11,7 +11,10 @@ output and `BlockSolution.components` for a solved block, with the keys of
 `ScatterAmplitudes.components`; components are matched by those names.
 
 Draws run in rounds of ``len(FAMILY_NAMES) * SOLVER_BLOCK``, so memory does
-not grow with the draw count.  In a round each route makes one kernel call
+not grow with the draw count.  A route's block then holds at most
+SOLVER_BLOCK draws, each a run of its own, which `solver.solve_batch`
+solves as one piece, where `sweep.run_sweep` packs blocks by cell count
+and leaves the pieces to `solve_batch`.  In a round each route makes one kernel call
 over its family's draws and one `solver.solve_batch` per group of draws
 with the same zero rates (a zero rate drops its legs, which changes the
 layout), and its per-draw values are reduced to their maxima before the
@@ -68,7 +71,8 @@ _DRAWS = {
 }
 FAMILY_NAMES = tuple(_DRAWS)
 
-#: Draws per round: SOLVER_BLOCK per family, so no solver block is longer.
+#: Draws per round: SOLVER_BLOCK per family, so each solver block is one
+#: piece of at most SOLVER_BLOCK runs.
 ROUND = len(FAMILY_NAMES) * SOLVER_BLOCK
 
 #: Bounds of the eight uniform values of a draw, in the generator's order:

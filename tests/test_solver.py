@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -486,6 +487,61 @@ class TestBlockSolve:
                 phases = {"phi1_prime": phi, "phi2_prime": -phi}
                 cell = route.config(spec.gammas, float(delta[d]), phases)
                 assert sol.x[j].tobytes() == one_cell_x(cell), (cfg.port, j)
+
+    @pytest.mark.parametrize("route", ["giant", "giant_reverse"])
+    @pytest.mark.parametrize("check", [True, False])
+    def test_pieces_read_their_own_cells_rates(self, route, check, assembled):
+        """A block of 300 runs, with rates, k and q drawn per cell at one
+        active-leg pattern, is solved in pieces of SOLVER_BLOCK runs, and
+        each piece assembles its own cells' rates: every cell's solution,
+        singular flag and condition flag are its one-cell block's, bit for
+        bit."""
+        rng = np.random.default_rng(30)
+        r = ROUTES[route]
+        gammas = tuple(rng.uniform(0.05, 3.0, (4, 300)))
+        delta = rng.uniform(-10.0, 10.0, 300)
+        phases = {name: rng.uniform(0.0, 2 * np.pi, 300) for name in r.phases}
+        block = solver.solve_batch(r.config(gammas, delta, phases), check_conditioning=check)
+        assert assembled == [SOLVER_BLOCK, SOLVER_BLOCK, 300 - 2 * SOLVER_BLOCK]
+        for j in range(300):
+            cell = r.config(
+                tuple(float(g[j]) for g in gammas),
+                np.array([delta[j]]),
+                {name: float(p[j]) for name, p in phases.items()},
+            )
+            alone = solver.solve_batch(cell, check_conditioning=check)
+            assert block.x[j].tobytes() == alone.x[0].tobytes(), j
+            assert block.singular[j] == alone.singular[0], j
+            if check:
+                assert block.ill_conditioned[j] == alone.ill_conditioned[0], j
+            else:
+                assert block.ill_conditioned is alone.ill_conditioned is None
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_pieces_bound_a_blocks_memory(self, check):
+        """The benchmark's non-Markovian 8 x 101 giant grid, 808 runs in one
+        block per direction, peaks (tracemalloc) at no more than 1.5 times a
+        128-run block of the same grid: one piece's matrices are held at a
+        time."""
+        n_delta = 101
+        delta = np.tile(np.linspace(-10.0, 10.0, n_delta), 8)
+        phi = np.repeat(np.linspace(0.0, 2 * math.pi, 8), n_delta)
+        phases = {"phi1_prime": phi + delta, "phi2_prime": -phi + delta}
+        giant = FAMILIES["giant"]
+
+        def peak(cells: int) -> int:
+            head = {name: p[:cells] for name, p in phases.items()}
+            tracemalloc.start()
+            try:
+                giant.solver_rates(
+                    (0.32, 1.0, 1.0, 1.0), delta[:cells], head, check_conditioning=check
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(SOLVER_BLOCK)  # numpy's first calls allocate caches of their own
+        assert peak(delta.size) <= 1.5 * peak(SOLVER_BLOCK)
 
     @pytest.mark.parametrize("case", sorted(BUILDER_CASES) + sorted(CHAIN_CASES))
     def test_photon_block_is_block_diagonal_by_channel(self, case):

@@ -560,37 +560,48 @@ def test_block_solver_row_longer_than_a_block():
 @pytest.mark.parametrize(
     "family, regime, n_phi, n_delta, blocks",
     [
-        # The benchmark's grid: a Markovian one is one block per direction,
-        # and a non-Markovian row of 101 runs stays one block.
+        # The benchmark's grid is one block per direction in either regime.
         ("giant", MARKOVIAN, 8, 101, [808]),
-        ("giant", NON_MARKOVIAN, 8, 101, [101] * 8),
-        # Rows of 42 non-Markovian cells go in threes.
-        ("giant", NON_MARKOVIAN, 7, 42, [126, 126, 42]),
+        ("giant", NON_MARKOVIAN, 8, 101, [808]),
+        ("giant", NON_MARKOVIAN, 7, 42, [294]),
         # A phase-less family is one run per row in either regime.
         ("small_overlap", NON_MARKOVIAN, 12, 101, [1010, 202]),
-        # Longer rows: slices of SOLVER_CELLS cells where a row is one run,
-        # of SOLVER_BLOCK cells where each cell is.
+        # Longer rows are cut into slices of SOLVER_CELLS cells.
         ("giant", MARKOVIAN, 2, 2001, [SOLVER_CELLS, 2001 - SOLVER_CELLS] * 2),
-        ("giant", NON_MARKOVIAN, 1, 300, [SOLVER_BLOCK, SOLVER_BLOCK, 300 - 2 * SOLVER_BLOCK]),
+        ("giant", NON_MARKOVIAN, 1, 300, [300]),
     ],
 )
 def test_solver_blocks_span_phase_rows(monkeypatch, family, regime, n_phi, n_delta, blocks):
     """`run_sweep` packs whole phase rows into a solver block while it holds
-    at most SOLVER_BLOCK runs and SOLVER_CELLS cells, and gives the rates of
-    a per-cell sweep bit for bit."""
+    at most SOLVER_CELLS cells, whatever its runs, and gives the rates of a
+    per-cell sweep bit for bit.  `solve_batch` assembles each block's runs
+    SOLVER_BLOCK at a time."""
     sizes = []
-    batch = solver.solve_batch
+    assembled = []
+    batch, assemble = solver.solve_batch, solver.assemble
 
     def recording(cfg, **kwargs):
         sizes.append(len(cfg.delta))
         return batch(cfg, **kwargs)
 
+    def counting(layout, cfg):
+        assembled.append(np.size(cfg.delta))
+        return assemble(layout, cfg)
+
     monkeypatch.setattr(solver, "solve_batch", recording)
+    monkeypatch.setattr(solver, "assemble", counting)
     pm = PhaseModel(regime=regime, tau=0.7 if regime == NON_MARKOVIAN else 0.0, phi2_prime=1.1)
     axis = PhaseAxis(0.25, 5.75 if n_phi > 1 else 0.25, n_phi, linkage=SOLVER_LINKAGE[family])
     spec = SweepSpec(family, (0.32, 1.0, 1.0, 1.0), pm, Axis(-10.0, 10.0, n_delta), axis, "both")
     result = run_sweep(spec)
     assert sizes == [size for size in blocks for _ in "fr"]
+    # A block of whole rows, or a slice of one, has a run per row it
+    # touches where the phases hold still, and a run per cell where they
+    # move with the detuning.
+    moving = regime == NON_MARKOVIAN and bool(FAMILIES[family].phases)
+    runs = [size if moving else -(-size // n_delta) for size in blocks]
+    assert len(assembled) == 2 * sum(-(-r // SOLVER_BLOCK) for r in runs)
+    assert max(assembled) <= SOLVER_BLOCK
     assert result.engine_discrepancy <= 1e-10
     if n_phi * n_delta <= 1000:
         assert_matches_per_cell(replace(spec, engine="solver"))

@@ -4,7 +4,7 @@ Objectives are evaluated from the closed forms at resonance (delta = 0),
 where the converted fraction depends only on rate ratios and the leg phases
 drop out of it.  The search is a coarse grid pass followed by coordinate-wise
 golden-section refinement around the best cell.  One function scores both:
-the grid pass hands it GRID_CHUNK points at a time as arrays (one broadcast
+the grid pass hands it BLOCK_CELLS points at a time as arrays (one broadcast
 call of each closed-form kernel) and scans the values in grid order with the
 record rule the refinement applies to each of its points, so it counts,
 traces and breaks ties exactly as evaluating point by point would.  The
@@ -32,7 +32,7 @@ from .core import (
     TransferRates,
     VerificationError,
 )
-from .sweep import FAMILIES, FLAG_NAMES, MAX_CELLS, RATE_FIELDS, rates_from_fields
+from .sweep import BLOCK_CELLS, FAMILIES, FLAG_NAMES, MAX_CELLS, RATE_FIELDS, rates_from_fields
 
 #: Search evaluates the giant-atom layout only.
 FAMILY = "giant"
@@ -55,9 +55,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Maximum allowed closed-form/solver disagreement at the reported optimum.
 VERIFY_TOL = 1e-10
-
-#: Grid points per broadcast evaluation; bounds the grid pass's memory.
-GRID_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -230,8 +227,8 @@ class _Tracker:
         """Evaluate every point of the grid ``grids`` spans, in row-major order."""
         shape = tuple(len(g) for g in grids)
         total = math.prod(shape)
-        for start in range(0, total, GRID_CHUNK):
-            index = np.unravel_index(np.arange(start, min(start + GRID_CHUNK, total)), shape)
+        for start in range(0, total, BLOCK_CELLS):
+            index = np.unravel_index(np.arange(start, min(start + BLOCK_CELLS, total)), shape)
             columns = [g[i] for g, i in zip(grids, index)]
             values = _objective_values(self.obj, dict(zip(self.names, columns)))
             points = zip(*(c.tolist() for c in columns))

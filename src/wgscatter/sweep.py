@@ -3,15 +3,17 @@
 A sweep evaluates forward and reverse transfer rates on a (phase x detuning)
 grid for one configuration family, with phases resolved per the regime model
 (constant in the Markovian regime, shifted by tau*delta otherwise).  Two
-engines are available: "closed" evaluates the analytical amplitudes
-(vectorized across the detuning axis), "solver" runs the boundary-matching
-solver on blocks of whole phase rows (one atom-space solve per block, see
-`_solver_blocks`), and "both" runs the two and records their maximum
-disagreement.  A solver block holds at most SOLVER_CELLS cells, whatever
-its runs: stretches of cells with equal k, q and rates, which share one
-photon elimination (a Markovian row is one run, and a non-Markovian row
-one run per cell).  `solver.solve_batch` takes a block's runs in pieces
-of SOLVER_BLOCK, so its memory does not grow with the runs.
+engines are available: "closed" evaluates the analytical amplitudes,
+"solver" runs the boundary-matching solver (one atom-space solve per
+block), and "both" runs the two and records their maximum disagreement.
+Both engines take the grid in the same blocks (`_blocks`): whole phase
+rows up to BLOCK_CELLS cells, and longer rows cut at BLOCK_CELLS, so each
+engine call holds a bounded number of cells.  A block's runs are
+stretches of cells with equal k, q and rates, which share one photon
+elimination in the solver (a Markovian row is one run, and a
+non-Markovian row one run per cell).  `solver.solve_batch` takes a
+block's runs in pieces of SOLVER_BLOCK, so its memory does not grow with
+the runs.
 Only the "solver" engine runs the solver's condition screen and writes its
 ``ill_conditioned`` flags: "both" writes the closed engine's flags, so its
 solver pass skips the screen, as do `validate` and `search`'s
@@ -70,21 +72,26 @@ ENGINES = ("closed", "solver", "both")
 
 RATE_FIELDS = ("T_Ng", "T_Ns", "T_M_rev", "R_M", "T2", "eta", "residual")
 
-#: Cells per solver block, whatever its runs: it bounds what a block keeps
-#: per cell (solutions, components, rates and a run's values taken to its
-#: cells), while `solver.SOLVER_BLOCK` bounds the matrices a block holds at
-#: once.  Tracemalloc peaks of `Family.solver_rates` on giant blocks, both
-#: directions, unscreened: 128 non-Markovian cells (one piece) 1.2 MB, 808
-#: (7 pieces) 1.4 MB and 1024 (8 pieces) 1.5 MB, about 0.34 KB per cell
-#: past one piece; 1024 Markovian cells, in one run or in 8, 1.5 MB.  The
-#: condition screen adds 1.3 to 2.1 MB.
-SOLVER_CELLS = 1024
+#: Cells per block of a sweep grid, for both engines, and per chunk of
+#: `search`'s grid pass.  It bounds what a call holds per cell: the closed
+#: kernels' temporaries, and the solver's solutions, components, rates and
+#: a run's values taken to its cells (`solver.SOLVER_BLOCK` bounds the
+#: matrices a solver block holds at once).  It stays below 16,384, where
+#: numpy starts eliding complex temporaries: a kernel's bits then depend on
+#: its call length, and under that size each cell gets the bits of a
+#: one-cell call.  Two preset rows (2001 detunings each) make one block.
+#: Tracemalloc peaks: a closed `run_sweep` row of 200,000 detunings holds
+#: 1.4 to 2.3 MiB past its 13 MB of results (89 to 106 MB in one call);
+#: one giant `Family.solver_rates` block, both directions, screened or not,
+#: 2.9 to 5.3 MiB (1.4 to 3.5 MiB at 1024 cells).
+BLOCK_CELLS = 4096
 #: Runs per piece of a solver block (see `solver.SOLVER_BLOCK`); `validate`
 #: sizes its rounds by it.
 SOLVER_BLOCK = solver.SOLVER_BLOCK
 
 #: Largest grid (phase count x detuning count) a sweep accepts: 13x the
-#: full preset grid (629 x 2001), and about 1 GB of rate grids per engine.
+#: full preset grid (629 x 2001), and about 1 GB of rate grids per engine
+#: ("both" holds two engines' grids); blocks add a bounded amount on top.
 MAX_CELLS = 1 << 24
 
 #: Flag names of the bits of a cell's code, lowest bit first.
@@ -379,22 +386,22 @@ def _fill_singular(grids, codes, singular_mask) -> None:
     codes[rows, cols] |= SINGULAR
 
 
-def _solver_blocks(n_phi: int, n_delta: int) -> list[tuple[int, int]]:
+def _blocks(n_phi: int, n_delta: int) -> list[tuple[int, int]]:
     """Flat cell ranges [start, stop) of the row-major (phase x detuning)
-    grid, one per solver block.
+    grid, one per engine call.
 
-    Whole phase rows go into a block while it holds at most SOLVER_CELLS
-    cells, and a longer row is split into slices of SOLVER_CELLS cells,
+    Whole phase rows go into a block while it holds at most BLOCK_CELLS
+    cells, and a longer row is split into slices of BLOCK_CELLS cells,
     whatever the rows' runs: `solver.solve_batch` takes a block's runs
     SOLVER_BLOCK at a time.
     """
-    if n_delta > SOLVER_CELLS:
+    if n_delta > BLOCK_CELLS:
         return [
-            (i * n_delta + j, i * n_delta + min(j + SOLVER_CELLS, n_delta))
+            (i * n_delta + j, i * n_delta + min(j + BLOCK_CELLS, n_delta))
             for i in range(n_phi)
-            for j in range(0, n_delta, SOLVER_CELLS)
+            for j in range(0, n_delta, BLOCK_CELLS)
         ]
-    rows = SOLVER_CELLS // n_delta
+    rows = BLOCK_CELLS // n_delta
     return [(i * n_delta, min(i + rows, n_phi) * n_delta) for i in range(0, n_phi, rows)]
 
 
@@ -429,15 +436,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         codes = np.zeros((n_phi, n_delta), dtype=np.uint8)
         singular = np.zeros((n_phi, n_delta), dtype=bool)
         if engine == "closed":
-            blocks = [(i * n_delta, (i + 1) * n_delta) for i in range(n_phi)]
             block_rates = family.closed_rates
         else:
-            blocks = _solver_blocks(n_phi, n_delta)
             # "both" writes the closed codes, so only "solver" screens.
             block_rates = partial(family.solver_rates, check_conditioning=spec.engine == "solver")
         # Each block is a range of the grids' row-major cells.
         flat = {name: grid.reshape(-1) for name, grid in grids.items()}
-        for start, stop in blocks:
+        for start, stop in _blocks(n_phi, n_delta):
             d, phases = block_input(start, stop)
             block = slice(start, stop)
             rates, singular.reshape(-1)[block], codes.reshape(-1)[block] = block_rates(

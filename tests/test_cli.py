@@ -848,6 +848,148 @@ def test_parse_config_requires_object():
         cli.parse_config([])
 
 
+class TestRejectedInput:
+    """Inputs that each check rejects with exit 2 and its message."""
+
+    def doc(self):
+        """A giant-family config that both `spectrum` and `search` accept."""
+        return TestSearchCommand().search_config(0.0)
+
+    #: Edits of `doc`, the command that reads the edited config, and the
+    #: message of its config error.
+    EDITS = {
+        "gamma_units": (
+            lambda doc: doc["system"].update(gamma_units="GHz"),
+            "spectrum",
+            'gamma_units must be "Gamma_ref"',
+        ),
+        "phase_units": (
+            lambda doc: doc["system"].update(phase_units="degrees"),
+            "spectrum",
+            'phase_units must be "radians"',
+        ),
+        "three_rates": (
+            lambda doc: doc["system"].update(gamma=[1.0, 0.25, 1.0]),
+            "spectrum",
+            "system.gamma must be a list of four rates",
+        ),
+        "rates_not_a_list": (
+            lambda doc: doc["system"].update(gamma=1.0),
+            "spectrum",
+            "system.gamma must be a list of four rates",
+        ),
+        "unknown_regime": (
+            lambda doc: doc["system"].update(regime="quantum"),
+            "spectrum",
+            "unknown regime 'quantum'",
+        ),
+        "single_point_axis_with_span": (
+            lambda doc: doc["sweep"].update(
+                phase={"min": 0.0, "max": 1.0, "count": 1, "linkage": {"phi1_prime": 1.0}}
+            ),
+            "spectrum",
+            "a single-point axis needs start == stop",
+        ),
+        "empty_linkage": (
+            lambda doc: doc["sweep"].update(
+                phase={"min": 0.0, "max": 1.0, "count": 3, "linkage": {}}
+            ),
+            "spectrum",
+            "a phase axis needs at least one linkage entry",
+        ),
+        "unknown_engine": (
+            lambda doc: doc["sweep"].update(engine="fast"),
+            "spectrum",
+            "unknown engine 'fast'",
+        ),
+        "empty_bounds": (
+            lambda doc: doc["objective"]["parameters"]["gamma1"].update(bounds=[1.0, 1.0]),
+            "search",
+            "bounds must satisfy lo < hi",
+        ),
+        "unknown_kind": (
+            lambda doc: doc["objective"].update(kind="purity"),
+            "search",
+            "unknown objective kind 'purity'",
+        ),
+        "min_reverse_above_half": (
+            lambda doc: doc["objective"].update(min_reverse=0.75),
+            "search",
+            "min_reverse must lie in [0, 0.5]",
+        ),
+        "negative_min_reverse": (
+            lambda doc: doc["objective"].update(min_reverse=-0.1),
+            "search",
+            "min_reverse must lie in [0, 0.5]",
+        ),
+        "zero_purity_weight": (
+            lambda doc: doc["objective"].update(purity_weight=0.0),
+            "search",
+            "conversion weights must be positive",
+        ),
+        "negative_rate_weight": (
+            lambda doc: doc["objective"].update(rate_weight=-1.0),
+            "search",
+            "conversion weights must be positive",
+        ),
+        "unknown_parameter": (
+            lambda doc: doc["objective"]["parameters"].update(gamma5={"fixed": 1.0}),
+            "search",
+            "unknown parameters: ['gamma5']",
+        ),
+        "no_bounded_parameter": (
+            lambda doc: doc["objective"]["parameters"].update(gamma1={"fixed": 1.0}),
+            "search",
+            "at least one parameter must carry bounds",
+        ),
+        "linked_to_itself": (
+            lambda doc: doc["objective"]["parameters"].update(gamma3={"linked": "gamma3"}),
+            "search",
+            "bad link for 'gamma3'",
+        ),
+        "linked_to_a_link": (
+            lambda doc: doc["objective"]["parameters"].update(
+                gamma3={"linked": "gamma4"}, gamma4={"linked": "gamma1"}
+            ),
+            "search",
+            "bad link for 'gamma3'",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDITS))
+    def test_config_rejected(self, tmp_path, capsys, case):
+        edit, command, message = self.EDITS[case]
+        doc = self.doc()
+        cli.parse_config(doc)
+        edit(doc)
+        argv = [command, write_config(tmp_path, doc)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dump-config"], "config error: dump-config needs a config path or --figure"),
+            (["validate", "--draws", "0"], "error: draws must be at least 1"),
+        ],
+    )
+    def test_arguments_rejected(self, capsys, argv, message):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == message + "\n"
+
+    @pytest.mark.parametrize("command", ["spectrum", "search", "dump-config"])
+    def test_unreadable_config_rejected(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.json"
+        assert cli.main([command, str(missing)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: cannot read config {missing}: ")
+
+
 # ---------------------------------------------------------------------------
 # Golden outputs: SHA-256 of whole CSV files written by the per-cell writer
 # that formatted every value with f"{x:.17g}".  Any change of bytes fails.

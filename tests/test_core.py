@@ -257,6 +257,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="finite"):
             CouplingLeg(0, "M", "ge", 0.0, gamma)
 
+    def test_unknown_guide_and_transition_rejected(self):
+        with pytest.raises(ConfigError, match="unknown waveguide 'K'"):
+            CouplingLeg(0, "K", "ge", 0.0, 1.0)
+        with pytest.raises(ConfigError, match="unknown transition 'gs'"):
+            CouplingLeg(0, "M", "gs", 0.0, 1.0)
+
+    def test_atoms_and_leg_indices_rejected(self):
+        with pytest.raises(ConfigError, match="at least one atom is required"):
+            SystemConfig((), (), 1)
+        legs = (CouplingLeg(0, "M", "ge", 0.0, 1.0), CouplingLeg(1, "M", "ge", 1.0, 1.0))
+        with pytest.raises(ConfigError, match="leg references unknown atom index 1"):
+            SystemConfig(("two_level",), legs, 1)
+
 
 @pytest.mark.parametrize("port", [1, 4])
 def test_block_reduction_is_bitwise_scalar(port):

@@ -467,7 +467,7 @@ class TestBroadcastGrid:
         grids = [np.linspace(0.0, math.pi, 41), np.linspace(0.1, 2.0, 37)]
         whole = _Tracker(obj)
         whole.scan(grids)
-        monkeypatch.setattr(search, "GRID_CHUNK", 100)
+        monkeypatch.setattr(search, "BLOCK_CELLS", 100)
         chunked = _Tracker(obj)
         chunked.scan(grids)
         assert (chunked.evaluations, chunked.best_point, chunked.trace, chunked.ties) == (

@@ -3,13 +3,14 @@
 import inspect
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wgscatter import closed_form, configs, solver
+from wgscatter import closed_form, configs, solver, sweep
 from wgscatter.core import (
     MARKOVIAN,
     NON_MARKOVIAN,
@@ -22,7 +23,10 @@ from wgscatter.core import (
     combine_directions,
     rates_from_amplitudes,
 )
+from wgscatter.search import Bounds, Fixed, Objective, grid_refine_search
 from wgscatter.sweep import (
+    BLOCK_CELLS,
+    ENGINES,
     ETA_UNDEFINED,
     FAMILIES,
     FIGURE_IDS,
@@ -31,7 +35,6 @@ from wgscatter.sweep import (
     RATE_FIELDS,
     SINGULAR,
     SOLVER_BLOCK,
-    SOLVER_CELLS,
     Axis,
     PhaseAxis,
     SweepSpec,
@@ -565,24 +568,32 @@ def test_block_solver_row_longer_than_a_block():
         ("giant", NON_MARKOVIAN, 8, 101, [808]),
         ("giant", NON_MARKOVIAN, 7, 42, [294]),
         # A phase-less family is one run per row in either regime.
-        ("small_overlap", NON_MARKOVIAN, 12, 101, [1010, 202]),
-        # Longer rows are cut into slices of SOLVER_CELLS cells.
-        ("giant", MARKOVIAN, 2, 2001, [SOLVER_CELLS, 2001 - SOLVER_CELLS] * 2),
+        ("small_overlap", NON_MARKOVIAN, 12, 101, [1212]),
+        # Two preset rows fit in one block.
+        ("giant", MARKOVIAN, 2, 2001, [4002]),
         ("giant", NON_MARKOVIAN, 1, 300, [300]),
+        # Longer rows are cut into slices of BLOCK_CELLS cells.
+        ("giant", MARKOVIAN, 2, 4500, [BLOCK_CELLS, 4500 - BLOCK_CELLS] * 2),
     ],
 )
 def test_solver_blocks_span_phase_rows(monkeypatch, family, regime, n_phi, n_delta, blocks):
-    """`run_sweep` packs whole phase rows into a solver block while it holds
-    at most SOLVER_CELLS cells, whatever its runs, and gives the rates of a
-    per-cell sweep bit for bit.  `solve_batch` assembles each block's runs
-    SOLVER_BLOCK at a time."""
-    sizes = []
+    """`run_sweep` packs whole phase rows into a block while it holds at
+    most BLOCK_CELLS cells, whatever its runs, for both engines, and gives
+    the rates of a per-cell sweep bit for bit.  `solve_batch` assembles
+    each block's runs SOLVER_BLOCK at a time."""
+    solved = []
+    closed = []
     assembled = []
     batch, assemble = solver.solve_batch, solver.assemble
+    closed_rates = sweep.Family.closed_rates
 
     def recording(cfg, **kwargs):
-        sizes.append(len(cfg.delta))
+        solved.append(np.asarray(cfg.delta))
         return batch(cfg, **kwargs)
+
+    def recording_closed(self, gammas, delta, phases):
+        closed.append(delta)
+        return closed_rates(self, gammas, delta, phases)
 
     def counting(layout, cfg):
         assembled.append(np.size(cfg.delta))
@@ -590,11 +601,14 @@ def test_solver_blocks_span_phase_rows(monkeypatch, family, regime, n_phi, n_del
 
     monkeypatch.setattr(solver, "solve_batch", recording)
     monkeypatch.setattr(solver, "assemble", counting)
+    monkeypatch.setattr(sweep.Family, "closed_rates", recording_closed)
     pm = PhaseModel(regime=regime, tau=0.7 if regime == NON_MARKOVIAN else 0.0, phi2_prime=1.1)
     axis = PhaseAxis(0.25, 5.75 if n_phi > 1 else 0.25, n_phi, linkage=SOLVER_LINKAGE[family])
     spec = SweepSpec(family, (0.32, 1.0, 1.0, 1.0), pm, Axis(-10.0, 10.0, n_delta), axis, "both")
     result = run_sweep(spec)
-    assert sizes == [size for size in blocks for _ in "fr"]
+    assert [len(d) for d in solved] == [size for size in blocks for _ in "fr"]
+    # The closed engine takes the solver's blocks, cell for cell.
+    assert [d.tobytes() for d in closed] == [d.tobytes() for d in solved[::2]]
     # A block of whole rows, or a slice of one, has a run per row it
     # touches where the phases hold still, and a run per cell where they
     # move with the detuning.
@@ -627,3 +641,96 @@ def test_block_solver_marks_only_the_singular_cell(monkeypatch):
     spec = small_spec(delta_axis=Axis(-1.0, 1.0, 5), engine="solver")
     result = assert_matches_per_cell(spec)
     assert [("singular" in cell) for cell in result.flags[0]] == [False, False, True, False, False]
+
+
+# ---------------------------------------------------------------------------
+# Closed engine blocks
+# ---------------------------------------------------------------------------
+
+#: Phase constants of the long closed rows, one per phase name.
+LONG_ROW_PHASES = dict(phi1_prime=0.4, phi2_prime=1.1, phi3=0.2, phi_a=0.9, phi_b=1.3)
+
+
+def long_row_spec(family, regime, n_delta, engine="closed"):
+    """One phase row of ``n_delta`` detunings, with no singular cell."""
+    pm = PhaseModel(
+        regime=regime, tau=0.7 if regime == NON_MARKOVIAN else 0.0, **LONG_ROW_PHASES
+    )
+    return SweepSpec(family, (0.32, 1.0, 1.0, 1.0), pm, Axis(-10.0, 10.0, n_delta), None, engine)
+
+
+@pytest.mark.parametrize("regime", [MARKOVIAN, NON_MARKOVIAN])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_closed_cells_do_not_depend_on_row_length(family, regime):
+    """A closed row longer than numpy's 16,384-operand temporary-elision
+    size gives each cell the bits `Family.closed_rates` gives it alone."""
+    spec = long_row_spec(family, regime, 16_400)
+    result = run_sweep(spec)
+    fam = FAMILIES[family]
+    for j in np.random.default_rng(7).choice(16_400, size=200, replace=False):
+        delta = result.delta[j : j + 1]
+        rates, singular, code = fam.closed_rates(
+            spec.gammas, delta, _resolved(spec.phases, fam, delta)
+        )
+        assert not singular[0]
+        for name in RATE_FIELDS:
+            assert result.rates[name][0, j].tobytes() == rates[name].tobytes(), (name, j)
+        assert result.codes[0, j] == code[0]
+
+
+@pytest.mark.parametrize("family", ["giant", "semi_infinite"])
+def test_closed_sweep_memory_is_bounded(family):
+    """A closed row holds at most 3 MB past its result's arrays, however
+    long the row."""
+    run_sweep(long_row_spec(family, NON_MARKOVIAN, 5000))  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        result = run_sweep(long_row_spec(family, NON_MARKOVIAN, 200_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(grid.nbytes for grid in result.rates.values())
+    held += result.codes.nbytes + result.delta.nbytes + result.phi.nbytes
+    assert peak <= held + 3 * 2**20, (peak, held)
+
+
+def test_closed_kernel_calls_stay_within_a_block(monkeypatch):
+    """Every closed kernel call of a sweep, in any engine, and of `search`'s
+    grid pass covers at most BLOCK_CELLS cells, below the 16,384 operands
+    where numpy's temporary elision would make a cell's bits depend on the
+    call's length."""
+    assert BLOCK_CELLS < 16_384
+    cells = []
+
+    def counted(kernel):
+        def wrapper(*args):
+            fields = kernel(*args)
+            cells.append(fields.singular.size)
+            return fields
+
+        return wrapper
+
+    names = {route.kernel for fam in FAMILIES.values() for route in (fam.forward, fam.reverse)}
+    assert len(names) == 7
+    for name in names:
+        monkeypatch.setattr(closed_form, name, counted(getattr(closed_form, name)))
+    for family in sorted(FAMILIES):
+        for engine in ENGINES:
+            # A row longer than a block, and short rows packed into blocks.
+            run_sweep(long_row_spec(family, MARKOVIAN, BLOCK_CELLS + 904, engine))
+            pm = PhaseModel(regime=NON_MARKOVIAN, tau=0.7, **LONG_ROW_PHASES)
+            axis = PhaseAxis(0.25, 5.75, 5, linkage=SOLVER_LINKAGE[family])
+            delta_axis = Axis(-10.0, 10.0, 1500)
+            run_sweep(SweepSpec(family, (0.32, 1.0, 1.0, 1.0), pm, delta_axis, axis, engine))
+    assert BLOCK_CELLS in cells and 3000 in cells
+    sweep_calls = len(cells)
+    # Two free parameters: a 67 x 67 grid, two chunks of the grid pass.
+    parameters = {
+        "gamma1": Bounds(0.01, 3.0),
+        "gamma2": Bounds(0.1, 2.0),
+        "gamma3": Fixed(1.0),
+        "gamma4": Fixed(1.0),
+    }
+    grid_refine_search(Objective("conversion_merit", parameters), budget=9000)
+    assert BLOCK_CELLS in cells[sweep_calls:]
+    assert max(cells) <= BLOCK_CELLS

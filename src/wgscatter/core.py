@@ -391,10 +391,16 @@ def rates_from_amplitudes(amps: ScatterAmplitudes) -> TransferRates:
     )
 
 
-def abs2(z):
-    """|z|^2 elementwise, bit-identical to Python's ``abs(z) ** 2``: np.hypot
-    and float_power(p, 2.0) compute what abs(complex) and float ** 2 do."""
-    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+def port_probabilities(items: Mapping):
+    """|z|^2 of each of the `PORTS` of a component map, elementwise and
+    bit-identical to Python's ``abs(z) ** 2``: np.hypot and
+    float_power(p, 2.0) compute what abs(complex) and float ** 2 do."""
+    return [np.float_power(np.hypot(items[p].real, items[p].imag), 2.0) for p in PORTS]
+
+
+def flux_residual(probs):
+    """|sum of outgoing probabilities - 1|, summed in port order."""
+    return np.abs(sum(probs) - 1.0)
 
 
 def rates_from_outgoing(forward: Mapping, reverse: Mapping):
@@ -405,11 +411,12 @@ def rates_from_outgoing(forward: Mapping, reverse: Mapping):
     (see `named_components`), each value an array with one entry per cell;
     only the `PORTS` are read.  Returns the `TransferRates.as_row` values
     as a (7, cells) array and the mask of cells where eta is undefined.
-    Each value is bit-identical to the scalar functions': `abs2` gives
-    their probabilities, and they are summed in the same order.
+    Each value is bit-identical to the scalar functions':
+    `port_probabilities` gives their probabilities, and they are summed in
+    the same order.
     """
-    fwd = [abs2(forward[name]) for name in PORTS]
-    rev = [abs2(reverse[name]) for name in PORTS]
+    fwd = port_probabilities(forward)
+    rev = port_probabilities(reverse)
     p_m_left, p_m_right, p_nl_k, p_nr_k, p_nl_q, p_nr_q = fwd
     rows = np.zeros((7, len(p_m_left)))
     rows[0] = p_nl_k + p_nr_k
@@ -420,7 +427,7 @@ def rates_from_outgoing(forward: Mapping, reverse: Mapping):
     total_n = rows[0] + rows[1]
     eta_undefined = total_n == 0.0
     np.divide(rows[1], total_n, out=rows[5], where=~eta_undefined)
-    rows[6] = np.maximum(np.abs(sum(fwd) - 1.0), np.abs(sum(rev) - 1.0))
+    rows[6] = np.maximum(flux_residual(fwd), flux_residual(rev))
     return rows, eta_undefined
 
 

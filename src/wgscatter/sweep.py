@@ -12,8 +12,8 @@ engine call holds a bounded number of cells.  A block's runs are
 stretches of cells with equal k, q and rates, which share one photon
 elimination in the solver (a Markovian row is one run, and a
 non-Markovian row one run per cell).  `solver.solve_batch` takes a
-block's runs in pieces of SOLVER_BLOCK, so its memory does not grow with
-the runs.
+block's runs in pieces of `solver.SOLVER_BLOCK`, so its memory does not
+grow with the runs.
 Only the "solver" engine runs the solver's condition screen and writes its
 ``ill_conditioned`` flags: "both" writes the closed engine's flags, so its
 solver pass skips the screen, as do `validate` and `search`'s
@@ -85,9 +85,6 @@ RATE_FIELDS = ("T_Ng", "T_Ns", "T_M_rev", "R_M", "T2", "eta", "residual")
 #: one giant `Family.solver_rates` block, both directions, screened or not,
 #: 2.9 to 5.3 MiB (1.4 to 3.5 MiB at 1024 cells).
 BLOCK_CELLS = 4096
-#: Runs per piece of a solver block (see `solver.SOLVER_BLOCK`); `validate`
-#: sizes its rounds by it.
-SOLVER_BLOCK = solver.SOLVER_BLOCK
 
 #: Largest grid (phase count x detuning count) a sweep accepts: 13x the
 #: full preset grid (629 x 2001), and about 1 GB of rate grids per engine
@@ -393,7 +390,7 @@ def _blocks(n_phi: int, n_delta: int) -> list[tuple[int, int]]:
     Whole phase rows go into a block while it holds at most BLOCK_CELLS
     cells, and a longer row is split into slices of BLOCK_CELLS cells,
     whatever the rows' runs: `solver.solve_batch` takes a block's runs
-    SOLVER_BLOCK at a time.
+    `solver.SOLVER_BLOCK` at a time.
     """
     if n_delta > BLOCK_CELLS:
         return [

@@ -10,14 +10,13 @@ Each engine names its output once, `closed_form.components` for kernel
 output and `BlockSolution.components` for a solved block, with the keys of
 `ScatterAmplitudes.components`; components are matched by those names.
 
-Draws run in rounds of ``len(FAMILY_NAMES) * SOLVER_BLOCK``, so memory does
-not grow with the draw count.  A route's block then holds at most
-SOLVER_BLOCK draws, each a run of its own, which `solver.solve_batch`
-solves as one piece, where `sweep.run_sweep` packs blocks by cell count
-and leaves the pieces to `solve_batch`.  In a round each route makes one kernel call
-over its family's draws and one `solver.solve_batch` per group of draws
-with the same zero rates (a zero rate drops its legs, which changes the
-layout), and its per-draw values are reduced to their maxima before the
+Draws run in rounds of ``len(FAMILY_NAMES) * sweep.BLOCK_CELLS``, so memory
+does not grow with the draw count.  In a round each route makes one kernel
+call over its family's draws and one `solver.solve_batch` per group of
+draws with the same zero rates (a zero rate drops its legs, which changes
+the layout), so each call holds at most BLOCK_CELLS draws, the bound of
+every sweep block and search chunk; `solve_batch` solves in pieces of its
+own.  A route's per-draw values are reduced to their maxima before the
 next route runs.  Each reported maximum is the first in draw order, ties
 going to the earlier case and then to the earlier check of a case, as one
 running maximum updated draw by draw would keep it.  An error is raised
@@ -31,9 +30,8 @@ Rates are drawn from [0, 3], detunings from [-10, 10], and phases from
 library's ``random.Random(seed)``: ``random()`` gives eight unit values per
 draw, in draw order, and each maps to ``low + (high - low) * unit``.
 ``random()`` is the stream Python keeps the same across versions, so a
-report is bit-reproducible per seed; reports differ from those of versions
-that drew from ``numpy.random``, which this module does not import (it
-costs about 5 MB of resident memory).
+report is bit-reproducible per seed.  ``numpy.random`` is not imported: it
+costs about 5 MB of resident memory.
 """
 
 from __future__ import annotations
@@ -51,9 +49,10 @@ from .core import (
     InvalidAmplitudeError,
     ScatterAmplitudes,
     SingularityError,
-    abs2,
+    flux_residual,
+    port_probabilities,
 )
-from .sweep import FAMILIES, SOLVER_BLOCK
+from .sweep import BLOCK_CELLS, FAMILIES
 
 #: Draw families in draw order, each a list of (label, route) cases.
 _DRAWS = {
@@ -71,9 +70,10 @@ _DRAWS = {
 }
 FAMILY_NAMES = tuple(_DRAWS)
 
-#: Draws per round: SOLVER_BLOCK per family, so each solver block is one
-#: piece of at most SOLVER_BLOCK runs.
-ROUND = len(FAMILY_NAMES) * SOLVER_BLOCK
+#: Draws per round: BLOCK_CELLS per family, so each route's kernel call and
+#: solver block holds at most BLOCK_CELLS draws.  A multiple of the family
+#: count, so draw i is always of family i mod 5.
+ROUND = len(FAMILY_NAMES) * BLOCK_CELLS
 
 #: Bounds of the eight uniform values of a draw, in the generator's order:
 #: four rates, the detuning and three phases.
@@ -172,16 +172,6 @@ def hybrid_residual(
     return abs(total - 1.0)
 
 
-def _probabilities(items: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """|z|^2 of each port, bit-identical to Python's ``abs(z) ** 2``."""
-    return [abs2(items[port]) for port in PORTS]
-
-
-def _residual(probs: list[np.ndarray]) -> np.ndarray:
-    """|sum of outgoing probabilities - 1|, summed in port order."""
-    return np.abs(sum(probs) - 1.0)
-
-
 def _check_route(label, route, gammas, delta, phases, draw, case, errors):
     """One route over its family's draws of a round.
 
@@ -207,7 +197,7 @@ def _check_route(label, route, gammas, delta, phases, draw, case, errors):
         errors, draw, ~finite, (1, case, 0),
         lambda d: InvalidAmplitudeError(f"non-finite closed amplitude at {point!r}, draw {d}"),
     )
-    closed_probs = _probabilities(closed)
+    closed_probs = port_probabilities(closed)
     printed = _PRINTED[label]
     hybrid = np.zeros(cells)
     solver_residual = np.zeros(cells)
@@ -235,9 +225,9 @@ def _check_route(label, route, gammas, delta, phases, draw, case, errors):
                 lambda d: AssertionError(f"amplitude sets disagree on components: {missing}"),
             )
             continue
-        numeric_probs = _probabilities(numeric)
-        solver_residual[group] = _residual(numeric_probs)
-        hybrid[group] = _residual(
+        numeric_probs = port_probabilities(numeric)
+        solver_residual[group] = flux_residual(numeric_probs)
+        hybrid[group] = flux_residual(
             [
                 c[group] if port in printed else n
                 for port, c, n in zip(PORTS, closed_probs, numeric_probs)
@@ -245,7 +235,7 @@ def _check_route(label, route, gammas, delta, phases, draw, case, errors):
         )
         diff = np.array([closed[key][group] - numeric[key] for key in closed])
         discrepancy[group] = np.hypot(diff.real, diff.imag).max(axis=0)
-    closed_residuals = np.stack([hybrid, _residual(closed_probs)], axis=-1)
+    closed_residuals = np.stack([hybrid, flux_residual(closed_probs)], axis=-1)
     return closed_residuals, solver_residual[:, None], discrepancy[:, None]
 
 

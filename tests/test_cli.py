@@ -22,6 +22,7 @@ from hypothesis.extra import numpy as hnp
 from wgscatter import cli
 from wgscatter import search as search_mod
 from wgscatter.core import PHASE_NAMES, ConfigError, PhaseModel
+from wgscatter.solver import SOLVER_BLOCK
 from wgscatter.sweep import (
     ETA_UNDEFINED,
     FIGURE_IDS,
@@ -30,7 +31,6 @@ from wgscatter.sweep import (
     ILL_REVERSE,
     MAX_CELLS,
     RATE_FIELDS,
-    SOLVER_BLOCK,
     Axis,
     PhaseAxis,
     SweepResult,

@@ -21,7 +21,8 @@ from wgscatter.core import (
     SingularityError,
     rates_from_amplitudes,
 )
-from wgscatter.sweep import FAMILIES, SOLVER_BLOCK
+from wgscatter.solver import SOLVER_BLOCK
+from wgscatter.sweep import BLOCK_CELLS, FAMILIES
 from wgscatter.validate import (
     ValidationReport,
     hybrid_residual,
@@ -155,6 +156,23 @@ def test_closed_residual_gate_on_both_sides(monkeypatch, eps, passed):
     assert report.passed is passed
 
 
+@pytest.mark.parametrize("value, code", [(2e-10, 1), (5e-11, 0)])
+def test_solver_residual_gate_on_both_sides(monkeypatch, capsys, value, code):
+    """The solver residual gate alone.  No perturbation of the solver moves
+    only its residual (scaling its solution by 1 + eps moves the hybrid
+    residual and the pair discrepancy as much), so the report is set by
+    hand, every other maximum 0: 2e-10 fails the 1e-10 gate and exits 1,
+    5e-11 passes."""
+    report = ValidationReport(draws=1, seed=0)
+    report.max_residual_solver.update(value, "giant_forward[draw 3]")
+    assert report.passed is (code == 0)
+    monkeypatch.setattr(validate, "run_validation", lambda **kw: report)
+    assert cli.main(["validate", "--draws", "1"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"validation: {'FAIL' if code else 'PASS'}"
+    assert lines[3] == f"max_solver_residual={value:.17g} (tol 1e-10) at giant_forward[draw 3]"
+
+
 #: The seven distinct routes: both small families share their reverse one.
 DISTINCT_ROUTES = {route.kernel: route for route in ROUTES.values()}
 
@@ -265,11 +283,29 @@ def test_rounds_match_draw_by_draw_reference(seed):
     assert_equivalent(run_validation(draws=300, seed=seed), reference_draws(300, seed), seed)
 
 
-def test_several_rounds_match_reference():
+def test_several_rounds_match_reference(monkeypatch):
+    monkeypatch.setattr(validate, "ROUND", 5 * SOLVER_BLOCK)
     draws = 7 * validate.ROUND // 4
     assert draws > 5 * SOLVER_BLOCK
     rows = reference_draws(draws, 11)
     assert_equivalent(run_validation(draws=draws, seed=11), rows, 11)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_report_does_not_depend_on_round_size(monkeypatch, seed):
+    """Rounds of `ROUND`, of 640 and of 5 draws give the same report lines.
+    `2 * ROUND - 1` draws fill a second round of `ROUND` but one, so a round
+    size that is not a multiple of the family count runs most of them
+    through the wrong family's routes; with 7 draws in the second round a
+    size of 4096 goes unseen.  Rounds of 5 run on 647 draws, as 8,192 of
+    them take 40 s."""
+    own = validate.ROUND
+    for draws, sizes in ((2 * own - 1, (640,)), (647, (640, 5))):
+        want = run_validation(draws=draws, seed=seed).lines()
+        for size in sizes:
+            monkeypatch.setattr(validate, "ROUND", size)
+            assert run_validation(draws=draws, seed=seed).lines() == want, (draws, size)
+        monkeypatch.setattr(validate, "ROUND", own)
 
 
 def test_zero_rates_split_a_round_into_layout_groups(monkeypatch):
@@ -334,8 +370,8 @@ def test_component_mismatch_raises_as_reference(monkeypatch):
         round_report(rows)
 
 
-@pytest.mark.parametrize("draws", [7, 3 * validate.ROUND + 1])
-def test_no_block_exceeds_solver_block(monkeypatch, draws):
+@pytest.mark.parametrize("draws", [7, validate.ROUND + 1])
+def test_no_block_exceeds_block_cells(monkeypatch, draws):
     blocks = []
     batch = solver.solve_batch
 
@@ -345,7 +381,7 @@ def test_no_block_exceeds_solver_block(monkeypatch, draws):
 
     monkeypatch.setattr(solver, "solve_batch", recording)
     run_validation(draws=draws, seed=0)
-    assert max(blocks) <= SOLVER_BLOCK
+    assert max(blocks) <= BLOCK_CELLS
     families = validate.FAMILY_NAMES
     cases = (len(validate._DRAWS[families[i % len(families)]]) for i in range(draws))
     assert sum(blocks) == sum(cases)

@@ -21,13 +21,13 @@ from wgscatter.core import (
     SystemConfig,
     rates_from_amplitudes,
 )
+from wgscatter.solver import SOLVER_BLOCK
 from wgscatter.sweep import (
     ETA_UNDEFINED,
     FAMILIES,
     ILL_FORWARD,
     ILL_REVERSE,
     RATE_FIELDS,
-    SOLVER_BLOCK,
     Axis,
     PhaseAxis,
     SweepSpec,

@@ -24,6 +24,7 @@ from wgscatter.core import (
     rates_from_amplitudes,
 )
 from wgscatter.search import Bounds, Fixed, Objective, grid_refine_search
+from wgscatter.solver import SOLVER_BLOCK
 from wgscatter.sweep import (
     BLOCK_CELLS,
     ENGINES,
@@ -34,7 +35,6 @@ from wgscatter.sweep import (
     MAX_CELLS,
     RATE_FIELDS,
     SINGULAR,
-    SOLVER_BLOCK,
     Axis,
     PhaseAxis,
     SweepSpec,

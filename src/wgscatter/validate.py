@@ -16,14 +16,18 @@ call over its family's draws and one `solver.solve_batch` per group of
 draws with the same zero rates (a zero rate drops its legs, which changes
 the layout), so each call holds at most BLOCK_CELLS draws, the bound of
 every sweep block and search chunk; `solve_batch` solves in pieces of its
-own.  A route's per-draw values are reduced to their maxima before the
-next route runs.  Each reported maximum is the first in draw order, ties
-going to the earlier case and then to the earlier check of a case, as one
-running maximum updated draw by draw would keep it.  An error is raised
-for the earliest draw that has one, and within a draw in the order
-draw-by-draw checking would meet it: a closed-form singularity or a
-singular solver system, case by case, before non-finite closed amplitudes
-or a component-set mismatch.
+own.  Each route writes its checks into two round-wide arrays: its
+values into one indexed (draw, case, check), the checks being the closed
+residuals (hybrid, then the closed route's own), the solver residual and
+the pair discrepancy, and its errors into a boolean one indexed (draw,
+stage, case, step).  Stage 0 is a closed-form singularity or a singular
+solver system, stage 1 non-finite closed amplitudes or a component-set
+mismatch.  The C order of both arrays is the order a draw-by-draw loop
+meets the checks, so one rule makes the report: the first argmax wins.
+Each reported maximum is the first of its checks' maxima, and an equal
+maximum in a later round does not replace it; the error raised is the
+first True.  The arrays hold 72 bytes per draw until the round is
+reduced, at most 1.5 MB in a round of 20,480 draws.
 
 Rates are drawn from [0, 3], detunings from [-10, 10], and phases from
 [0, 2*pi), all in reference-rate units.  The draws come from the standard
@@ -172,14 +176,25 @@ def hybrid_residual(
     return abs(total - 1.0)
 
 
-def _check_route(label, route, gammas, delta, phases, draw, case, errors):
+#: Error of each (stage, step) of a route's checks.  Stage 0 is a closed-form
+#: singularity (step 0) or a singular solver system (step 1); stage 1 is a
+#: non-finite closed amplitude (step 0) or a component-set mismatch (step 1).
+_ERRORS = {
+    (0, 0): (SingularityError, "vanishing denominator at {point!r}, draw {draw}"),
+    (0, 1): (DegenerateConfigError, "singular scattering system at {point!r}, draw {draw}"),
+    (1, 0): (InvalidAmplitudeError, "non-finite closed amplitude at {point!r}, draw {draw}"),
+    (1, 1): (AssertionError, "amplitude sets disagree on components: {missing}"),
+}
+
+
+def _check_route(label, route, gammas, delta, phases):
     """One route over its family's draws of a round.
 
-    Returns its per-draw values, one row per draw and one column per check
-    in update order: the closed residuals (hybrid, then the closed route's
-    own), the solver residual and the pair discrepancy.  Appends the
-    earliest draw of each error it finds to ``errors``, keyed by (draw,
-    stage, case, step) in the order draw-by-draw checking would meet it.
+    Returns its per-draw values, one row per draw and one column per check:
+    the closed residuals (hybrid, then the closed route's own), the solver
+    residual and the pair discrepancy; its per-draw errors, indexed (draw,
+    stage, step) as in `_ERRORS`; and the components the two engines do not
+    share, empty unless they disagree.
     """
     cells = len(delta)
     fields = route.fields(gammas, delta, phases)
@@ -187,21 +202,13 @@ def _check_route(label, route, gammas, delta, phases, draw, case, errors):
         key: np.broadcast_to(np.asarray(value, dtype=complex), (cells,))
         for key, value in cf.components(route.port, fields).items()
     }
-    point = (route.kernel, label)
-    _first_error(
-        errors, draw, np.broadcast_to(fields.singular, (cells,)), (0, case, 0),
-        lambda d: SingularityError(f"vanishing denominator at {point!r}, draw {d}"),
-    )
-    finite = np.logical_and.reduce([np.isfinite(v) for v in closed.values()])
-    _first_error(
-        errors, draw, ~finite, (1, case, 0),
-        lambda d: InvalidAmplitudeError(f"non-finite closed amplitude at {point!r}, draw {d}"),
-    )
+    values = np.zeros((cells, 4))
+    errors = np.zeros((cells, 2, 2), bool)
+    errors[:, 0, 0] = fields.singular
+    errors[:, 1, 0] = ~np.logical_and.reduce([np.isfinite(v) for v in closed.values()])
+    missing: set[str] = set()
     closed_probs = port_probabilities(closed)
     printed = _PRINTED[label]
-    hybrid = np.zeros(cells)
-    solver_residual = np.zeros(cells)
-    discrepancy = np.zeros(cells)
     # Draws with the same zero rates share a layout.  (np.unique would do,
     # but its first call costs about 1 MB of resident memory.)
     pattern = sum((g > 0.0) << k for k, g in enumerate(gammas))
@@ -213,71 +220,57 @@ def _check_route(label, route, gammas, delta, phases, draw, case, errors):
             {name: value[group] for name, value in phases.items()},
         )
         sol = solver.solve_batch(cfg, check_conditioning=False)
-        _first_error(
-            errors, draw[group], sol.singular, (0, case, 1),
-            lambda d: DegenerateConfigError(f"singular scattering system at {point!r}, draw {d}"),
-        )
+        errors[group, 0, 1] = sol.singular
         numeric = sol.components()
         if set(closed) != set(numeric):
-            missing = set(closed) ^ set(numeric)
-            _first_error(
-                errors, draw[group], np.ones(len(group), bool), (1, case, 1),
-                lambda d: AssertionError(f"amplitude sets disagree on components: {missing}"),
-            )
+            missing |= set(closed) ^ set(numeric)
+            errors[group, 1, 1] = True
             continue
         numeric_probs = port_probabilities(numeric)
-        solver_residual[group] = flux_residual(numeric_probs)
-        hybrid[group] = flux_residual(
+        values[group, 0] = flux_residual(
             [
                 c[group] if port in printed else n
                 for port, c, n in zip(PORTS, closed_probs, numeric_probs)
             ]
         )
+        values[group, 2] = flux_residual(numeric_probs)
         diff = np.array([closed[key][group] - numeric[key] for key in closed])
-        discrepancy[group] = np.hypot(diff.real, diff.imag).max(axis=0)
-    closed_residuals = np.stack([hybrid, flux_residual(closed_probs)], axis=-1)
-    return closed_residuals, solver_residual[:, None], discrepancy[:, None]
-
-
-def _first_error(errors, draw, mask, stage, make) -> None:
-    """Record the earliest draw under ``mask``, keyed for ordering."""
-    hits = np.flatnonzero(mask)
-    if hits.size:
-        d = int(draw[hits[0]])
-        errors.append(((d, *stage), make(d)))
+        values[group, 3] = np.hypot(diff.real, diff.imag).max(axis=0)
+    values[:, 1] = flux_residual(closed_probs)
+    return values, errors, missing
 
 
 def _run_round(report: ValidationReport, first: int, sample: np.ndarray) -> None:
     """Check draws ``first``, ``first + 1``, ..., one row of ``sample`` each
-    (four rates, the detuning, three phases), and update the report."""
+    (four rates, the detuning, three phases), and update the report with
+    the first argmax of each round-wide array (see the module docstring).
+    """
     families = len(FAMILY_NAMES)
-    candidates: dict[str, list] = {"closed": [], "solver": [], "pair": []}
-    errors: list = []
+    values = np.zeros((len(sample), 2, 4))
+    errors = np.zeros((len(sample), 2, 2, 2), bool)
+    missing = {}
     for f, family in enumerate(FAMILY_NAMES):
         rows = sample[f::families]
-        if not len(rows):
-            continue
-        draw = first + f + families * np.arange(len(rows))
         gammas = tuple(rows[:, :4].T)
-        delta = rows[:, 4]
         phases = {name: rows[:, 5 + k] for name, k in _DRAWN_PHASE.items()}
         for case, (label, route) in enumerate(_DRAWS[family]):
-            checked = _check_route(label, route, gammas, delta, phases, draw, case, errors)
-            for name, values in zip(candidates, checked):
-                cell, update = np.unravel_index(np.argmax(values), values.shape)
-                d = int(draw[cell])
-                candidates[name].append(
-                    (d, case, int(update), float(values[cell, update]), f"{label}[draw {d}]")
-                )
-    if errors:
-        raise min(errors, key=lambda item: item[0])[1]
-    for name, worst in (
-        ("closed", report.max_residual_closed),
-        ("solver", report.max_residual_solver),
-        ("pair", report.max_discrepancy),
+            values[f::families, case], errors[f::families, :, case], missing[label] = (
+                _check_route(label, route, gammas, rows[:, 4], phases)
+            )
+    if errors.any():
+        d, stage, case, step = np.unravel_index(np.argmax(errors), errors.shape)
+        label, route = _DRAWS[FAMILY_NAMES[d % families]][case]
+        error, message = _ERRORS[stage, step]
+        point = (route.kernel, label)
+        raise error(message.format(point=point, draw=first + d, missing=missing[label]))
+    for worst, checks in (
+        (report.max_residual_closed, values[..., :2]),
+        (report.max_residual_solver, values[..., 2:3]),
+        (report.max_discrepancy, values[..., 3:]),
     ):
-        for *_, value, where in sorted(candidates[name]):
-            worst.update(value, where)
+        d, case, _ = np.unravel_index(np.argmax(checks), checks.shape)
+        label = _DRAWS[FAMILY_NAMES[d % families]][case][0]
+        worst.update(float(checks.max()), f"{label}[draw {first + d}]")
 
 
 def run_validation(draws: int = 10000, seed: int = 0) -> ValidationReport:

@@ -370,6 +370,66 @@ def test_component_mismatch_raises_as_reference(monkeypatch):
         round_report(rows)
 
 
+def test_stage_order_beats_case_order_within_a_draw(monkeypatch):
+    # Every two-legged forward draw reports an extra interior region (stage
+    # 1, case 0), and the two-legged reverse kernel is singular where gamma1
+    # is zero (stage 0, case 1).  Draw 3 is the first two-legged draw, so it
+    # has both; draw-by-draw checking meets the singularity first.
+    forward, reverse = cf.giant_forward_fields, cf.giant_reverse_fields
+
+    def extra_region(*args):
+        fields = forward(*args)
+        fields.interior["N_k:2"] = fields.interior["N_k:1"]
+        return fields
+
+    def singular_without_gamma1(gamma1, *args):
+        fields = reverse(gamma1, *args)
+        fields.singular = fields.singular | (np.asarray(gamma1) == 0.0)
+        return fields
+
+    monkeypatch.setattr(cf, "giant_forward_fields", extra_region)
+    monkeypatch.setattr(cf, "giant_reverse_fields", singular_without_gamma1)
+    rows = reference_draws(10, 5)
+    rows[3][0] = 0.0
+    with pytest.raises(SingularityError, match="giant_reverse"):
+        reference(rows)
+    with pytest.raises(SingularityError, match="giant_reverse.*draw 3"):
+        round_report(rows)
+
+
+def _draw(worst) -> int:
+    """The draw number in a report entry's ``label[draw N]``."""
+    return int(worst.where.rsplit(" ", 1)[1].rstrip("]"))
+
+
+@pytest.mark.parametrize("size", [validate.ROUND, 5], ids=["one_round", "rounds_of_5"])
+def test_equal_maximum_keeps_the_earlier_draw(monkeypatch, size):
+    """A later draw that ties the largest pair discrepancy exactly, being a
+    copy of its row, does not take the report, whether it falls in the same
+    round or a later one."""
+    monkeypatch.setattr(validate, "ROUND", size)
+    rows = reference_draws(300 if size > 5 else 60, 3)
+    want = round_report(rows).max_discrepancy
+    i = _draw(want)
+    assert i + 10 < len(rows)
+    rows[i + 10] = rows[i].copy()  # a later draw of the same family
+    got = round_report(rows).max_discrepancy
+    assert (got.value, got.where) == (want.value, want.where)
+    # The copy holds the same value: without the original it is reported.
+    rows[i] = rows[i + 5].copy()
+    got = round_report(rows).max_discrepancy
+    assert (got.value, _draw(got)) == (want.value, i + 10)
+
+
+@pytest.mark.parametrize("draws", [1, 2, 3, 4])
+def test_fewer_draws_than_families_match_reference(draws):
+    """The families past the last draw run their routes on no draws.  The
+    lines match the reference's exactly: with one draw every closed residual
+    is 0, so no label is reported for that maximum."""
+    want, _ = reference(reference_draws(draws, 0))
+    assert run_validation(draws=draws).lines() == want.lines()
+
+
 @pytest.mark.parametrize("draws", [7, validate.ROUND + 1])
 def test_no_block_exceeds_block_cells(monkeypatch, draws):
     blocks = []
